@@ -206,12 +206,14 @@ def _scan_row(task):
 
 def scan_rows(p_range, q_range, sigma_method="auto", jobs=1, prime_cap=None):
     """Classify every coprime pair in the box; rows sorted by (p, q), and
-    identical for every parallelism degree."""
+    identical for every parallelism degree.  At most min(jobs, CPU count,
+    number of pairs) worker processes are started."""
     pairs = sorted(_scan_pairs(p_range, q_range))
     tasks = [((p, q), sigma_method, prime_cap) for p, q in pairs]
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [_scan_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_row, tasks, chunksize=8))
 
 

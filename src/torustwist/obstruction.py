@@ -21,12 +21,13 @@ non-exceptional knot.
 
 import json
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .core import TorusKnotParams, is_exceptional, normalize
 from .errors import DomainError, InternalCheckError, UndecidedSignError
 from .fourmanifold import (kikuchi_eliminate, ledger_from_sequence,
                            serialize_sequence, template_sequences)
-from .tristram import prime_divisors, sigma_d
+from .tristram import prime_divisors, sigma_d, smallest_prime_factors
 
 SCHEMA = "torustwist-certificate/1"
 
@@ -125,7 +126,8 @@ def condition_iv_check(p: int, q: int, omega: int, d: int,
         raise DomainError(f"d={d} does not divide omega={omega}")
     a = d // 2
     num = 2 * a * (d - a) * omega * omega
-    assert num % (d * d) == 0
+    if num % (d * d) != 0:
+        raise InternalCheckError(f"d^2={d * d} does not divide {num}")
     lhs = num // (d * d)
     if sigma_value is None:
         sigma_value = sigma_d(TorusKnotParams(p, q), d, method=method)
@@ -159,7 +161,9 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
                                       notes=tuple(notes), **base)
 
     p, q = nk.p, nk.q
-    assert p >= 5 and q >= p + 2
+    if p < 5 or q < p + 2:
+        raise InternalCheckError(f"{nk} is neither trivial nor exceptional "
+                                 f"but has p < 5 or q < p + 2")
     if thom_bound_check(p, q, q):
         raise InternalCheckError(f"genus bound fails to exclude w=q for {nk}")
 
@@ -177,6 +181,8 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
             sigma_inputs[d] = value
         return sigma_inputs[d]
 
+    # every w within the genus bound has w <= isqrt((p-1)(q-1)) + 2
+    spf = smallest_prime_factors(isqrt((p - 1) * (q - 1)) + 3)
     eliminations = []
     alive = []
     for w in range(2, q):
@@ -188,7 +194,7 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
             continue
         failed = None
         capped = False
-        for d in prime_divisors(w):
+        for d in prime_divisors(w, spf):
             if prime_cap is not None and d > prime_cap:
                 capped = True
                 continue

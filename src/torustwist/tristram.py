@@ -12,10 +12,16 @@ That arithmetic fact certifies the nullity; the remaining eigenvalue signs
 are certified by interval arithmetic (see `certify`), escalating precision
 until every sign resolves or a cap is hit.
 
-For torus knots there is also an exact integer fast path: writing
+For torus knots there is also an exact integer fast path (Litherland,
+"Signatures of iterated torus knots", LNM 722, 1979): writing
 x(i,j) = i/p + j/q over 0 < i < p, 0 < j < q and s = a/d, the form's
 eigenvalue on the (i,j) monodromy line is negative exactly when
-s < x(i,j) < 1 + s, positive otherwise, and never zero for prime d.  This
+s < x(i,j) < 1 + s, positive otherwise, and never zero for prime d.  For
+each i the positive j number [q|ap - di|/(dp)], so the count splits into
+two floor sums over the i-ranges on either side of i = ap/d, each
+evaluated in O(log) steps by the Euclid-like `floor_sum` recursion.  A
+point on the window boundary would be a solution of iq + jp = N in the
+box, which one modular inverse decides, also in O(log) steps.  The path
 reproduces the half-turn lattice count at d = 2 and is validated against
 the Hermitian route across the whole test range; the Hermitian route stays
 authoritative.
@@ -30,7 +36,7 @@ import numpy as np
 from . import cyclotomic
 from .certify import Inertia, MRMatrix, certified_inertia
 from .core import TorusKnotParams, normalize
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 from .lattice import sigma_closed
 from .seifert import SeifertForm, seifert_matrix, torus_braid
 
@@ -50,18 +56,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_divisors(n: int):
-    out = []
-    m = n
+def smallest_prime_factors(limit: int) -> list:
+    """spf[k] = the smallest prime factor of k, for 2 <= k < limit."""
+    spf = list(range(limit))
     f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
+    while f * f < limit:
+        if spf[f] == f:
+            for k in range(f * f, limit, f):
+                if spf[k] == k:
+                    spf[k] = f
         f += 1
-    if m > 1:
-        out.append(m)
+    return spf
+
+
+def prime_divisors(n: int, spf: list = None) -> list:
+    """Distinct prime divisors of n >= 1, ascending, read from a smallest
+    prime factor table that covers n (built for n alone when not given)."""
+    if spf is None:
+        spf = smallest_prime_factors(n + 1)
+    out = []
+    while n > 1:
+        f = spf[n]
+        out.append(f)
+        while n % f == 0:
+            n //= f
     return out
 
 
@@ -173,7 +191,10 @@ def _nullity(h: HermitianForm) -> int:
         # is a pq-th root of unity whose order divides neither p nor q, so
         # its order has prime factors from both p and q and is composite.
         # Hence H(z) is nonsingular.
-        assert gcd(p, q) == 1 and is_prime(h.d)
+        if gcd(p, q) != 1 or not is_prime(h.d):
+            raise InternalCheckError(
+                f"nullity certificate needs coprime (p,q) and prime d, "
+                f"got ({p},{q}), d={h.d}")
         return 0
     return cyclotomic.hermitian_nullity_exact(h.coeffs, h.d)
 
@@ -195,49 +216,70 @@ def inertia(h: HermitianForm, precision_cap: int = None) -> Inertia:
 def _sigma_hermitian(p: int, q: int, d: int, cap) -> int:
     form = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
     ine = inertia(form, precision_cap=cap)
-    assert ine.n_zero == 0
+    if ine.n_zero != 0:
+        raise InternalCheckError(
+            f"H_{d}(T({p},{q})) is singular: nullity {ine.n_zero}")
     return ine.signature
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} [(a*i + b) / m] for n >= 0, m >= 1, a, b >= 0, in
+    O(log m) steps (the Euclid-like recursion of the AtCoder Library)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def _lattice_hit(p: int, q: int, n: int) -> bool:
+    """True iff i*q + j*p = n for some 0 < i < p, 0 < j < q."""
+    g = gcd(p, q)
+    if n % g:
+        return False
+    pg, qg, n = p // g, q // g, n // g
+    i = n * pow(qg, -1, pg) % pg or pg   # least i > 0 on the line
+    j = (n - i * qg) // pg
+    # steps (i, j) -> (i + pg, j - qg) until j < q
+    t = max(0, (j - q) // qg + 1)
+    return i + t * pg < p and j - t * qg > 0
 
 
 @lru_cache(maxsize=None)
 def sigma_d_counting(p: int, q: int, d: int) -> int:
     """Exact integer fast path for sigma_d(T(p,q)), 0 < p < q coprime.
 
-    Counts lattice pairs against the window (s, 1+s), s = [d/2]/d, with
-    integer cross-multiplication only; asserts the window boundary is never
-    attained (true for prime d).
+    With a = [d/2], the pairs (i,j) whose x = i/p + j/q lies outside the
+    window (s, 1+s), s = a/d, number [q|ap - di|/(dp)] at each i: for
+    i <= m = [(ap-1)/d] they are the j with x < s, and for i > m the j with
+    x > 1+s, whose bound q + q(ap - di)/(dp) is q plus a nonpositive number.
+    Neither range needs clamping, so the positive count is two floor sums,
+    and sigma_d = 2 * positive - (p-1)(q-1).  The count holds only if no
+    lattice point lies on the window boundary d(iq + jp) in
+    {a*pq, (d+a)*pq}; that is checked exactly (it never happens for prime d
+    and coprime p, q) and raises InternalCheckError.  O(log q) steps.
     """
     if not is_prime(d):
         raise DomainError(f"d={d}: need a prime")
     if not 0 < p < q:
         raise DomainError(f"need 0 < p < q, got ({p},{q})")
     a = d // 2
-    pq = p * q
-    lo_num = a * pq          # x < s      <->  d(iq + jp) < lo_num
-    hi_num = (d + a) * pq    # x > 1 + s  <->  d(iq + jp) > hi_num
-    den = d * p
-    pos = 0
-    for i in range(1, p):
-        base = d * i * q
-        # j < (lo_num - base) / den
-        t = lo_num - base
-        if t > 0:
-            jmax = t // den
-            if t % den == 0:
-                if 1 <= jmax <= q - 1:
-                    raise AssertionError(
-                        f"window boundary attained at ({p},{q},{d})")
-                jmax -= 1
-            pos += min(jmax, q - 1)
-        # j > (hi_num - base) / den; hi_num > base always
-        t = hi_num - base
-        jlo = t // den + 1
-        if t % den == 0:
-            if 1 <= t // den <= q - 1:
-                raise AssertionError(f"window boundary attained at ({p},{q},{d})")
-        if jlo <= q - 1:
-            pos += q - 1 - jlo + 1
-    return 2 * pos - (p - 1) * (q - 1)
+    for num in (a * p * q, (d + a) * p * q):
+        if num % d == 0 and _lattice_hit(p, q, num // d):
+            raise InternalCheckError(
+                f"window boundary attained at ({p},{q},{d})")
+    m = (a * p - 1) // d
+    lo = floor_sum(m, d * p, d * q, q * (a * p - d * m))
+    hi = floor_sum(p - 1 - m, d * p, d * q, q * (d * (m + 1) - a * p))
+    return 2 * (lo + hi) - (p - 1) * (q - 1)
 
 
 def _sigma_counting_brute(p: int, q: int, d: int) -> int:
@@ -275,7 +317,8 @@ def tristram_sigma(k: TorusKnotParams, d: int, method: str = "hermitian",
         s = _sigma_hermitian(nk.p, nk.q, d, precision_cap)
     else:
         raise ValueError(f"unknown method {method!r}")
-    assert s % 2 == 0
+    if s % 2 != 0:
+        raise InternalCheckError(f"sigma_{d}({nk}) = {s} is odd")
     return -s if mirror else s
 
 

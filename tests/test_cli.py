@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from torustwist import cli
 from torustwist.cli import (main, parse_scan_csv, render_scan_csv,
                             render_scan_json, scan_rows)
 
@@ -120,6 +121,31 @@ def test_scan_parallel_matches_serial():
     b = scan_rows((2, 9), (3, 12), jobs=4)
     assert a == b
     assert render_scan_csv(a) == render_scan_csv(b)
+
+
+def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch):
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    serial = scan_rows((2, 9), (3, 12), jobs=1)
+    assert scan_rows((2, 9), (3, 12), jobs=10 ** 6) == serial
+    assert scan_rows((2, 2), (3, 5), jobs=10 ** 6) == scan_rows((2, 2), (3, 5))
+    # 4 CPUs; the second box holds the 2 pairs (2, 3) and (2, 5)
+    assert seen == [4, 2]
 
 
 def test_scan_golden_csv():

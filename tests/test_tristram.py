@@ -1,4 +1,9 @@
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +13,12 @@ from torustwist import (DomainError, HermitianForm, TorusKnotParams,
                         seifert_matrix, sigma_closed, sigma_d,
                         sigma_d_counting, sigma_oracle, torus_braid,
                         tristram_sigma)
-from torustwist.errors import UndecidedSignError
-from torustwist.tristram import _sigma_counting_brute
+from torustwist import tristram
+from torustwist.errors import InternalCheckError, UndecidedSignError
+from torustwist.tristram import (_lattice_hit, _sigma_counting_brute, is_prime,
+                                 prime_divisors, smallest_prime_factors)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def K(p, q):
@@ -90,14 +99,94 @@ def test_counting_matches_hermitian_large_spots():
 
 
 def test_counting_matches_brute():
-    for p, q in coprime_range(8, 10):
-        for d in (2, 3, 5, 7, 11, 13):
-            assert sigma_d_counting(p, q, d) == _sigma_counting_brute(p, q, d)
+    # every prime d <= 43 includes the d | p and d | q cases, where a window
+    # edge passes through a column or row of the lattice
+    primes = [d for d in range(2, 44) if is_prime(d)]
+    for p, q in coprime_range(39, 40):
+        for d in primes:
+            assert sigma_d_counting(p, q, d) == \
+                _sigma_counting_brute(p, q, d), (p, q, d)
 
 
 def test_counting_d2_is_ordinary_signature():
-    for p, q in coprime_range(12, 25):
-        assert sigma_d_counting(p, q, 2) == sigma_closed(K(p, q))
+    rng = random.Random(2024)
+    sample = []
+    while len(sample) < 40:
+        p = rng.randrange(2, 10 ** 5)
+        q = rng.randrange(p + 1, 3 * p + 2)
+        if math.gcd(p, q) == 1:
+            sample.append((p, q))
+    for p, q in coprime_range(12, 25) + sample:
+        assert sigma_d_counting(p, q, 2) == sigma_closed(K(p, q)), (p, q)
+
+
+def test_window_boundary_detector_matches_enumeration():
+    # The kernel raises when d(iq + jp) meets a*pq or (d+a)*pq inside the
+    # box.  For prime d and coprime (p, q) that never happens, so compare
+    # the O(log) detector with enumeration where it does: composite d, and
+    # (p, q) with a common factor.
+    hits = {"composite d": 0, "common factor": 0}
+    for p in range(1, 19):
+        for q in range(p + 1, 24):
+            lattice = {i * q + j * p for i in range(1, p) for j in range(1, q)}
+            for d in range(2, 17):
+                a = d // 2
+                for num in (a * p * q, (d + a) * p * q):
+                    fast = num % d == 0 and _lattice_hit(p, q, num // d)
+                    slow = any(d * x == num for x in lattice)
+                    assert fast == slow, (p, q, d, num)
+                    if fast:
+                        kind = ("composite d" if not is_prime(d)
+                                else "common factor")
+                        hits[kind] += 1
+                        assert kind == "composite d" or math.gcd(p, q) > 1
+    assert hits["composite d"] > 0 and hits["common factor"] > 0
+    # (6, 9) at d = 2: 2(1*9 + 3*6) = 54 = (2+1)*6*9
+    with pytest.raises(InternalCheckError):
+        sigma_d_counting(6, 9, 2)
+
+
+def test_prime_divisors_match_trial_division():
+    def reference(n):
+        out, f = [], 2
+        while f * f <= n:
+            if n % f == 0:
+                out.append(f)
+                while n % f == 0:
+                    n //= f
+            f += 1
+        return out + [n] if n > 1 else out
+
+    spf = smallest_prime_factors(20001)
+    for n in range(2, 20001):
+        assert prime_divisors(n, spf) == reference(n), n
+    for n in list(range(1, 200)) + [4096, 19997, 30030]:
+        assert prime_divisors(n) == reference(n), n
+
+
+def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
+    monkeypatch.setattr(tristram, "sigma_d_counting", lambda p, q, d: -5)
+    with pytest.raises(InternalCheckError):
+        tristram_sigma(K(5, 7), 3, method="counting")
+    # the check must survive python -O, and the CLI maps it to exit code 3
+    script = (
+        "import sys\n"
+        "from torustwist import cli, tristram\n"
+        "from torustwist.errors import InternalCheckError\n"
+        "tristram.sigma_d_counting = lambda p, q, d: -5\n"
+        "try:\n"
+        "    tristram.tristram_sigma(tristram.TorusKnotParams(5, 7), 3,\n"
+        "                            method='counting')\n"
+        "except InternalCheckError:\n"
+        "    sys.exit(cli.main(['classify', '-p', '5', '-q', '7']))\n"
+        "sys.exit(1)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "internal consistency failure" in res.stderr
 
 
 def test_tristram_even():
