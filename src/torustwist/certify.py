@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndecidedSignError
+from .errors import InternalCheckError, UndecidedSignError
 
 _U = 2.0 ** -53
 _TINY = 1e-300
@@ -58,7 +58,9 @@ class MRMatrix:
 
 def _gamma(k: int) -> float:
     t = (k + 8) * _U
-    assert t < 0.01
+    if not t < 0.01:
+        raise InternalCheckError(f"dimension {k} too large for the "
+                                 "rounding-error bound")
     return 2.0 * t / (1.0 - t)
 
 

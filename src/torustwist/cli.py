@@ -23,7 +23,7 @@ from .errors import (DomainError, InternalCheckError, InvalidKnotError,
                      UndecidedSignError)
 from .fourmanifold import ledger_from_sequence, parse_sequence
 from .lattice import sigma_closed, sigma_oracle
-from .obstruction import (NOT_IN_T, certificate_to_dict, certificate_to_json,
+from .obstruction import (NOT_IN_T, certificate_to_json,
                           certificate_to_text, classify)
 from .tristram import tristram_sigma
 
@@ -70,10 +70,9 @@ def cmd_classify(args) -> int:
     cert = classify(k, sigma_method=args.sigma_method,
                     precision_cap=_precision_cap(args))
     if args.format == "json":
-        payload = certificate_to_dict(cert)
-        if args.sequence:
-            payload["sequence_ledger"] = _sequence_report(args.sequence)
-        print(json.dumps(payload, indent=2))
+        extra = ({"sequence_ledger": _sequence_report(args.sequence)}
+                 if args.sequence else None)
+        sys.stdout.write(certificate_to_json(cert, extra))
     else:
         sys.stdout.write(certificate_to_text(cert))
         if args.sequence:

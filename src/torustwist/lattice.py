@@ -3,7 +3,7 @@
 sigma(T(p,q)) = sigma_plus - sigma_minus, where sigma_plus counts pairs
 (i,j), 0 < i < p, 0 < j < q, with i/p + j/q in (0, 1/2) or (3/2, 2), and
 sigma_minus counts those in (1/2, 3/2).  For coprime p, q the boundary
-values are never attained; the enumeration asserts this.  The closed forms
+values are never attained; the enumeration checks this.  The closed forms
 below evaluate the same quantity with integer floor arithmetic only.
 
 All comparisons use exact integer cross-multiplication, never floats.  The
@@ -14,7 +14,7 @@ the closed form is the fast path.
 from math import gcd
 
 from .core import TorusKnotParams
-from .errors import DomainError
+from .errors import DomainError, InternalCheckError
 
 
 def _require_standard(k: TorusKnotParams):
@@ -32,7 +32,9 @@ def sigma_oracle(k: TorusKnotParams) -> int:
         iq = i * q
         for j in range(1, q):
             t = 2 * (iq + j * p)  # compare i/p + j/q against 1/2 and 3/2
-            assert t != pq and t != 3 * pq, (k, i, j)
+            if t == pq or t == 3 * pq:
+                raise InternalCheckError(
+                    f"{k}: lattice point ({i},{j}) on the boundary")
             if t < pq or t > 3 * pq:
                 plus += 1
             else:

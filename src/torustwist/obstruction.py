@@ -10,18 +10,23 @@ A non-exceptional T(p,q) with 0 < p < q that arises from the unknot by one
   * for odd w, the characteristic-sphere constraint of any applicable
     untwisting chain (see fourmanifold.kikuchi_eliminate).
 
-The classifier enumerates w in [2, q-1] (w <= 1 cannot change the knot
-type), applies the filters in that order, and emits a machine-checkable
-certificate.  Exceptional and trivial knots are in the single-twist class
-by construction and are reported as such; for everything else the verdict
-is NotInT when no candidate survives, otherwise Undecided with the
-surviving candidates listed.  Membership is never claimed for a
-non-exceptional knot.
+The classifier accounts for every w in [2, q-1] (w <= 1 cannot change the
+knot type) and emits a machine-checkable certificate.  The genus bound
+keeps exactly the w up to a cutoff of about sqrt(pq), so the other filters
+run, in the order above, only below it, and every w above it is a
+genus-bound elimination.  Exceptional and trivial knots are in the
+single-twist class by construction and are reported as such; for
+everything else the verdict is NotInT when no candidate survives,
+otherwise Undecided with the surviving candidates listed.  Membership is
+never claimed for a non-exceptional knot.
 """
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import isqrt
+from operator import attrgetter
+from typing import NamedTuple
 
 from .core import TorusKnotParams, is_exceptional, normalize
 from .errors import DomainError, InternalCheckError, UndecidedSignError
@@ -51,8 +56,7 @@ class CandidateTwist:
     omega: int
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     omega: int
     reason: str
 
@@ -93,6 +97,15 @@ def thom_bound_check(p: int, q: int, omega: int) -> bool:
     if not 0 < p < q:
         raise DomainError(f"need 0 < p < q, got ({p},{q})")
     return (omega - 1) * (omega - 2) <= (p - 1) * (q - 1)
+
+
+def genus_cutoff(p: int, q: int) -> int:
+    """The largest w with (w-1)(w-2) <= (p-1)(q-1).  (w-1)(w-2) grows with
+    w >= 2, so the genus bound keeps exactly the w in [2, cutoff]."""
+    top = (3 + isqrt(1 + 4 * (p - 1) * (q - 1))) // 2
+    if not thom_bound_check(p, q, top) or thom_bound_check(p, q, top + 1):
+        raise InternalCheckError(f"genus cutoff {top} is off for ({p},{q})")
+    return top
 
 
 def condition_iv_check(p: int, q: int, omega: int, d: int,
@@ -181,16 +194,13 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
             sigma_inputs[d] = value
         return sigma_inputs[d]
 
-    # every w within the genus bound has w <= isqrt((p-1)(q-1)) + 2
-    spf = smallest_prime_factors(isqrt((p - 1) * (q - 1)) + 3)
-    eliminations = []
+    top = genus_cutoff(p, q)
+    spf = smallest_prime_factors(top + 1)
+    reasons = {}
     alive = []
-    for w in range(2, q):
-        if not thom_bound_check(p, q, w):
-            eliminations.append(Elimination(w, REASON_GENUS))
-            continue
+    for w in range(2, top + 1):
         if w % 2 == 0 and w <= p:
-            eliminations.append(Elimination(w, REASON_III))
+            reasons[w] = REASON_III
             continue
         failed = None
         capped = False
@@ -209,7 +219,7 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
                 failed = d
                 break
         if failed is not None:
-            eliminations.append(Elimination(w, reason_iv(failed)))
+            reasons[w] = reason_iv(failed)
         else:
             if capped:
                 notes.append(f"omega={w}: some prime divisors exceeded the "
@@ -236,17 +246,23 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
             reason = REASON_PARITY if even_square_only else REASON_KIKUCHI
             for w in [w for w in alive if w % 2 == 1]:
                 if w not in allowed:
-                    eliminations.append(Elimination(w, reason))
+                    reasons[w] = reason
                     alive.remove(w)
 
+    # the genus tail holds most of [2, q-1]; tuple.__new__ builds its
+    # Elimination items without a Python-level __new__ call each
+    genus_tail = map(tuple.__new__, repeat(Elimination),
+                     zip(range(top + 1, q), repeat(REASON_GENUS)))
+    eliminations = (*(Elimination(w, reasons[w]) for w in sorted(reasons)),
+                    *genus_tail)
     survivors = tuple(CandidateTwist(1, w) for w in alive)
-    covered = {e.omega for e in eliminations} | {s.omega for s in survivors}
-    if covered != set(range(2, q)):
+    omegas = sorted([*map(attrgetter("omega"), eliminations),
+                     *map(attrgetter("omega"), survivors)])
+    if omegas != list(range(2, q)):
         raise InternalCheckError(f"candidate partition broken for {nk}")
     verdict = NOT_IN_T if not survivors else UNDECIDED
     return ObstructionCertificate(
-        verdict=verdict, eliminations=tuple(sorted(eliminations,
-                                                   key=lambda e: e.omega)),
+        verdict=verdict, eliminations=eliminations,
         survivors=survivors, sigma_inputs=sigma_inputs,
         templates=tuple(template_reports), notes=tuple(notes), **base)
 
@@ -308,8 +324,9 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
     return "\n".join(out) + "\n"
 
 
-def certificate_to_dict(cert: ObstructionCertificate) -> dict:
-    return {
+def _fields_around_eliminations(cert: ObstructionCertificate):
+    """The certificate's JSON fields before and after "eliminations"."""
+    head = {
         "schema": SCHEMA,
         "knot": [cert.knot.p, cert.knot.q],
         "normalized": [cert.normalized.p, cert.normalized.q],
@@ -318,7 +335,8 @@ def certificate_to_dict(cert: ObstructionCertificate) -> dict:
         "exceptional": cert.exceptional,
         "sigma_method": cert.sigma_method,
         "verdict": cert.verdict,
-        "eliminations": [[e.omega, e.reason] for e in cert.eliminations],
+    }
+    tail = {
         "survivors": [[s.n, s.omega] for s in cert.survivors],
         "sigma_inputs": {str(d): v for d, v in sorted(cert.sigma_inputs.items())},
         "templates": [{
@@ -330,7 +348,35 @@ def certificate_to_dict(cert: ObstructionCertificate) -> dict:
         } for t in cert.templates],
         "notes": list(cert.notes),
     }
+    return head, tail
 
 
-def certificate_to_json(cert: ObstructionCertificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+def certificate_to_dict(cert: ObstructionCertificate) -> dict:
+    """The certificate as plain JSON data; json.dumps of it with indent=2 is
+    the reference that certificate_to_json is tested against."""
+    head, tail = _fields_around_eliminations(cert)
+    return {**head,
+            "eliminations": [[e.omega, e.reason] for e in cert.eliminations],
+            **tail}
+
+
+def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str:
+    """json.dumps(certificate_to_dict(cert) | extra, indent=2) + "\n".
+
+    The eliminations list every w in [2, q-1], and indent=2 runs the pure
+    Python encoder, so that array is written from one template per item
+    instead, with each distinct reason encoded once.
+    """
+    head, tail = _fields_around_eliminations(cert)
+    if extra:
+        tail.update(extra)
+    encoded = {r: json.dumps(r) for r in
+               set(map(attrgetter("reason"), cert.eliminations))}
+    items = ",\n".join([f"    [\n      {w},\n      {encoded[r]}\n    ]"
+                        for w, r in cert.eliminations])
+    array = f"[\n{items}\n  ]" if items else "[]"
+    # splice the array between the two objects: drop head's "\n}" and
+    # tail's "{\n"
+    return (f"{json.dumps(head, indent=2)[:-2]},\n"
+            f'  "eliminations": {array},\n'
+            f"{json.dumps(tail, indent=2)[2:]}\n")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TorusKnotParams
-from .errors import DomainError, NotAKnotError
+from .errors import DomainError, InternalCheckError, NotAKnotError
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,9 @@ def seifert_matrix(b: BraidWord) -> SeifertForm:
         ps = occ[g]
         basis.extend((g, ps[t], ps[t + 1]) for t in range(len(ps) - 1))
     n = len(basis)
-    assert n == len(b.letters) - b.strands + 1
+    if n != len(b.letters) - b.strands + 1:
+        raise InternalCheckError(
+            f"fiber surface basis has {n} elements for {b}")
     start = {(g, a): idx for idx, (g, a, _) in enumerate(basis)}
     V = np.zeros((n, n), dtype=np.int64)
     for e, (g, a, bb) in enumerate(basis):

@@ -253,7 +253,6 @@ def _lattice_hit(p: int, q: int, n: int) -> bool:
     return i + t * pg < p and j - t * qg > 0
 
 
-@lru_cache(maxsize=None)
 def sigma_d_counting(p: int, q: int, d: int) -> int:
     """Exact integer fast path for sigma_d(T(p,q)), 0 < p < q coprime.
 
@@ -290,7 +289,9 @@ def _sigma_counting_brute(p: int, q: int, d: int) -> int:
     for i in range(1, p):
         for j in range(1, q):
             x = d * (i * q + j * p)
-            assert x != a * pq and x != (d + a) * pq
+            if x == a * pq or x == (d + a) * pq:
+                raise InternalCheckError(
+                    f"window boundary attained at ({p},{q},{d})")
             if x < a * pq or x > (d + a) * pq:
                 pos += 1
             else:

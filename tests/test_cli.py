@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from torustwist import cli
+from torustwist import TorusKnotParams, cli, classify
 from torustwist.cli import (main, parse_scan_csv, render_scan_csv,
                             render_scan_json, scan_rows)
+from torustwist.obstruction import certificate_to_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,6 +57,22 @@ def test_classify_with_sequence(capsys):
     assert code == 0
     assert "sequence-ledger:" in out
     assert "sigma(M)=1" in out and "-w^2+42" in out
+
+
+@pytest.mark.parametrize("p, q", [(5, 8), (-5, 8), (7, 4999)])
+@pytest.mark.parametrize("sequence", [False, True])
+def test_classify_json_matches_the_dict_route(capsys, p, q, sequence):
+    argv = ["classify", "-p", str(p), "-q", str(q), "--format", "json"]
+    payload = certificate_to_dict(classify(TorusKnotParams(p, q)))
+    if sequence:
+        path = str(DATA / "t58_untwist.seq")
+        argv += ["--sequence", path]
+        payload["sequence_ledger"] = cli._sequence_report(path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert list(json.loads(out))[-1] == ("sequence_ledger" if sequence
+                                         else "notes")
 
 
 def test_classify_bad_sequence_exit(tmp_path, capsys):

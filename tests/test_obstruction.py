@@ -1,11 +1,16 @@
+import dataclasses
+import json
+
 import pytest
 
 from torustwist import (DomainError, TorusKnotParams, classify,
                         condition_iv_check, survivors_p_plus_2,
                         survivors_p_plus_4, thom_bound_check)
-from torustwist.obstruction import (NOT_IN_T, TRIVIAL_OR_EXCEPTIONAL,
-                                    UNDECIDED, certificate_to_dict,
-                                    certificate_to_text)
+from torustwist.obstruction import (NOT_IN_T, REASON_GENUS, REASON_KIKUCHI,
+                                    REASON_PARITY, TRIVIAL_OR_EXCEPTIONAL,
+                                    UNDECIDED, Elimination,
+                                    certificate_to_dict, certificate_to_json,
+                                    certificate_to_text, genus_cutoff)
 from torustwist.tristram import prime_divisors
 
 
@@ -66,11 +71,49 @@ def test_classify_t57_certificate():
 
 
 def test_certificate_partitions_candidates():
-    for p, q in [(5, 7), (5, 8), (9, 13), (7, 11), (11, 15)]:
+    # (7, 16): (p-1)(q-1) = 90 = (w-1)(w-2) at w = 11, the genus cutoff
+    for p, q in [(5, 7), (5, 8), (9, 13), (7, 11), (11, 15), (7, 16)]:
         cert = classify(K(p, q))
         seen = sorted([e.omega for e in cert.eliminations]
                       + [s.omega for s in cert.survivors])
         assert seen == list(range(2, q))
+        genus = [e.omega for e in cert.eliminations if e.reason == REASON_GENUS]
+        assert genus == list(range(genus_cutoff(p, q) + 1, q))
+
+
+def test_genus_cutoff_matches_a_linear_scan():
+    exact = 0
+    for p in range(5, 120):
+        for q in range(p + 1, 121):
+            w = 2
+            while thom_bound_check(p, q, w + 1):
+                w += 1
+            assert genus_cutoff(p, q) == w, (p, q)
+            exact += (w - 1) * (w - 2) == (p - 1) * (q - 1)
+    assert exact == 288   # the bound holds with equality at the cutoff
+
+
+def _json_oracle(cert, extra=None):
+    return json.dumps({**certificate_to_dict(cert), **(extra or {})},
+                      indent=2) + "\n"
+
+
+def test_certificate_json_matches_the_dict_oracle():
+    certs = [classify(K(p, q)) for p, q in
+             [(1, 9), (4, 7), (-5, 8), (7, -5), (5, 8), (11, 15), (7, 20011)]]
+    certs.append(classify(K(13, 97), prime_cap=3))
+    assert not certs[0].eliminations and not certs[1].eliminations
+    assert certs[2].mirror and certs[3].mirror
+    assert any(e.reason == REASON_KIKUCHI for e in certs[5].eliminations)
+    assert any(n.startswith("omega=") for n in certs[-1].notes)
+    # characteristic-parity and reasons that need escaping, by hand
+    certs.append(dataclasses.replace(certs[5], eliminations=(
+        Elimination(3, REASON_PARITY), Elimination(5, 'quote " and \u00e9'),
+        Elimination(7, REASON_PARITY))))
+    for cert in certs:
+        assert certificate_to_json(cert) == _json_oracle(cert)
+    extra = {"sequence_ledger": {"sigma_m": -1, "xi": [1, 0, -1]}}
+    assert certificate_to_json(certs[4], extra) == _json_oracle(certs[4], extra)
 
 
 def test_classify_deterministic():

@@ -189,6 +189,34 @@ def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
     assert "internal consistency failure" in res.stderr
 
 
+def test_invariant_checks_survive_python_O():
+    # one violated invariant per module; a bare assert would vanish under -O
+    script = (
+        "from types import SimpleNamespace\n"
+        "from torustwist import certify, lattice, seifert, tristram\n"
+        "from torustwist.errors import InternalCheckError\n"
+        "seifert.closure_components = lambda b: 1\n"
+        "checks = [\n"
+        "    lambda: certify._gamma(2 ** 50),\n"
+        "    lambda: lattice.sigma_oracle(SimpleNamespace(p=6, q=9)),\n"
+        "    lambda: tristram._sigma_counting_brute(6, 9, 2),\n"
+        "    lambda: seifert.seifert_matrix(seifert.BraidWord(3, (1, 1, 1))),\n"
+        "]\n"
+        "for i, check in enumerate(checks):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except InternalCheckError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'check {i} did not raise')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for flags in ([], ["-O"]):
+        res = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, (flags, res.stderr)
+
+
 def test_tristram_even():
     for p, q in coprime_range(7, 9):
         for d in (2, 3, 5, 7):
