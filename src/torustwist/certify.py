@@ -1,21 +1,36 @@
 """Verified numeric linear algebra for certified inertia of Hermitian forms.
 
-Strategy: diagonalize approximately in floating point, then bound the exact
-congruated matrix M = Q* H Q with midpoint-radius interval arithmetic.  Any
-invertible Q preserves inertia under *-congruence, so once the Gershgorin
-intervals of the enclosure of M separate cleanly from zero (up to an exactly
-known nullity), the inertia of H is certified.  If double precision cannot
-separate the intervals, the same construction is repeated in mpmath at
-doubling precision up to a cap; exhausting the cap raises, never guesses.
+Strategy: diagonalize H approximately, take the computed eigenvector
+matrix Q as an exact matrix, and bound the exactly congruated matrix
+M = Q* H Q.  M is Hermitian, so each Gershgorin row interval
+[M_ii - r_i, M_ii + r_i] is real, and a connected component of k of them
+holds exactly k eigenvalues of M.  Components strictly right of zero give
+a eigenvalues certified positive, those strictly left give b certified
+negative, and the components meeting zero must hold exactly the nullity z
+of H, which is known exactly by other means; otherwise the attempt is
+unresolved.
 
-Floating-point rigor follows the standard model: entrywise,
+No invertibility check on Q is needed.  For any square Q,
+n+(Q* H Q) <= n+(H) and n-(Q* H Q) <= n-(H): if M is positive definite on
+a k-dimensional subspace V, then Qv != 0 for every nonzero v in V (since
+v* M v > 0), so H is positive definite on the k-dimensional QV.  Hence
+a <= n+(M) <= n+(H) and b <= n-(M) <= n-(H), while
+a + b = n - z = n+(H) + n-(H); so a = n+(H) and b = n-(H).
+
+The ladder has two kinds of rung.  The double rung runs LAPACK eigh (in
+real arithmetic when H is real) and encloses M by midpoint-radius
+interval arithmetic under the standard model: entrywise
 |fl(A @ B) - A @ B| <= gamma_k * |A| @ |B| with gamma_k = k*u/(1 - k*u),
-u = 2^-53.  Generous slack factors are used throughout; radius
-overestimation only costs an occasional escalation, never soundness.
+u = 2^-53, with generous slack factors; radius overestimation only costs an
+occasional escalation, never soundness.  If it cannot separate the
+intervals, the mpmath rungs follow at 128, 256, ... bits up to a cap:
+mp.eighe at that precision, then an exact integer congruence (see
+`inertia_mp`) with no rounding model at all.  Exhausting the cap raises,
+never guesses.
 """
 
-import math
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -49,7 +64,9 @@ class MRMatrix:
 
     @staticmethod
     def exact(m) -> "MRMatrix":
-        m = np.asarray(m, dtype=np.complex128)
+        """Zero-radius enclosure; keeps a real (float64) dtype real."""
+        m = np.asarray(m)
+        m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
         return MRMatrix(m, np.zeros(m.shape, dtype=np.float64))
 
     def dagger(self) -> "MRMatrix":
@@ -69,7 +86,12 @@ def mr_matmul(a: MRMatrix, b: MRMatrix) -> MRMatrix:
     g = _gamma(k)
     mid = a.mid @ b.mid
     am, bm = np.abs(a.mid), np.abs(b.mid)
-    rad = am @ b.rad + a.rad @ (bm + b.rad) + g * (am @ bm)
+    rad = g * (am @ bm)
+    # an exact factor (Q in the congruence) has radius identically zero
+    if b.rad.any():
+        rad += am @ b.rad
+    if a.rad.any():
+        rad += a.rad @ (bm + b.rad)
     rad = rad * (1.0 + 4.0 * g) + 16.0 * _TINY
     return MRMatrix(mid, rad)
 
@@ -134,13 +156,7 @@ def inertia_via_congruence(h: MRMatrix, nullity: int):
     except np.linalg.LinAlgError:
         return None
     qm = MRMatrix.exact(q)
-    qh = qm.dagger()
-    s = mr_matmul(qh, qm)
-    s.mid[np.diag_indices(n)] -= 1.0
-    s.rad += 2.0 * _U * np.abs(s.mid) + _TINY
-    if float(sup_abs(s).sum(axis=1).max()) * (1.0 + _gamma(n)) >= 1.0:
-        return None  # Q not certifiably invertible
-    m = mr_matmul(qh, mr_matmul(h, qm))
+    m = mr_matmul(qm.dagger(), mr_matmul(h, qm))
     return _gershgorin_inertia(m, nullity)
 
 
@@ -149,85 +165,78 @@ def inertia_via_congruence(h: MRMatrix, nullity: int):
 # ---------------------------------------------------------------------------
 
 
-def _iv_outward(x):
-    """Convert an mpmath interval to an outward-rounded float pair."""
-    lo = math.nextafter(float(x.a), -math.inf)
-    hi = math.nextafter(float(x.b), math.inf)
-    return lo, hi
-
-
 def inertia_mp(entry_interval_fn, n, prec, nullity):
-    """Certification at `prec` bits via mpmath interval arithmetic.
+    """Certification at `prec` bits: an mpmath eigenbasis, checked exactly.
 
     entry_interval_fn(i, j) must return the exact entry H[i,j] as a pair of
     mpmath.iv real intervals (re, im), evaluated inside the iv context that
-    is active when it is called.  O(n^3) interval operations in pure Python,
-    so this is the slow path of last resort.
+    is active when it is called.  mp.eighe diagonalizes the midpoint matrix
+    at `prec` bits; its eigenvector matrix, scaled by 2^prec and rounded, is
+    an integer matrix G.  The entries of 2^prec * H are enclosed by integer
+    intervals C +- R (exact floor and ceiling of the scaled endpoints), so
+    M = G* (2^prec H) G lies entrywise within G* C G +- |G|^T R |G|, where
+    |G| is bounded by |Re G| + |Im G|.  Both products are integer matmuls
+    over Python ints, so the Gershgorin intervals of M are exact integers
+    (an off-diagonal modulus is bounded by isqrt(re^2 + im^2) + 1) and no
+    rounding model is involved.  Any integer G is allowed: G is the
+    congruence itself, and by the argument in the module docstring it needs
+    no invertibility check.  Returns None if unresolved.
     """
     from mpmath import iv, mp
+    from mpmath.libmp import mpf_shift, to_int
 
     old_iv, old_mp = iv.prec, mp.prec
     iv.prec = prec
     mp.prec = prec
     try:
-        H = [[entry_interval_fn(i, j) for j in range(n)] for i in range(n)]
+        H = [entry_interval_fn(i, j) for i in range(n) for j in range(n)]
         Hmid = mp.matrix(n, n)
         for i in range(n):
             for j in range(n):
-                re, im = H[i][j]
+                re, im = H[i * n + j]
                 Hmid[i, j] = mp.mpc(re.mid, im.mid)
         try:
             _, Q = mp.eighe(Hmid)
         except Exception:
             return None
-        Qre = [[iv.mpf(Q[i, j].real) for j in range(n)] for i in range(n)]
-        Qim = [[iv.mpf(Q[i, j].imag) for j in range(n)] for i in range(n)]
-
-        def cmul(ar, ai, br, bi):
-            return ar * br - ai * bi, ar * bi + ai * br
-
-        # W = H Q, M = Q^* W; entries as (re, im) interval pairs
-        W = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sr = iv.mpf(0)
-                si = iv.mpf(0)
-                for k in range(n):
-                    hr, hi_ = H[i][k]
-                    r, im_ = cmul(hr, hi_, Qre[k][j], Qim[k][j])
-                    sr += r
-                    si += im_
-                W[i][j] = (sr, si)
-        lows, highs = [], []
-        rowsum_hi = [0.0] * n
-        centers = [None] * n
-        for i in range(n):
-            for j in range(n):
-                sr = iv.mpf(0)
-                si = iv.mpf(0)
-                for k in range(n):
-                    # conj(Q[k][i]) * W[k][j]
-                    r, im_ = cmul(Qre[k][i], -Qim[k][i], W[k][j][0], W[k][j][1])
-                    sr += r
-                    si += im_
-                if i == j:
-                    centers[i] = (sr, si)
-                else:
-                    relo, rehi = _iv_outward(sr)
-                    imlo, imhi = _iv_outward(si)
-                    rowsum_hi[i] += math.hypot(max(abs(relo), abs(rehi)),
-                                               max(abs(imlo), abs(imhi)))
-        for i in range(n):
-            relo, rehi = _iv_outward(centers[i][0])
-            imlo, imhi = _iv_outward(centers[i][1])
-            imslop = max(abs(imlo), abs(imhi))
-            spread = (rowsum_hi[i] + imslop) * (1.0 + 64.0 * _U) + _TINY
-            lows.append(relo - spread)
-            highs.append(rehi + spread)
-        return _merge_and_count(lows, highs, nullity)
     finally:
         iv.prec = old_iv
         mp.prec = old_mp
+
+    def scaled(x, rounding):
+        return to_int(mpf_shift(x, prec), rounding)
+
+    cr, ci, rad = [], [], []
+    for part in H:
+        (rlo, rhi), (ilo, ihi) = (x._mpi_ for x in part)
+        rlo, rhi = scaled(rlo, "f"), scaled(rhi, "c")
+        ilo, ihi = scaled(ilo, "f"), scaled(ihi, "c")
+        cr.append((rlo + rhi) >> 1)
+        ci.append((ilo + ihi) >> 1)
+        rad.append(rhi - cr[-1] + ihi - ci[-1])
+    qs = [Q[i, j] for i in range(n) for j in range(n)]
+    gr = [scaled(z.real._mpf_, "n") for z in qs]
+    gi = [scaled(z.imag._mpf_, "n") for z in qs]
+    # Python ints in object arrays: the matmuls below are exact
+    cr, ci, rad, gr, gi = (np.array(v, dtype=object).reshape(n, n)
+                           for v in (cr, ci, rad, gr, gi))
+
+    # P = G* C G, with W = C G; entries as (re, im) integer matrices
+    wr = cr @ gr - ci @ gi
+    wi = cr @ gi + ci @ gr
+    pr = gr.T @ wr + gi.T @ wi
+    pi = gr.T @ wi - gi.T @ wr
+    g_abs = np.abs(gr) + np.abs(gi)
+    b = g_abs.T @ (rad @ g_abs)
+
+    lows, highs = [], []
+    for i in range(n):
+        off = sum(isqrt(pr[i, j] ** 2 + pi[i, j] ** 2) + 1 + b[i, j]
+                  for j in range(n) if j != i)
+        spread = off + b[i, i]
+        lows.append(pr[i, i] - spread)
+        highs.append(pr[i, i] + spread)
+    return _merge_and_count(lows, highs, nullity)
 
 
 def certified_inertia(float_enclosure_fn, mp_entry_fn, n, nullity,

@@ -23,7 +23,7 @@ from .errors import (DomainError, InternalCheckError, InvalidKnotError,
                      UndecidedSignError)
 from .fourmanifold import ledger_from_sequence, parse_sequence
 from .lattice import sigma_closed, sigma_oracle
-from .obstruction import (NOT_IN_T, certificate_to_json,
+from .obstruction import (MAX_Q, NOT_IN_T, certificate_to_json,
                           certificate_to_text, classify)
 from .tristram import tristram_sigma
 
@@ -206,7 +206,12 @@ def _scan_row(task):
 def scan_rows(p_range, q_range, sigma_method="auto", jobs=1, prime_cap=None):
     """Classify every coprime pair in the box; rows sorted by (p, q), and
     identical for every parallelism degree.  At most min(jobs, CPU count,
-    number of pairs) worker processes are started."""
+    number of pairs) worker processes are started.  A box with a bound
+    above MAX_Q in absolute value is rejected before any pair is listed,
+    so every pair classified has normalized q <= MAX_Q."""
+    if max(map(abs, (*p_range, *q_range))) > MAX_Q:
+        raise DomainError(f"scan box {list(p_range)} x {list(q_range)} "
+                          f"exceeds MAX_Q = {MAX_Q}")
     pairs = sorted(_scan_pairs(p_range, q_range))
     tasks = [((p, q), sigma_method, prime_cap) for p, q in pairs]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))

@@ -45,6 +45,12 @@ REASON_III = "condition-iii"
 REASON_KIKUCHI = "kikuchi-no-square"
 REASON_PARITY = "characteristic-parity"
 
+# The largest normalized q that classify accepts.  A certificate accounts
+# for every candidate omega in [2, q - 1], at about 250 bytes each at its
+# peak, so one certificate stays near 260 MB at most; a larger q is
+# rejected with DomainError (CLI exit code 2) before anything is allocated.
+MAX_Q = 2 ** 20
+
 
 def reason_iv(d: int) -> str:
     return f"condition-iv(d={d})"
@@ -160,6 +166,8 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
     sound.
     """
     nk, mirror = normalize(k)
+    if nk.q > MAX_Q:
+        raise DomainError(f"{k}: normalized q = {nk.q} exceeds MAX_Q = {MAX_Q}")
     notes = []
     if mirror:
         notes.append("input is the mirror of the normalized knot; the "

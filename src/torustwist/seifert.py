@@ -88,9 +88,12 @@ def seifert_matrix(b: BraidWord) -> SeifertForm:
     for pos, g in enumerate(b.letters):
         occ.setdefault(g, []).append(pos)
     basis = []  # (generator, first position, second position)
+    span = {}  # generator -> its slice of basis
     for g in sorted(occ):
         ps = occ[g]
+        first = len(basis)
         basis.extend((g, ps[t], ps[t + 1]) for t in range(len(ps) - 1))
+        span[g] = range(first, len(basis))
     n = len(basis)
     if n != len(b.letters) - b.strands + 1:
         raise InternalCheckError(
@@ -102,9 +105,9 @@ def seifert_matrix(b: BraidWord) -> SeifertForm:
         nxt = start.get((g, bb))
         if nxt is not None:
             V[e, nxt] = 1
-        for f, (g2, c, d) in enumerate(basis):
-            if g2 != g + 1:
-                continue
+        # only pairs on generator g+1 can interleave with e
+        for f in span.get(g + 1, ()):
+            _, c, d = basis[f]
             if a < c < bb < d:
                 V[e, f] = 1
             elif c < a < d < bb:

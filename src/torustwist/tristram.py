@@ -9,8 +9,9 @@ so sigma_2 is the ordinary signature (z = -1 gives H = 2(V + V^T)).  Torus
 knot forms at prime d are always nonsingular: every root of their Alexander
 polynomial is a root of unity of composite order, while z has prime order d.
 That arithmetic fact certifies the nullity; the remaining eigenvalue signs
-are certified by interval arithmetic (see `certify`), escalating precision
-until every sign resolves or a cap is hit.
+are certified by `certify`: interval arithmetic in doubles, then exact
+integer congruences at rising mpmath precision until every sign resolves
+or a cap is hit.
 
 For torus knots there is also an exact integer fast path (Litherland,
 "Signatures of iterated torus knots", LNM 722, 1979): writing
@@ -29,7 +30,7 @@ authoritative.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf, nextafter
 
 import numpy as np
 
@@ -120,65 +121,73 @@ def build_form(f: SeifertForm, d: int, source=None) -> HermitianForm:
     return HermitianForm(d, n, coeffs, source)
 
 
+def _double_enclosure(val):
+    """(midpoint, radius) of a double-precision disk around an mpmath
+    interval, with its endpoints rounded outward."""
+    lo = nextafter(float(val.a), -inf)
+    hi = nextafter(float(val.b), inf)
+    mid = 0.5 * (lo + hi)
+    return mid, max(hi - mid, mid - lo) * (1 + 2 ** -50)
+
+
 @lru_cache(maxsize=None)
 def _root_enclosures(d: int):
-    """Outward double enclosures of cos/sin(2*pi*k/d), k = 0..d-1."""
-    import math
-
+    """Outward double enclosures of zeta^k = exp(2*pi*i*k/d), k = 0..d-1,
+    as (midpoints, radii).  The midpoints are real at d = 2, where the
+    roots are exactly 1 and -1, so forms at d = 2 stay in real arithmetic."""
     from mpmath import iv
 
+    if d == 2:
+        return np.array([1.0, -1.0]), np.zeros(2)
     old = iv.prec
     iv.prec = 80
     try:
-        cm = np.zeros(d)
-        cr = np.zeros(d)
-        sm = np.zeros(d)
-        sr = np.zeros(d)
-        for k in range(d):
+        mid = np.ones(d, dtype=np.complex128)
+        rad = np.zeros(d)
+        for k in range(1, d):
             ang = 2 * iv.pi * k / d
-            for val, mid_arr, rad_arr in ((iv.cos(ang), cm, cr), (iv.sin(ang), sm, sr)):
-                lo = math.nextafter(float(val.a), -math.inf)
-                hi = math.nextafter(float(val.b), math.inf)
-                mid_arr[k] = 0.5 * (lo + hi)
-                rad_arr[k] = max(hi - mid_arr[k], mid_arr[k] - lo) * (1 + 2 ** -50)
-        if d == 2:  # exact
-            cm[:] = [1.0, -1.0]
-            sm[:] = [0.0, 0.0]
-            cr[:] = sr[:] = 0.0
-        cm[0], sm[0], cr[0], sr[0] = 1.0, 0.0, 0.0, 0.0
-        return cm, cr, sm, sr
+            cos_mid, cos_rad = _double_enclosure(iv.cos(ang))
+            sin_mid, sin_rad = _double_enclosure(iv.sin(ang))
+            mid[k] = complex(cos_mid, sin_mid)
+            rad[k] = cos_rad + sin_rad
+        return mid, rad
     finally:
         iv.prec = old
 
 
 def _float_enclosure(h: HermitianForm) -> MRMatrix:
-    cm, cr, sm, sr = _root_enclosures(h.d)
-    # entries are zeta^{a*k} combinations: z = zeta^a, but coeffs are stored
-    # against zeta^k with zeta = z already, so index directly
-    a = h.a
-    idx = [(a * k) % h.d for k in range(h.d)]
-    cmid = cm[idx] + 1j * sm[idx]
-    crad = cr[idx] + sr[idx]
-    c = h.coeffs.astype(np.float64)
-    mid = c @ cmid
-    rad = np.abs(c) @ crad + 8 * 2.0 ** -53 * (np.abs(c) @ np.abs(cmid)) + 1e-300
-    return MRMatrix(mid, rad)
+    mid, rad = _root_enclosures(h.d)
+    # coeffs are stored against powers of z = zeta^a; entry (i,j) is
+    # sum_k coeffs[i,j,k] * zeta^(a*k)
+    idx = [(h.a * k) % h.d for k in range(h.d)]
+    cmid, crad = mid[idx], rad[idx]
+    # einsum casts the int64 coefficients in buffered chunks: no float or
+    # complex copy of the (n, n, d) array is made
+    weights = crad + 8 * 2.0 ** -53 * np.abs(cmid)
+    return MRMatrix(np.einsum("ijk,k->ij", h.coeffs, cmid),
+                    np.einsum("ijk,k->ij", np.abs(h.coeffs), weights) + 1e-300)
 
 
 def _mp_entry_fn(h: HermitianForm):
+    """entry(i, j) -> (re, im) iv enclosure of H[i, j] at the active iv
+    precision; the d root enclosures are evaluated once per precision."""
     from mpmath import iv
 
-    a = h.a
+    roots = {}
+
+    def root_intervals():
+        if iv.prec not in roots:
+            angles = (2 * iv.pi * ((h.a * k) % h.d) / h.d for k in range(h.d))
+            roots[iv.prec] = [(iv.cos(t), iv.sin(t)) for t in angles]
+        return roots[iv.prec]
 
     def entry(i, j):
         re = iv.mpf(0)
         im = iv.mpf(0)
-        for k in range(h.d):
-            c = int(h.coeffs[i, j, k])
+        for c, (cos_k, sin_k) in zip(h.coeffs[i, j].tolist(), root_intervals()):
             if c:
-                ang = 2 * iv.pi * ((a * k) % h.d) / h.d
-                re += c * iv.cos(ang)
-                im += c * iv.sin(ang)
+                re += c * cos_k
+                im += c * sin_k
         return re, im
 
     return entry

@@ -1,14 +1,19 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from torustwist import TorusKnotParams, cli, classify
+from torustwist import DomainError, TorusKnotParams, cli, classify
 from torustwist.cli import (main, parse_scan_csv, render_scan_csv,
                             render_scan_json, scan_rows)
-from torustwist.obstruction import certificate_to_dict
+from torustwist.obstruction import MAX_Q, certificate_to_dict
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -37,6 +42,40 @@ def test_sigma_mirror(capsys):
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "sigma", "-p", "4", "-q", "6")
     assert code == 2 and "coprime" in err
+
+
+def _cap_address_space():
+    limit = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-p", "7", "-q", "1000000007"],
+    ["classify", "-p", "-1000000007", "-q", "7", "--format", "json"],
+    ["scan", "--p-min", "2", "--p-max", "3", "--q-min", "2",
+     "--q-max", "1000000007"],
+])
+def test_hostile_q_is_rejected_before_allocating(argv):
+    # in a child capped at 2 GB of address space: listing every candidate
+    # (or every pair of the box) would fail with MemoryError, not exit 2
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "torustwist.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=60,
+                         preexec_fn=_cap_address_space)
+    assert res.returncode == 2, res.stderr
+    assert f"MAX_Q = {MAX_Q}" in res.stderr and res.stdout == ""
+
+
+def test_max_q_is_the_largest_accepted_q():
+    top = MAX_Q
+    # exceptional (q = 1 mod p), so classify returns without listing omegas
+    assert classify(TorusKnotParams(top - 1, top)).exceptional
+    with pytest.raises(DomainError):
+        classify(TorusKnotParams(-(top + 1), top))
+    with pytest.raises(DomainError):
+        scan_rows((2, 3), (top, top + 1))
 
 
 def test_classify_text(capsys):

@@ -97,3 +97,49 @@ def test_alexander_determinant_pin():
 def test_format_matrix_grid():
     text = format_matrix(seifert_matrix(torus_braid(2, 3)))
     assert text.splitlines() == ["-1  1", " 0 -1"]
+
+
+def _seifert_all_pairs(b):
+    """The Seifert matrix by visiting every pair of basis loops (reference
+    for the per-generator loop of seifert_matrix)."""
+    occ = {}
+    for pos, g in enumerate(b.letters):
+        occ.setdefault(g, []).append(pos)
+    basis = [(g, ps[t], ps[t + 1]) for g in sorted(occ)
+             for ps in [occ[g]] for t in range(len(ps) - 1)]
+    start = {(g, a): idx for idx, (g, a, _) in enumerate(basis)}
+    n = len(basis)
+    V = np.zeros((n, n), dtype=np.int64)
+    for e, (g, a, bb) in enumerate(basis):
+        V[e, e] = -1
+        nxt = start.get((g, bb))
+        if nxt is not None:
+            V[e, nxt] = 1
+        for f, (g2, c, d) in enumerate(basis):
+            if g2 != g + 1:
+                continue
+            if a < c < bb < d:
+                V[e, f] = 1
+            elif c < a < d < bb:
+                V[f, e] = -1
+    return V
+
+
+def test_seifert_matrix_matches_the_all_pairs_loop():
+    braids = [torus_braid(p, q) for p, q in coprime_range(15, 15)]
+    # 10_139 and 10_152: positive 3-braid knots that are not torus knots
+    braids += [BraidWord(3, (1, 1, 1, 1, 2, 1, 1, 1, 2, 2)),
+               BraidWord(3, (1, 1, 1, 2, 2, 1, 1, 2, 2, 2))]
+    rng = np.random.default_rng(7)
+    random_words = 0
+    while random_words < 40:
+        strands = int(rng.integers(3, 7))
+        size = int(rng.integers(8, 40))
+        b = BraidWord(strands, tuple(int(x) for x in
+                                     rng.integers(1, strands, size=size)))
+        if closure_components(b) == 1:
+            braids.append(b)
+            random_words += 1
+    for b in braids:
+        assert seifert_matrix(b).matrix.tolist() == \
+            _seifert_all_pairs(b).tolist(), b

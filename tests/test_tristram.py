@@ -13,7 +13,7 @@ from torustwist import (DomainError, HermitianForm, TorusKnotParams,
                         seifert_matrix, sigma_closed, sigma_d,
                         sigma_d_counting, sigma_oracle, torus_braid,
                         tristram_sigma)
-from torustwist import tristram
+from torustwist import certify, tristram
 from torustwist.errors import InternalCheckError, UndecidedSignError
 from torustwist.tristram import (_lattice_hit, _sigma_counting_brute, is_prime,
                                  prime_divisors, smallest_prime_factors)
@@ -82,6 +82,113 @@ def test_precision_cap_raises_undecided():
     coeffs[:, :, 0] = [[1, n], [n, n * n - 1]]
     with pytest.raises(UndecidedSignError):
         inertia(HermitianForm(2, 2, coeffs), precision_cap=53)
+
+
+def _fixture(k, seed=5):
+    """k blocks [[1, n], [n, n^2 - 1]] at d = 2, n in [2^25, 2^27]: each
+    has a small eigenvalue of about -1/n^2, out of reach of doubles."""
+    rng = random.Random(seed)
+    coeffs = np.zeros((2 * k, 2 * k, 2), dtype=np.int64)
+    for blk in range(k):
+        n = rng.randint(2 ** 25, 2 ** 27)
+        i = 2 * blk
+        coeffs[i:i + 2, i:i + 2, 0] = [[1, n], [n, n * n - 1]]
+    return HermitianForm(2, 2 * k, coeffs)
+
+
+def _mp_rung(h, prec, nullity=0):
+    return certify.inertia_mp(tristram._mp_entry_fn(h), h.dimension, prec,
+                              nullity)
+
+
+def test_mp_rung_resolves_fixtures_at_128_bits():
+    for k in range(1, 13):
+        h = _fixture(k, seed=k)
+        assert certify.inertia_via_congruence(
+            tristram._float_enclosure(h), 0) is None
+        res = _mp_rung(h, 128)
+        assert (res.n_plus, res.n_zero, res.n_minus) == (k, 0, k), k
+
+
+def test_mp_rung_matches_counting_on_torus_forms():
+    for p, q, d in [(3, 7, 5), (4, 9, 7), (5, 8, 3)]:
+        form = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
+        res = _mp_rung(form, 128)
+        assert res.n_zero == 0
+        assert res.signature == sigma_d_counting(p, q, d), (p, q, d)
+
+
+def test_mp_rung_counts_an_exact_nullity():
+    # a zero block, a rank-one block and a fixture, with no torus source:
+    # the nullity comes from exact cyclotomic elimination
+    fix = _fixture(3)
+    n = fix.dimension + 4
+    coeffs = np.zeros((n, n, 2), dtype=np.int64)
+    coeffs[2:4, 2:4, 0] = [[1, 1], [1, 1]]
+    coeffs[4:, 4:] = fix.coeffs
+    h = HermitianForm(2, n, coeffs)
+    nullity = tristram._nullity(h)
+    assert nullity == 3
+    res = _mp_rung(h, 128, nullity)
+    assert (res.n_plus, res.n_zero, res.n_minus) == (4, 3, 3)
+    assert _mp_rung(h, 128, nullity - 1) is None
+
+
+def test_mp_rung_leaves_the_2_27_fixture_unresolved_below_128_bits():
+    n = 2 ** 27
+    coeffs = np.zeros((2, 2, 2), dtype=np.int64)
+    coeffs[:, :, 0] = [[1, n], [n, n * n - 1]]
+    h = HermitianForm(2, 2, coeffs)
+    for prec in (32, 53, 64, 80):
+        assert _mp_rung(h, prec) is None, prec
+    res = _mp_rung(h, 128)
+    assert (res.n_plus, res.n_zero, res.n_minus) == (1, 0, 1)
+
+
+def test_mp_rung_honours_the_entry_radius():
+    from mpmath import iv
+
+    def off_diagonal_in(lo, hi):
+        # [[1, x], [x, 1]] for every x in [lo, hi]
+        def entry(i, j):
+            return (iv.mpf(1) if i == j else iv.mpf([lo, hi])), iv.mpf(0)
+        return entry
+
+    res = certify.inertia_mp(off_diagonal_in(0.2, 0.6), 2, 128, 0)
+    assert (res.n_plus, res.n_zero, res.n_minus) == (2, 0, 0)
+    # the midpoint 0.8 is positive definite, x = 1.4 is not
+    assert certify.inertia_mp(off_diagonal_in(0.2, 1.4), 2, 128, 0) is None
+
+
+def test_mr_matmul_skips_only_zero_radius_products():
+    rng = np.random.default_rng(3)
+
+    def enclosure(exact):
+        mid = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        rad = np.zeros((6, 6)) if exact else rng.random((6, 6)) * 1e-9
+        return certify.MRMatrix(mid, rad)
+
+    for a_exact in (False, True):
+        for b_exact in (False, True):
+            a, b = enclosure(a_exact), enclosure(b_exact)
+            g = certify._gamma(6)
+            am, bm = np.abs(a.mid), np.abs(b.mid)
+            full = am @ b.rad + a.rad @ (bm + b.rad) + g * (am @ bm)
+            full = full * (1.0 + 4.0 * g) + 16.0 * certify._TINY
+            got = certify.mr_matmul(a, b)
+            assert np.array_equal(got.mid, a.mid @ b.mid)
+            assert np.allclose(got.rad, full, rtol=1e-14, atol=0)
+
+
+def test_double_rung_stays_real_at_d2():
+    form = build_form(seifert_matrix(torus_braid(5, 8)), 2, source=(5, 8))
+    enc = tristram._float_enclosure(form)
+    assert enc.mid.dtype == np.float64
+    assert certify.MRMatrix.exact(np.eye(3)).mid.dtype == np.float64
+    res = certify.inertia_via_congruence(enc, 0)
+    assert res.signature == sigma_d_counting(5, 8, 2)
+    form3 = build_form(seifert_matrix(torus_braid(5, 8)), 3, source=(5, 8))
+    assert tristram._float_enclosure(form3).mid.dtype == np.complex128
 
 
 def test_counting_matches_hermitian_on_range():
