@@ -30,6 +30,10 @@ from .tristram import tristram_sigma
 SCAN_SCHEMA = "torustwist-scan/1"
 SCAN_COLUMNS = ("p", "q", "exceptional", "verdict", "survivors", "sigma",
                 "sigma_d_used")
+# scan lists a box's pairs before any work, so besides MAX_Q on its bounds
+# a box may hold at most this many (p, q) cells; a larger one is rejected
+# with DomainError (exit 2) before any pair is listed.
+MAX_SCAN_CELLS = 2 ** 20
 
 
 def _precision_cap(args):
@@ -178,6 +182,7 @@ def cmd_tables(args) -> int:
 
 
 def _scan_pairs(p_range, q_range):
+    """The coprime pairs p < q of the box, in (p, q) order."""
     from math import gcd
 
     for p in range(p_range[0], p_range[1] + 1):
@@ -207,13 +212,20 @@ def scan_rows(p_range, q_range, sigma_method="auto", jobs=1, prime_cap=None):
     """Classify every coprime pair in the box; rows sorted by (p, q), and
     identical for every parallelism degree.  At most min(jobs, CPU count,
     number of pairs) worker processes are started.  A box with a bound
-    above MAX_Q in absolute value is rejected before any pair is listed,
-    so every pair classified has normalized q <= MAX_Q."""
+    above MAX_Q in absolute value, or with more than MAX_SCAN_CELLS cells,
+    is rejected before any pair is listed, so every pair classified has
+    normalized q <= MAX_Q."""
     if max(map(abs, (*p_range, *q_range))) > MAX_Q:
         raise DomainError(f"scan box {list(p_range)} x {list(q_range)} "
                           f"exceeds MAX_Q = {MAX_Q}")
-    pairs = sorted(_scan_pairs(p_range, q_range))
-    tasks = [((p, q), sigma_method, prime_cap) for p, q in pairs]
+    cells = (max(0, p_range[1] - p_range[0] + 1)
+             * max(0, q_range[1] - q_range[0] + 1))
+    if cells > MAX_SCAN_CELLS:
+        raise DomainError(f"scan box {list(p_range)} x {list(q_range)} has "
+                          f"{cells} cells, above MAX_SCAN_CELLS = "
+                          f"{MAX_SCAN_CELLS}")
+    tasks = [((p, q), sigma_method, prime_cap)
+             for p, q in _scan_pairs(p_range, q_range)]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [_scan_row(t) for t in tasks]

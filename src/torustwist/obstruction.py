@@ -14,16 +14,18 @@ The classifier accounts for every w in [2, q-1] (w <= 1 cannot change the
 knot type) and emits a machine-checkable certificate.  The genus bound
 keeps exactly the w up to a cutoff of about sqrt(pq), so the other filters
 run, in the order above, only below it, and every w above it is a
-genus-bound elimination.  Exceptional and trivial knots are in the
-single-twist class by construction and are reported as such; for
-everything else the verdict is NotInT when no candidate survives,
-otherwise Undecided with the surviving candidates listed.  Membership is
-never claimed for a non-exceptional knot.
+genus-bound elimination, kept in the certificate as one range.
+Exceptional and trivial knots are in the single-twist class by
+construction and are reported as such; for everything else the verdict is
+NotInT when no candidate survives, otherwise Undecided with the surviving
+candidates listed.  Membership is never claimed for a non-exceptional
+knot.
 """
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from math import isqrt
 from operator import attrgetter
 from typing import NamedTuple
@@ -45,10 +47,13 @@ REASON_III = "condition-iii"
 REASON_KIKUCHI = "kikuchi-no-square"
 REASON_PARITY = "characteristic-parity"
 
-# The largest normalized q that classify accepts.  A certificate accounts
-# for every candidate omega in [2, q - 1], at about 250 bytes each at its
-# peak, so one certificate stays near 260 MB at most; a larger q is
-# rejected with DomainError (CLI exit code 2) before anything is allocated.
+# The largest normalized q that classify accepts.  classify keeps the genus
+# tail as a range, but a rendered certificate lists every candidate omega
+# in [2, q - 1]: the tracemalloc peak of classify + certificate_to_json is
+# about 110 bytes per omega (116 MB for T(7, 2^20 - 1)), and with
+# certificate_to_text about 90, so one certificate stays near 120 MB at
+# most; a larger q is rejected with DomainError (CLI exit code 2) before
+# anything is allocated.
 MAX_Q = 2 ** 20
 
 
@@ -65,6 +70,51 @@ class CandidateTwist:
 class Elimination(NamedTuple):
     omega: int
     reason: str
+
+
+@dataclass(frozen=True)
+class Eliminations(Sequence):
+    """A certificate's eliminations: the `explicit` items, then one
+    genus-bound item for each w in the range `tail`.
+
+    Every w above the genus cutoff is a genus-bound elimination, so
+    classify keeps that part of [2, q-1] as range(cutoff + 1, q) instead of
+    as O(q) items.  Iteration, len, indexing, slicing (to a tuple), ==,
+    hash and repr are those of the tuple explicit + tail items.
+    """
+
+    explicit: tuple = ()
+    tail: range = range(0)
+
+    def __len__(self):
+        return len(self.explicit) + len(self.tail)
+
+    def __iter__(self):
+        # tuple.__new__ builds the tail's items without a Python-level
+        # __new__ call each
+        return chain(self.explicit, map(tuple.__new__, repeat(Elimination),
+                                        zip(self.tail, repeat(REASON_GENUS))))
+
+    def __getitem__(self, index):
+        # range does the tuple's index checks and slice arithmetic
+        at = range(len(self))[index]
+        if isinstance(at, range):
+            return tuple(map(self.__getitem__, at))
+        k = len(self.explicit)
+        if at < k:
+            return self.explicit[at]
+        return Elimination(self.tail[at - k], REASON_GENUS)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, Eliminations)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -90,11 +140,16 @@ class ObstructionCertificate:
     exceptional: bool
     verdict: str
     sigma_method: str
-    eliminations: tuple = ()
+    eliminations: Eliminations = ()
     survivors: tuple = ()
     sigma_inputs: dict = field(default_factory=dict)
     templates: tuple = ()
     notes: tuple = ()
+
+    def __post_init__(self):
+        # a plain tuple of items is the all-explicit form
+        if not isinstance(self.eliminations, Eliminations):
+            self.eliminations = Eliminations(tuple(self.eliminations))
 
 
 def thom_bound_check(p: int, q: int, omega: int) -> bool:
@@ -257,16 +312,16 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
                     reasons[w] = reason
                     alive.remove(w)
 
-    # the genus tail holds most of [2, q-1]; tuple.__new__ builds its
-    # Elimination items without a Python-level __new__ call each
-    genus_tail = map(tuple.__new__, repeat(Elimination),
-                     zip(range(top + 1, q), repeat(REASON_GENUS)))
-    eliminations = (*(Elimination(w, reasons[w]) for w in sorted(reasons)),
-                    *genus_tail)
+    eliminations = Eliminations(
+        tuple(Elimination(w, reasons[w]) for w in sorted(reasons)),
+        range(top + 1, q))
     survivors = tuple(CandidateTwist(1, w) for w in alive)
-    omegas = sorted([*map(attrgetter("omega"), eliminations),
+    omegas = sorted([*map(attrgetter("omega"), eliminations.explicit),
                      *map(attrgetter("omega"), survivors)])
-    if omegas != list(range(2, q)):
+    # every w in [2, q-1] once: [2, top] explicitly or as a survivor, and
+    # (top, q) as the genus tail
+    if (omegas != list(range(2, top + 1))
+            or eliminations.tail != range(top + 1, q)):
         raise InternalCheckError(f"candidate partition broken for {nk}")
     verdict = NOT_IN_T if not survivors else UNDECIDED
     return ObstructionCertificate(
@@ -311,7 +366,12 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
         out.append(f"candidates: omega in [2,{q - 1}] with n=1 "
                    "(omega <= 1 cannot change the knot type)")
         out.append("eliminated:")
-        out.extend(f"  omega={e.omega}: {e.reason}" for e in cert.eliminations)
+        elims = cert.eliminations
+        out.extend(f"  omega={w}: {r}" for w, r in elims.explicit)
+        if elims.tail:
+            sep = f": {REASON_GENUS}\n  omega="
+            out.append(f"  omega={sep.join(map(str, elims.tail))}: "
+                       f"{REASON_GENUS}")
         out.append("survivors:")
         out.extend(f"  (n={s.n}, omega={s.omega})" for s in cert.survivors)
         out.append("sigma-inputs:")
@@ -372,19 +432,27 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
     """json.dumps(certificate_to_dict(cert) | extra, indent=2) + "\n".
 
     The eliminations list every w in [2, q-1], and indent=2 runs the pure
-    Python encoder, so that array is written from one template per item
-    instead, with each distinct reason encoded once.
+    Python encoder, so that array is written from one template per
+    explicit item instead, with each distinct reason encoded once, and the
+    genus tail from one join of its w.
     """
     head, tail = _fields_around_eliminations(cert)
     if extra:
         tail.update(extra)
+    elims = cert.eliminations
     encoded = {r: json.dumps(r) for r in
-               set(map(attrgetter("reason"), cert.eliminations))}
-    items = ",\n".join([f"    [\n      {w},\n      {encoded[r]}\n    ]"
-                        for w, r in cert.eliminations])
-    array = f"[\n{items}\n  ]" if items else "[]"
-    # splice the array between the two objects: drop head's "\n}" and
-    # tail's "{\n"
-    return (f"{json.dumps(head, indent=2)[:-2]},\n"
-            f'  "eliminations": {array},\n'
-            f"{json.dumps(tail, indent=2)[2:]}\n")
+               {*map(attrgetter("reason"), elims.explicit), REASON_GENUS}}
+    genus = encoded[REASON_GENUS]
+    array = [",\n".join([f"    [\n      {w},\n      {encoded[r]}\n    ]"
+                         for w, r in elims.explicit])]
+    if elims.tail:
+        # the text between two tail w: the end of one item, the start of
+        # the next
+        sep = f",\n      {genus}\n    ],\n    [\n      "
+        array += [",\n" if elims.explicit else "", "    [\n      ",
+                  sep.join(map(str, elims.tail)), f",\n      {genus}\n    ]"]
+    # splice the array between the two objects (drop head's "\n}" and
+    # tail's "{\n") in one join, so that the O(q) tail text is copied once
+    return "".join([json.dumps(head, indent=2)[:-2], ',\n  "eliminations": ',
+                    "[\n" if elims else "[", *array, "\n  ]" if elims else "]",
+                    ",\n", json.dumps(tail, indent=2)[2:], "\n"])

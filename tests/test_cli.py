@@ -10,6 +10,7 @@ import pytest
 from torustwist import DomainError, TorusKnotParams, cli, classify
 from torustwist.cli import (main, parse_scan_csv, render_scan_csv,
                             render_scan_json, scan_rows)
+from torustwist.cli import MAX_SCAN_CELLS
 from torustwist.obstruction import MAX_Q, certificate_to_dict
 
 DATA = Path(__file__).parent / "data"
@@ -58,14 +59,36 @@ def _cap_address_space():
 def test_hostile_q_is_rejected_before_allocating(argv):
     # in a child capped at 2 GB of address space: listing every candidate
     # (or every pair of the box) would fail with MemoryError, not exit 2
+    res = _run_capped(argv)
+    assert res.returncode == 2, res.stderr
+    assert f"MAX_Q = {MAX_Q}" in res.stderr and res.stdout == ""
+
+
+def _run_capped(argv):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-m", "torustwist.cli", *argv],
-                         env=env, capture_output=True, text=True, timeout=60,
-                         preexec_fn=_cap_address_space)
+    return subprocess.run([sys.executable, "-m", "torustwist.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_cap_address_space)
+
+
+def test_hostile_scan_box_is_rejected_before_listing_pairs():
+    # every bound is within MAX_Q, but the box has about 2^40 cells
+    top = str(2 ** 20)
+    res = _run_capped(["scan", "--p-min", "2", "--p-max", top,
+                       "--q-min", "2", "--q-max", top])
     assert res.returncode == 2, res.stderr
-    assert f"MAX_Q = {MAX_Q}" in res.stderr and res.stdout == ""
+    assert f"MAX_SCAN_CELLS = {MAX_SCAN_CELLS}" in res.stderr
+    assert res.stdout == ""
+
+
+def test_max_scan_cells_is_the_largest_accepted_box():
+    # p > q everywhere, so the box lists its cells but holds no pair
+    assert MAX_SCAN_CELLS == 1024 * 1024
+    assert scan_rows((2000, 3023), (2, 1025)) == []
+    with pytest.raises(DomainError):
+        scan_rows((2000, 3024), (2, 1025))
 
 
 def test_max_q_is_the_largest_accepted_q():

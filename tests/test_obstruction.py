@@ -1,14 +1,18 @@
 import dataclasses
 import json
+import math
+import pickle
+import random
 
 import pytest
 
 from torustwist import (DomainError, TorusKnotParams, classify,
-                        condition_iv_check, survivors_p_plus_2,
+                        condition_iv_check, obstruction, survivors_p_plus_2,
                         survivors_p_plus_4, thom_bound_check)
+from torustwist.errors import InternalCheckError
 from torustwist.obstruction import (NOT_IN_T, REASON_GENUS, REASON_KIKUCHI,
                                     REASON_PARITY, TRIVIAL_OR_EXCEPTIONAL,
-                                    UNDECIDED, Elimination,
+                                    UNDECIDED, Elimination, Eliminations,
                                     certificate_to_dict, certificate_to_json,
                                     certificate_to_text, genus_cutoff)
 from torustwist.tristram import prime_divisors
@@ -79,6 +83,79 @@ def test_certificate_partitions_candidates():
         assert seen == list(range(2, q))
         genus = [e.omega for e in cert.eliminations if e.reason == REASON_GENUS]
         assert genus == list(range(genus_cutoff(p, q) + 1, q))
+        assert cert.eliminations.tail == range(genus_cutoff(p, q) + 1, q)
+
+
+def _shift_tail(by_start, by_stop):
+    def mutate(explicit, tail):
+        return explicit, range(tail.start + by_start, tail.stop + by_stop)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _shift_tail(1, 1), _shift_tail(-1, -1), _shift_tail(1, 0),
+    _shift_tail(-1, 0),
+    lambda explicit, tail: (explicit + explicit[-1:], tail),
+], ids=["tail+1", "tail-1", "tail-start+1", "tail-start-1",
+        "duplicated-explicit"])
+def test_classify_rejects_a_broken_partition(monkeypatch, mutate):
+    class Broken(Eliminations):
+        def __init__(self, explicit, tail):
+            super().__init__(*mutate(explicit, tail))
+
+    assert classify(K(7, 3001)).verdict == NOT_IN_T
+    monkeypatch.setattr(obstruction, "Eliminations", Broken)
+    with pytest.raises(InternalCheckError):
+        classify(K(7, 3001))
+
+
+def _eliminations_certs():
+    """Seeded certificates: mirrors, prime_cap, kikuchi and large-q cases."""
+    rng = random.Random(606)
+    pairs = [(1, 9), (4, 7), (5, 7), (-5, 8), (7, -5), (5, 8), (11, 15),
+             (7, 16), (15, 19)]
+    while len(pairs) < 20:
+        p = rng.randint(5, 13)
+        q = rng.randint(3000, 30000) * rng.choice((1, -1))
+        if math.gcd(p, q) == 1:
+            pairs.append((p, q))
+    certs = [classify(K(p, q)) for p, q in pairs]
+    certs += [classify(K(13, 97), prime_cap=3), classify(K(7, 3001), prime_cap=2)]
+    return certs
+
+
+def test_eliminations_behave_as_the_materialized_tuple():
+    rng = random.Random(7)
+    certs = _eliminations_certs()
+    assert any(e.reason == REASON_KIKUCHI for c in certs for e in c.eliminations)
+    for cert in certs:
+        e = cert.eliminations
+        ref = e.explicit + tuple(Elimination(w, REASON_GENUS) for w in e.tail)
+        n, k = len(ref), len(e.explicit)
+        assert isinstance(e, Eliminations)
+        assert tuple(e) == ref and len(e) == n
+        for i in {0, k - 1, k, n - 1, *rng.sample(range(n), min(n, 20))}:
+            if 0 <= i < n:
+                assert e[i] == ref[i] and e[i - n] == ref[i - n], i
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                e[i]
+        for sl in (slice(None), slice(3, -3), slice(None, None, -1),
+                   slice(k - 2, k + 2), slice(-5, None), slice(1, n, 7),
+                   slice(n, 0, -3), slice(n + 5, None)):
+            assert e[sl] == ref[sl], sl
+        assert e == ref and ref == e and not e != ref
+        assert e == Eliminations(ref) and Eliminations(ref) == e
+        if n:
+            assert e != ref[:-1] and ref[:-1] != e
+        assert e != list(ref)
+        assert hash(e) == hash(ref) and repr(e) == repr(ref)
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is Eliminations and back.tail == e.tail
+        assert back == ref
+        flat = dataclasses.replace(cert, eliminations=ref)
+        assert flat.eliminations.explicit == ref and not flat.eliminations.tail
+        assert repr(flat) == repr(cert) and flat == cert
 
 
 def test_genus_cutoff_matches_a_linear_scan():
@@ -98,7 +175,7 @@ def _json_oracle(cert, extra=None):
                       indent=2) + "\n"
 
 
-def test_certificate_json_matches_the_dict_oracle():
+def _renderer_certs():
     certs = [classify(K(p, q)) for p, q in
              [(1, 9), (4, 7), (-5, 8), (7, -5), (5, 8), (11, 15), (7, 20011)]]
     certs.append(classify(K(13, 97), prime_cap=3))
@@ -110,10 +187,41 @@ def test_certificate_json_matches_the_dict_oracle():
     certs.append(dataclasses.replace(certs[5], eliminations=(
         Elimination(3, REASON_PARITY), Elimination(5, 'quote " and \u00e9'),
         Elimination(7, REASON_PARITY))))
+    # a genus-bound item in the explicit part, next to the tail; a tail
+    # with no explicit part
+    e = certs[6].eliminations
+    certs.append(dataclasses.replace(certs[6], eliminations=Eliminations(
+        e.explicit + e[len(e.explicit):len(e.explicit) + 1],
+        e.tail[1:])))
+    certs.append(dataclasses.replace(certs[4], eliminations=Eliminations(
+        (), range(2, 9))))
+    return certs
+
+
+def test_certificate_json_matches_the_dict_oracle():
+    certs = _renderer_certs()
     for cert in certs:
         assert certificate_to_json(cert) == _json_oracle(cert)
     extra = {"sequence_ledger": {"sigma_m": -1, "xi": [1, 0, -1]}}
     assert certificate_to_json(certs[4], extra) == _json_oracle(certs[4], extra)
+
+
+def _text_oracle(cert):
+    """certificate_to_text with one line per elimination, written here."""
+    text = certificate_to_text(dataclasses.replace(cert, eliminations=()))
+    if cert.verdict == TRIVIAL_OR_EXCEPTIONAL:
+        return text
+    lines = text.split("\n")
+    at = lines.index("eliminated:") + 1
+    lines[at:at] = [f"  omega={e.omega}: {e.reason}" for e in cert.eliminations]
+    return "\n".join(lines)
+
+
+def test_certificate_text_matches_a_per_item_rendering():
+    certs = _renderer_certs()
+    assert any(c.eliminations.tail for c in certs)
+    for cert in certs:
+        assert certificate_to_text(cert) == _text_oracle(cert)
 
 
 def test_classify_deterministic():

@@ -160,6 +160,35 @@ def test_mp_rung_honours_the_entry_radius():
     assert certify.inertia_mp(off_diagonal_in(0.2, 1.4), 2, 128, 0) is None
 
 
+def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
+    # With mp.eighe replaced by the basis 2^-prec * I, the rung's integer
+    # matrix G is I, so its Gershgorin rows are those of C = 2^prec H:
+    # C = [[c0, 7+8i, 3+10i], [7-8i, 100, 0], [3-10i, 0, 100]].  Row 0's
+    # off-diagonal moduli are sqrt(113) + sqrt(109) = 21.07, but their
+    # floors sum to 20, so at c0 = 21 the row's edge lies within n = 3
+    # units of zero, and only the +1 on each floored modulus keeps the row
+    # from being counted positive.  Any G is a valid congruence.
+    from mpmath import iv, mp
+
+    prec = 128
+
+    def form(c0):
+        c = [[c0, 7 + 8j, 3 + 10j], [7 - 8j, 100, 0], [3 - 10j, 0, 100]]
+
+        def entry(i, j):
+            z = complex(c[i][j]) * 2.0 ** -prec   # exact in a double
+            return iv.mpf(z.real), iv.mpf(z.imag)
+        return entry
+
+    real = certify.inertia_mp(form(21), 3, prec, 0)
+    assert (real.n_plus, real.n_zero, real.n_minus) == (3, 0, 0)
+    monkeypatch.setattr(mp, "eighe",
+                        lambda a: (None, mp.eye(3) * mp.mpf(2) ** -prec))
+    assert certify.inertia_mp(form(21), 3, prec, 0) is None
+    res = certify.inertia_mp(form(23), 3, prec, 0)
+    assert (res.n_plus, res.n_zero, res.n_minus) == (3, 0, 0)
+
+
 def test_mr_matmul_skips_only_zero_radius_products():
     rng = np.random.default_rng(3)
 
