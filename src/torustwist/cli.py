@@ -25,7 +25,7 @@ from .fourmanifold import ledger_from_sequence, parse_sequence
 from .lattice import sigma_closed, sigma_oracle
 from .obstruction import (MAX_Q, NOT_IN_T, certificate_to_json,
                           certificate_to_text, classify)
-from .tristram import tristram_sigma
+from .tristram import sigma_d
 
 SCAN_SCHEMA = "torustwist-scan/1"
 SCAN_COLUMNS = ("p", "q", "exceptional", "verdict", "survivors", "sigma",
@@ -44,15 +44,13 @@ def _precision_cap(args):
 
 
 def _sigma_one(k, method, cap):
+    if method == "seifert":
+        return sigma_d(k, 2, method="hermitian", precision_cap=cap)
     nk, mirror = normalize(k)
-    sign = -1 if mirror else 1
     if nk.is_trivial:
         return 0
-    if method == "oracle":
-        return sign * sigma_oracle(nk)
-    if method == "closed":
-        return sign * sigma_closed(nk)
-    return tristram_sigma(nk, 2, method="hermitian", precision_cap=cap) * sign
+    s = sigma_oracle(nk) if method == "oracle" else sigma_closed(nk)
+    return -s if mirror else s
 
 
 def cmd_sigma(args) -> int:

@@ -390,6 +390,15 @@ def template_sequences(k: TorusKnotParams):
       * double-step: q = 2p +- 2, two full-strand reductions to T(p, +-2),
         then an even twist on two strands to T(2, +-1).
     Returns an empty list when no chain applies.
+
+    Each chain forces an odd omega^2 = C - sigma(M), where xi.xi = -w^2 + C:
+      * even-gap: +CP^2 (p) and S^2 x S^2 (r, nr) give C = p^2 + 2nr^2 and
+        sigma(M) = 0, and p = 2nr +- 1 is odd;
+      * gap4: +CP^2 (p), S^2 x S^2 (4, 4n) and +CP^2 (t), t = 3 or 5, give
+        C = p^2 + 32n + t^2 and sigma(M) = 1, with p and t odd;
+      * double-step: +CP^2 (p) twice and S^2 x S^2 (2, -n) give
+        C = 2p^2 - 4n and sigma(M) = 1.
+    So an admissible w is never even; classify checks this.
     """
     from .core import is_exceptional
 

@@ -7,8 +7,8 @@ values are never attained; the enumeration checks this.  The closed forms
 below evaluate the same quantity with integer floor arithmetic only.
 
 All comparisons use exact integer cross-multiplication, never floats.  The
-O(p*q) enumeration is the permanent ground-truth oracle of the test suite;
-the closed form is the fast path.
+O(p*q) enumeration (of any d-signature's window) is the permanent
+ground-truth oracle of the test suite; the closed form is the fast path.
 """
 
 from math import gcd
@@ -22,24 +22,30 @@ def _require_standard(k: TorusKnotParams):
         raise DomainError(f"{k}: expected 0 < p < q")
 
 
-def sigma_oracle(k: TorusKnotParams) -> int:
-    """Signature by exhaustive enumeration of the (p-1)(q-1) lattice points."""
-    _require_standard(k)
-    p, q = k.p, k.q
-    pq = p * q
+def sigma_d_enumerated(p: int, q: int, d: int) -> int:
+    """sigma_d(T(p,q)), 0 < p < q, by enumeration: (i,j) counts -1 when
+    i/p + j/q lies in the window (a/d, 1 + a/d), a = [d/2], else +1.  At
+    d = 2 the window is (1/2, 3/2)."""
+    lo, hi = (d // 2) * p * q, (d + d // 2) * p * q
     plus = minus = 0
     for i in range(1, p):
         iq = i * q
         for j in range(1, q):
-            t = 2 * (iq + j * p)  # compare i/p + j/q against 1/2 and 3/2
-            if t == pq or t == 3 * pq:
-                raise InternalCheckError(
-                    f"{k}: lattice point ({i},{j}) on the boundary")
-            if t < pq or t > 3 * pq:
-                plus += 1
-            else:
+            x = d * (iq + j * p)  # compare i/p + j/q against the window
+            if x == lo or x == hi:
+                raise InternalCheckError(f"T({p},{q}): lattice point "
+                                         f"({i},{j}) on the d={d} boundary")
+            if lo < x < hi:
                 minus += 1
+            else:
+                plus += 1
     return plus - minus
+
+
+def sigma_oracle(k: TorusKnotParams) -> int:
+    """Signature by exhaustive enumeration: sigma_d_enumerated at d = 2."""
+    _require_standard(k)
+    return sigma_d_enumerated(k.p, k.q, 2)
 
 
 def sigma_closed(k: TorusKnotParams) -> int:

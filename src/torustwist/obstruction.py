@@ -45,6 +45,7 @@ UNDECIDED = "Undecided"
 REASON_GENUS = "genus-bound"
 REASON_III = "condition-iii"
 REASON_KIKUCHI = "kikuchi-no-square"
+# never emitted: no template forces an even omega^2 (see template_sequences)
 REASON_PARITY = "characteristic-parity"
 
 # The largest normalized q that classify accepts.  classify keeps the genus
@@ -247,14 +248,8 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
 
     def sd(d):
         if d not in sigma_inputs:
-            value = sigma_d(nk, d, method=sigma_method,
-                            precision_cap=precision_cap)
-            if value % 2 != 0:
-                raise InternalCheckError(f"sigma_{d}({nk}) = {value} is odd")
-            if value > -4:
-                raise InternalCheckError(
-                    f"sigma_{d}({nk}) = {value} violates the -4 bound")
-            sigma_inputs[d] = value
+            sigma_inputs[d] = sigma_d(nk, d, method=sigma_method,
+                                      precision_cap=precision_cap)
         return sigma_inputs[d]
 
     top = genus_cutoff(p, q)
@@ -303,13 +298,14 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
                 admissible=res.admissible, note=res.reason))
             if not res.applicable:
                 continue
+            if res.omega_squared % 2 == 0:
+                raise InternalCheckError(
+                    f"template {seq.label} for {nk} forces an even "
+                    f"omega^2 = {res.omega_squared}")
             allowed = set(res.admissible)
-            even_square_only = bool(res.admissible) and all(
-                t % 2 == 0 for t in res.admissible)
-            reason = REASON_PARITY if even_square_only else REASON_KIKUCHI
             for w in [w for w in alive if w % 2 == 1]:
                 if w not in allowed:
-                    reasons[w] = reason
+                    reasons[w] = REASON_KIKUCHI
                     alive.remove(w)
 
     eliminations = Eliminations(

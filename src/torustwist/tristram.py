@@ -26,6 +26,9 @@ box, which one modular inverse decides, also in O(log) steps.  The path
 reproduces the half-turn lattice count at d = 2 and is validated against
 the Hermitian route across the whole test range; the Hermitian route stays
 authoritative.
+
+Every caller reaches the two routes through one dispatcher, `sigma_d`,
+which also checks the value's invariants in one place.
 """
 
 from dataclasses import dataclass
@@ -38,7 +41,7 @@ from . import cyclotomic
 from .certify import Inertia, MRMatrix, certified_inertia
 from .core import TorusKnotParams, normalize
 from .errors import DomainError, InternalCheckError
-from .lattice import sigma_closed
+from .lattice import sigma_d_enumerated
 from .seifert import SeifertForm, seifert_matrix, torus_braid
 
 DEFAULT_PRECISION_CAP = 4096
@@ -290,38 +293,20 @@ def sigma_d_counting(p: int, q: int, d: int) -> int:
     return 2 * (lo + hi) - (p - 1) * (q - 1)
 
 
-def _sigma_counting_brute(p: int, q: int, d: int) -> int:
-    """O(pq) reference for the fast path (test fixture)."""
-    a = d // 2
-    pq = p * q
-    pos = neg = 0
-    for i in range(1, p):
-        for j in range(1, q):
-            x = d * (i * q + j * p)
-            if x == a * pq or x == (d + a) * pq:
-                raise InternalCheckError(
-                    f"window boundary attained at ({p},{q},{d})")
-            if x < a * pq or x > (d + a) * pq:
-                pos += 1
-            else:
-                neg += 1
-    return pos - neg
+# the O(pq) lattice enumeration the fast path is tested against
+_sigma_counting_brute = sigma_d_enumerated
 
 
-def tristram_sigma(k: TorusKnotParams, d: int, method: str = "hermitian",
-                   precision_cap: int = None) -> int:
-    """sigma_d of a torus knot; negated under the mirror flag.
-
-    The default Hermitian route builds the exact form from the braid Seifert
-    matrix and certifies the inertia.  method="counting" uses the integer
-    fast path (validated against the Hermitian route in the test suite).
-    """
+def sigma_d(k: TorusKnotParams, d: int, method: str = "auto",
+            precision_cap: int = None) -> int:
+    """sigma_d of a torus knot, 0 if trivial: "auto" and "counting" take
+    the integer fast path, "hermitian" the certified route.  The normalized
+    knot's value must be even and at most -4 (T(2,3), at -2, excepted),
+    else InternalCheckError; the mirror flag then negates it."""
     nk, mirror = normalize(k)
     if nk.is_trivial:
-        raise DomainError(f"{k} is trivial")
-    if not is_prime(d):
-        raise DomainError(f"d={d}: need a prime")
-    if method == "counting":
+        return 0
+    if method in ("auto", "counting"):
         s = sigma_d_counting(nk.p, nk.q, d)
     elif method == "hermitian":
         s = _sigma_hermitian(nk.p, nk.q, d, precision_cap)
@@ -329,24 +314,24 @@ def tristram_sigma(k: TorusKnotParams, d: int, method: str = "hermitian",
         raise ValueError(f"unknown method {method!r}")
     if s % 2 != 0:
         raise InternalCheckError(f"sigma_{d}({nk}) = {s} is odd")
+    if s > -4 and (nk.p, nk.q) != (2, 3):
+        raise InternalCheckError(
+            f"sigma_{d}({nk}) = {s} violates the -4 bound")
     return -s if mirror else s
 
 
-def sigma_d(k: TorusKnotParams, d: int, method: str = "auto",
-            precision_cap: int = None) -> int:
-    """Dispatcher used by the classifier: "auto" takes the integer fast
-    path, anything else defers to tristram_sigma."""
-    nk, _ = normalize(k)
-    if nk.is_trivial:
-        return 0
-    if method in ("auto", "counting"):
-        return tristram_sigma(k, d, method="counting")
-    return tristram_sigma(k, d, method=method, precision_cap=precision_cap)
+def tristram_sigma(k: TorusKnotParams, d: int, method: str = "hermitian",
+                   precision_cap: int = None) -> int:
+    """sigma_d of a nontrivial torus knot, by default on the certified
+    Hermitian route; see sigma_d."""
+    if k.is_trivial:
+        raise DomainError(f"{k} is trivial")
+    return sigma_d(k, d, method=method, precision_cap=precision_cap)
 
 
 def prop35_bound_check(k: TorusKnotParams, d: int, method: str = "auto") -> bool:
     """sigma_d <= -4 holds for every nontrivial torus knot except T(2,3);
-    the classifier treats a violation as an internal-consistency failure."""
+    sigma_d raises InternalCheckError on a violation."""
     nk, _ = normalize(k)
     if nk.is_trivial or (nk.p, nk.q) == (2, 3):
         raise DomainError(f"{k} is outside the bound's domain")

@@ -32,6 +32,9 @@ def test_sigma_all_agrees(capsys):
 def test_sigma_trivial(capsys):
     code, out, _ = run(capsys, "sigma", "-p", "1", "-q", "5")
     assert code == 0 and out.strip() == "0"
+    code, out, _ = run(capsys, "sigma", "-p", "1", "-q", "5", "--all")
+    assert code == 0
+    assert out.splitlines() == ["oracle: 0", "closed: 0", "seifert: 0"]
 
 
 def test_sigma_mirror(capsys):
@@ -121,9 +124,10 @@ def test_classify_with_sequence(capsys):
     assert "sigma(M)=1" in out and "-w^2+42" in out
 
 
-@pytest.mark.parametrize("p, q", [(5, 8), (-5, 8), (7, 4999)])
+@pytest.mark.parametrize("p, q", [(5, 8), (-5, 8), (7, 4999), (7, 5001)])
 @pytest.mark.parametrize("sequence", [False, True])
-def test_classify_json_matches_the_dict_route(capsys, p, q, sequence):
+def test_classify_json_matches_the_dict_route(capsys, assert_same_text, p, q,
+                                              sequence):
     argv = ["classify", "-p", str(p), "-q", str(q), "--format", "json"]
     payload = certificate_to_dict(classify(TorusKnotParams(p, q)))
     if sequence:
@@ -132,7 +136,7 @@ def test_classify_json_matches_the_dict_route(capsys, p, q, sequence):
         payload["sequence_ledger"] = cli._sequence_report(path)
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out == json.dumps(payload, indent=2) + "\n"
+    assert_same_text(out, json.dumps(payload, indent=2) + "\n")
     assert list(json.loads(out))[-1] == ("sequence_ledger" if sequence
                                          else "notes")
 

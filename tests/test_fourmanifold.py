@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,22 @@ def test_kikuchi_gap4_family_never_squares():
         assert res.omega_squared == p * p + 32 * n + 8
         assert (8 * n + 4) ** 2 < res.omega_squared < (8 * n + 5) ** 2
         assert res.admissible == ()
+
+
+def test_every_template_forces_an_odd_omega_squared():
+    # the parity argument of template_sequences' docstring, on every
+    # applicable template of a box that holds all three families
+    families = Counter()
+    for p in range(5, 400):
+        for q in range(p + 2, 2 * p + 3):
+            if math.gcd(p, q) != 1:
+                continue
+            for seq in template_sequences(K(p, q)):
+                res = kikuchi_eliminate(ledger_from_sequence(seq))
+                if res.applicable:
+                    assert res.omega_squared % 2 == 1, (p, q, seq.label)
+                    families[seq.label.split()[0]] += 1
+    assert families == {"even-gap": 954, "double-step": 396, "gap4": 98}
 
 
 def test_kikuchi_inapplicable_when_b2_large():

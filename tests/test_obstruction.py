@@ -10,6 +10,7 @@ from torustwist import (DomainError, TorusKnotParams, classify,
                         condition_iv_check, obstruction, survivors_p_plus_2,
                         survivors_p_plus_4, thom_bound_check)
 from torustwist.errors import InternalCheckError
+from torustwist.fourmanifold import KikuchiResult
 from torustwist.obstruction import (NOT_IN_T, REASON_GENUS, REASON_KIKUCHI,
                                     REASON_PARITY, TRIVIAL_OR_EXCEPTIONAL,
                                     UNDECIDED, Elimination, Eliminations,
@@ -198,12 +199,13 @@ def _renderer_certs():
     return certs
 
 
-def test_certificate_json_matches_the_dict_oracle():
+def test_certificate_json_matches_the_dict_oracle(assert_same_text):
     certs = _renderer_certs()
     for cert in certs:
-        assert certificate_to_json(cert) == _json_oracle(cert)
+        assert_same_text(certificate_to_json(cert), _json_oracle(cert))
     extra = {"sequence_ledger": {"sigma_m": -1, "xi": [1, 0, -1]}}
-    assert certificate_to_json(certs[4], extra) == _json_oracle(certs[4], extra)
+    assert_same_text(certificate_to_json(certs[4], extra),
+                     _json_oracle(certs[4], extra))
 
 
 def _text_oracle(cert):
@@ -217,11 +219,21 @@ def _text_oracle(cert):
     return "\n".join(lines)
 
 
-def test_certificate_text_matches_a_per_item_rendering():
+def test_certificate_text_matches_a_per_item_rendering(assert_same_text):
     certs = _renderer_certs()
     assert any(c.eliminations.tail for c in certs)
     for cert in certs:
-        assert certificate_to_text(cert) == _text_oracle(cert)
+        assert_same_text(certificate_to_text(cert), _text_oracle(cert))
+
+
+def test_an_even_template_root_is_an_internal_check_error(monkeypatch):
+    # every built-in template forces an odd omega^2, so classify treats an
+    # even one as a broken invariant rather than as an elimination reason
+    assert any(t.applicable for t in classify(K(5, 8)).templates)
+    monkeypatch.setattr(obstruction, "kikuchi_eliminate", lambda ledger:
+                        KikuchiResult(True, omega_squared=36, admissible=(6,)))
+    with pytest.raises(InternalCheckError):
+        classify(K(5, 8))
 
 
 def test_classify_deterministic():

@@ -53,6 +53,10 @@ def test_t25_all_primes():
 
 def test_t23_d3():
     assert tristram_sigma(K(2, 3), 3) == -2
+    # T(2,3) is the one knot the dispatcher lets above -4, on both routes
+    for d in filter(is_prime, range(2, 44)):
+        for method in ("hermitian", "counting"):
+            assert tristram_sigma(K(2, 3), d, method=method) == -2, (d, method)
 
 
 def test_inertia_examples():
@@ -301,28 +305,31 @@ def test_prime_divisors_match_trial_division():
 
 
 def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
-    monkeypatch.setattr(tristram, "sigma_d_counting", lambda p, q, d: -5)
-    with pytest.raises(InternalCheckError):
-        tristram_sigma(K(5, 7), 3, method="counting")
-    # the check must survive python -O, and the CLI maps it to exit code 3
-    script = (
-        "import sys\n"
-        "from torustwist import cli, tristram\n"
-        "from torustwist.errors import InternalCheckError\n"
-        "tristram.sigma_d_counting = lambda p, q, d: -5\n"
-        "try:\n"
-        "    tristram.tristram_sigma(tristram.TorusKnotParams(5, 7), 3,\n"
-        "                            method='counting')\n"
-        "except InternalCheckError:\n"
-        "    sys.exit(cli.main(['classify', '-p', '5', '-q', '7']))\n"
-        "sys.exit(1)\n")
+    # -5 is odd; -2 is even but above the -4 bound, and T(5,7) is not T(2,3)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert res.returncode == 3, res.stderr
-    assert "internal consistency failure" in res.stderr
+    for bad in (-5, -2):
+        monkeypatch.setattr(tristram, "sigma_d_counting",
+                            lambda p, q, d: bad)
+        with pytest.raises(InternalCheckError):
+            tristram_sigma(K(5, 7), 3, method="counting")
+        # the check must survive python -O, and the CLI maps it to exit 3
+        script = (
+            "import sys\n"
+            "from torustwist import cli, tristram\n"
+            "from torustwist.errors import InternalCheckError\n"
+            f"tristram.sigma_d_counting = lambda p, q, d: {bad}\n"
+            "try:\n"
+            "    tristram.tristram_sigma(tristram.TorusKnotParams(5, 7), 3,\n"
+            "                            method='counting')\n"
+            "except InternalCheckError:\n"
+            "    sys.exit(cli.main(['classify', '-p', '5', '-q', '7']))\n"
+            "sys.exit(1)\n")
+        res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 3, (bad, res.stderr)
+        assert "internal consistency failure" in res.stderr
 
 
 def test_invariant_checks_survive_python_O():
@@ -361,6 +368,10 @@ def test_tristram_even():
 
 def test_mirror_negates():
     assert tristram_sigma(K(5, -2), 3) == -tristram_sigma(K(2, 5), 3) == 4
+    for k in (K(5, -2), K(-7, 5), K(-9, -13)):
+        for d in (2, 3, 5):
+            assert tristram_sigma(k, d, method="hermitian") == \
+                tristram_sigma(k, d, method="counting"), (k, d)
 
 
 def test_prop35_bound():
