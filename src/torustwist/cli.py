@@ -24,7 +24,7 @@ from .errors import (DomainError, InternalCheckError, InvalidKnotError,
 from .fourmanifold import ledger_from_sequence, parse_sequence
 from .lattice import sigma_closed, sigma_oracle
 from .obstruction import (MAX_Q, NOT_IN_T, certificate_to_json,
-                          certificate_to_text, classify)
+                          certificate_to_text, check_max_q, classify)
 from .tristram import sigma_d
 
 SCAN_SCHEMA = "torustwist-scan/1"
@@ -34,6 +34,12 @@ SCAN_COLUMNS = ("p", "q", "exceptional", "verdict", "survivors", "sigma",
 # a box may hold at most this many (p, q) cells; a larger one is rejected
 # with DomainError (exit 2) before any pair is listed.
 MAX_SCAN_CELLS = 2 ** 20
+# sigma's oracle enumerates the (p-1)(q-1) lattice points and its seifert
+# route diagonalizes a dense matrix of that dimension.  At T(2, 2049), which
+# is this bound, the seifert route took 5.0 s and 524 MB peak RSS (one run,
+# 2-vCPU Intel Xeon, one BLAS thread).  A larger knot is rejected on those
+# routes with DomainError (exit 2) before any work.
+MAX_SIGMA_DIM = 2 ** 11
 
 
 def _precision_cap(args):
@@ -55,6 +61,12 @@ def _sigma_one(k, method, cap):
 
 def cmd_sigma(args) -> int:
     k = TorusKnotParams(args.p, args.q)
+    nk, _ = normalize(k)
+    check_max_q(k, nk)
+    dim = (nk.p - 1) * (nk.q - 1)
+    if dim > MAX_SIGMA_DIM and (args.all or args.method != "closed"):
+        raise DomainError(f"{k}: (p-1)(q-1) = {dim} exceeds MAX_SIGMA_DIM = "
+                          f"{MAX_SIGMA_DIM} on the oracle and seifert routes")
     cap = _precision_cap(args)
     if args.all:
         values = {m: _sigma_one(k, m, cap) for m in ("oracle", "closed", "seifert")}

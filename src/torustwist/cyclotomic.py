@@ -1,103 +1,58 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_d) for prime d.
+"""Exact nullity of a Hermitian form over the cyclotomic field Q(zeta_d).
 
-Elements are coefficient tuples over the power basis 1, zeta, ..., zeta^{d-2}
-with zeta^{d-1} = -(1 + zeta + ... + zeta^{d-2}).  Only small matrices ever
-come through here (exact nullity certification of Hermitian forms without
-torus-knot provenance), so plain Fraction arithmetic is fine.
+A form H = C0 + z C1 + conj(z) C2 with integer slices C_s, prime d and
+z = zeta^a, a = [d/2], acts Q(zeta_d)-linearly on Q(zeta_d)^n.  Over the
+power basis 1, zeta, ..., zeta^{d-2}, multiplication by zeta is the
+companion matrix Z of 1 + x + ... + x^{d-1}, so the same map on Q^{n(d-1)}
+is sum_s kron(C_s, Z^e_s) with e = (0, a, d-a).  Every Q(zeta_d)-subspace
+has Q-dimension d-1 times its own, so the nullity over Q(zeta_d) is the
+rational nullity of that integer matrix divided by d-1.  Only small forms
+come through here (forms without a torus knot source), so one exact
+fraction-free elimination over Python integers is fine.
 """
 
-from fractions import Fraction
+import numpy as np
+
+from .errors import InternalCheckError
 
 
-def reduce_vector(coeffs, d):
-    """Reduce a length-d coefficient vector of powers zeta^0..zeta^{d-1}
-    to the length-(d-1) power basis."""
-    top = coeffs[d - 1]
-    return tuple(Fraction(c) - top for c in coeffs[: d - 1])
-
-
-def zero(d):
-    return (Fraction(0),) * (d - 1)
-
-
-def add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def mul(x, y, d):
-    acc = [Fraction(0)] * d
-    for i, a in enumerate(x):
-        if not a:
+def rational_rank(m) -> int:
+    """Rank over Q of an integer matrix, by Bareiss fraction-free
+    elimination: after k pivots every entry is a (k+1)-minor, so each
+    division by the previous pivot is exact."""
+    m = np.array(m, dtype=object)
+    rows, cols = m.shape
+    rank, prev = 0, 1
+    for col in range(cols):
+        if rank == rows:
+            break
+        nonzero = np.flatnonzero(m[rank:, col])
+        if not nonzero.size:
             continue
-        for j, b in enumerate(y):
-            if b:
-                acc[(i + j) % d] += a * b
-    return reduce_vector(acc, d)
-
-
-def conj(x, d):
-    """Complex conjugation: zeta -> zeta^{d-1}."""
-    acc = [Fraction(0)] * d
-    for i, a in enumerate(x):
-        acc[(d - i) % d] += a
-    return reduce_vector(acc, d)
-
-
-def is_zero(x):
-    return all(c == 0 for c in x)
-
-
-def inv(x, d):
-    """Multiplicative inverse, via the (d-1)x(d-1) multiplication matrix."""
-    n = d - 1
-    cols = []
-    for j in range(n):
-        e = [Fraction(0)] * n
-        e[j] = Fraction(1)
-        cols.append(mul(x, tuple(e), d))
-    M = [[cols[j][i] for j in range(n)] for i in range(n)]
-    rhs = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("not invertible")
-        M[col], M[piv] = M[piv], M[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        pv = M[col][col]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col] / pv
-                for c in range(col, n):
-                    M[r][c] -= f * M[col][c]
-                rhs[r] -= f * rhs[col]
-    return tuple(rhs[i] / M[i][i] for i in range(n))
+        piv = rank + nonzero[0]
+        m[[rank, piv]] = m[[piv, rank]]
+        pv = m[rank, col]
+        below = m[rank + 1:]
+        below[:, col + 1:] = (below[:, col + 1:] * pv - np.outer(
+            below[:, col], m[rank, col + 1:])) // prev
+        prev = pv
+        rank += 1
+    return rank
 
 
 def hermitian_nullity_exact(coeffs, d) -> int:
-    """Exact nullity of a matrix whose (i,j) entry is sum_k coeffs[i,j,k]
-    zeta^k, by Gaussian elimination over Q(zeta_d)."""
+    """Exact nullity over Q(zeta_d), prime d, of the form whose integer
+    slices are coeffs[:, :, s] (see tristram.HermitianForm)."""
     n = coeffs.shape[0]
-    M = [[reduce_vector([Fraction(int(coeffs[i, j, k])) for k in range(d)], d)
-          for j in range(n)] for i in range(n)]
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if not is_zero(M[r][col])), None)
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        pv_inv = inv(M[row][col], d)
-        for r in range(row + 1, n):
-            if not is_zero(M[r][col]):
-                f = mul(M[r][col], pv_inv, d)
-                for c in range(col, n):
-                    M[r][c] = sub(M[r][c], mul(f, M[row][c], d))
-        rank += 1
-        row += 1
-        if row == n:
-            break
-    return n - rank
+    zeta = np.zeros((d - 1, d - 1), dtype=object)   # the companion matrix Z
+    zeta[1:, :-1] = np.eye(d - 2, dtype=object)
+    zeta[:, -1] = -1
+    a = d // 2
+    real = sum(np.kron(coeffs[:, :, s].astype(object),
+                       np.linalg.matrix_power(zeta, e))
+               for s, e in zip(range(coeffs.shape[2]), (0, a, d - a)))
+    nullity, rem = divmod(n * (d - 1) - rational_rank(real), d - 1)
+    if rem:
+        raise InternalCheckError(
+            f"rational nullity of a form at d={d} is not a multiple of {d - 1}")
+    return nullity

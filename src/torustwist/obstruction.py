@@ -58,6 +58,12 @@ REASON_PARITY = "characteristic-parity"
 MAX_Q = 2 ** 20
 
 
+def check_max_q(k: TorusKnotParams, nk: TorusKnotParams):
+    """Raise DomainError if k's normal form nk has q above MAX_Q."""
+    if nk.q > MAX_Q:
+        raise DomainError(f"{k}: normalized q = {nk.q} exceeds MAX_Q = {MAX_Q}")
+
+
 def reason_iv(d: int) -> str:
     return f"condition-iv(d={d})"
 
@@ -222,8 +228,7 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
     sound.
     """
     nk, mirror = normalize(k)
-    if nk.q > MAX_Q:
-        raise DomainError(f"{k}: normalized q = {nk.q} exceeds MAX_Q = {MAX_Q}")
+    check_max_q(k, nk)
     notes = []
     if mirror:
         notes.append("input is the mirror of the normalized knot; the "

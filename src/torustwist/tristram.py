@@ -5,13 +5,16 @@ signature of the Hermitian form
 
     H = (1 - z) V + (1 - conj(z)) V^T,   z = exp(2*pi*i*a/d),  a = [d/2],
 
-so sigma_2 is the ordinary signature (z = -1 gives H = 2(V + V^T)).  Torus
-knot forms at prime d are always nonsingular: every root of their Alexander
-polynomial is a root of unity of composite order, while z has prime order d.
-That arithmetic fact certifies the nullity; the remaining eigenvalue signs
-are certified by `certify`: interval arithmetic in doubles, then exact
-integer congruences at rising mpmath precision until every sign resolves
-or a cap is hit.
+so sigma_2 is the ordinary signature (z = -1 gives H = 2(V + V^T)).  H is
+linear in z and conj(z), so it is stored exactly as three integer slices,
+H = (V + V^T) + z (-V) + conj(z) (-V^T), whatever d is.  Torus knot forms
+at prime d are always nonsingular: every root of their Alexander
+polynomial is a root of unity of composite order, while z has prime order
+d.  That arithmetic fact certifies the nullity; a form without a torus
+knot source gets its nullity from one exact rational rank (`cyclotomic`).
+The remaining eigenvalue signs are certified by `certify`: interval
+arithmetic in doubles, then exact integer congruences at rising mpmath
+precision until every sign resolves or a cap is hit.
 
 For torus knots there is also an exact integer fast path (Litherland,
 "Signatures of iterated torus knots", LNM 722, 1979): writing
@@ -87,14 +90,21 @@ def prime_divisors(n: int, spf: list = None) -> list:
     return out
 
 
+def _require_prime(d: int):
+    if not is_prime(d):
+        raise DomainError(f"d={d}: need a prime")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """Exact Hermitian form with entries in Z[zeta_d].
+    """Exact Hermitian form H = C0 + z C1 + conj(z) C2 over Z[z], with
+    z = exp(2*pi*i*a/d) and a = [d/2].
 
-    coeffs[i, j, k] is the integer coefficient of zeta^k in entry (i, j);
-    conjugate symmetry holds by construction.  `source` carries (p, q) when
-    the form came from a torus knot, enabling the arithmetic nullity
-    certificate.
+    coeffs has shape (dimension, dimension, k), 1 <= k <= 3, and
+    coeffs[:, :, s] is the integer slice C_s; missing slices are zero.  H is
+    Hermitian when C0 is symmetric and C2 = C1^T, as `build_form` makes it.
+    `source` carries (p, q) when the form came from a torus knot, enabling
+    the arithmetic nullity certificate.
     """
 
     d: int
@@ -102,26 +112,25 @@ class HermitianForm:
     coeffs: np.ndarray
     source: tuple = None
 
+    def __post_init__(self):
+        n = self.dimension
+        shape = np.shape(self.coeffs)
+        if len(shape) != 3 or shape[:2] != (n, n) or not 1 <= shape[2] <= 3:
+            raise DomainError(f"coeffs of shape {shape}: need ({n}, {n}, k) "
+                              f"with 1 <= k <= 3")
+
     @property
     def a(self) -> int:
         return self.d // 2
 
 
 def build_form(f: SeifertForm, d: int, source=None) -> HermitianForm:
-    """H = (1-z)V + (1-conj(z))V^T at z = exp(2*pi*i*[d/2]/d), exactly.
-
-    Entry (i,j) = (V_ij + V_ji) - V_ij * zeta - V_ji * zeta^{d-1} with
-    zeta = z; at d = 2 this evaluates to 2(V + V^T).
-    """
-    if not is_prime(d):
-        raise DomainError(f"d={d}: need a prime")
+    """H = (1-z)V + (1-conj(z))V^T at z = exp(2*pi*i*[d/2]/d), exactly, as
+    the slices (V + V^T, -V, -V^T); at d = 2 it evaluates to 2(V + V^T)."""
+    _require_prime(d)
     v = f.matrix
-    n = f.dimension
-    coeffs = np.zeros((n, n, d), dtype=np.int64)
-    coeffs[:, :, 0] = v + v.T
-    coeffs[:, :, 1 % d] -= v
-    coeffs[:, :, (d - 1) % d] -= v.T
-    return HermitianForm(d, n, coeffs, source)
+    return HermitianForm(d, f.dimension, np.stack([v + v.T, -v, -v.T], axis=-1),
+                         source)
 
 
 def _double_enclosure(val):
@@ -135,53 +144,53 @@ def _double_enclosure(val):
 
 @lru_cache(maxsize=None)
 def _root_enclosures(d: int):
-    """Outward double enclosures of zeta^k = exp(2*pi*i*k/d), k = 0..d-1,
-    as (midpoints, radii).  The midpoints are real at d = 2, where the
-    roots are exactly 1 and -1, so forms at d = 2 stay in real arithmetic."""
+    """Outward double enclosures of 1, z and conj(z), as (midpoints,
+    radii).  The midpoints are real at d = 2, where z = conj(z) = -1
+    exactly, so forms at d = 2 stay in real arithmetic."""
     from mpmath import iv
 
     if d == 2:
-        return np.array([1.0, -1.0]), np.zeros(2)
+        return np.array([1.0, -1.0, -1.0]), np.zeros(3)
     old = iv.prec
     iv.prec = 80
     try:
-        mid = np.ones(d, dtype=np.complex128)
-        rad = np.zeros(d)
-        for k in range(1, d):
+        mid = np.ones(3, dtype=np.complex128)
+        rad = np.zeros(3)
+        # z = zeta^a and conj(z) = zeta^(d-a), zeta = exp(2*pi*i/d)
+        for s, k in ((1, d // 2), (2, d - d // 2)):
             ang = 2 * iv.pi * k / d
             cos_mid, cos_rad = _double_enclosure(iv.cos(ang))
             sin_mid, sin_rad = _double_enclosure(iv.sin(ang))
-            mid[k] = complex(cos_mid, sin_mid)
-            rad[k] = cos_rad + sin_rad
+            mid[s] = complex(cos_mid, sin_mid)
+            rad[s] = cos_rad + sin_rad
         return mid, rad
     finally:
         iv.prec = old
 
 
 def _float_enclosure(h: HermitianForm) -> MRMatrix:
-    mid, rad = _root_enclosures(h.d)
-    # coeffs are stored against powers of z = zeta^a; entry (i,j) is
-    # sum_k coeffs[i,j,k] * zeta^(a*k)
-    idx = [(h.a * k) % h.d for k in range(h.d)]
-    cmid, crad = mid[idx], rad[idx]
-    # einsum casts the int64 coefficients in buffered chunks: no float or
-    # complex copy of the (n, n, d) array is made
-    weights = crad + 8 * 2.0 ** -53 * np.abs(cmid)
-    return MRMatrix(np.einsum("ijk,k->ij", h.coeffs, cmid),
+    k = h.coeffs.shape[2]
+    mid, rad = (x[:k] for x in _root_enclosures(h.d))
+    # einsum casts the int64 slices in buffered chunks: no float or complex
+    # copy of the (n, n, k) array is made
+    weights = rad + 8 * 2.0 ** -53 * np.abs(mid)
+    return MRMatrix(np.einsum("ijk,k->ij", h.coeffs, mid),
                     np.einsum("ijk,k->ij", np.abs(h.coeffs), weights) + 1e-300)
 
 
 def _mp_entry_fn(h: HermitianForm):
     """entry(i, j) -> (re, im) iv enclosure of H[i, j] at the active iv
-    precision; the d root enclosures are evaluated once per precision."""
+    precision; z is enclosed once per precision."""
     from mpmath import iv
 
     roots = {}
 
     def root_intervals():
         if iv.prec not in roots:
-            angles = (2 * iv.pi * ((h.a * k) % h.d) / h.d for k in range(h.d))
-            roots[iv.prec] = [(iv.cos(t), iv.sin(t)) for t in angles]
+            t = 2 * iv.pi * h.a / h.d
+            cos_z, sin_z = iv.cos(t), iv.sin(t)
+            roots[iv.prec] = [(iv.mpf(1), iv.mpf(0)), (cos_z, sin_z),
+                              (cos_z, -sin_z)]
         return roots[iv.prec]
 
     def entry(i, j):
@@ -226,6 +235,7 @@ def inertia(h: HermitianForm, precision_cap: int = None) -> Inertia:
 
 @lru_cache(maxsize=None)
 def _sigma_hermitian(p: int, q: int, d: int, cap) -> int:
+    _require_prime(d)   # before building the Seifert matrix
     form = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
     ine = inertia(form, precision_cap=cap)
     if ine.n_zero != 0:
@@ -278,8 +288,7 @@ def sigma_d_counting(p: int, q: int, d: int) -> int:
     {a*pq, (d+a)*pq}; that is checked exactly (it never happens for prime d
     and coprime p, q) and raises InternalCheckError.  O(log q) steps.
     """
-    if not is_prime(d):
-        raise DomainError(f"d={d}: need a prime")
+    _require_prime(d)
     if not 0 < p < q:
         raise DomainError(f"need 0 < p < q, got ({p},{q})")
     a = d // 2

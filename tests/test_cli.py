@@ -10,7 +10,7 @@ import pytest
 from torustwist import DomainError, TorusKnotParams, cli, classify
 from torustwist.cli import (main, parse_scan_csv, render_scan_csv,
                             render_scan_json, scan_rows)
-from torustwist.cli import MAX_SCAN_CELLS
+from torustwist.cli import MAX_SCAN_CELLS, MAX_SIGMA_DIM
 from torustwist.obstruction import MAX_Q, certificate_to_dict
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +58,10 @@ def _cap_address_space():
     ["classify", "-p", "-1000000007", "-q", "7", "--format", "json"],
     ["scan", "--p-min", "2", "--p-max", "3", "--q-min", "2",
      "--q-max", "1000000007"],
+    ["sigma", "-p", "7", "-q", "100000007", "--method", "oracle"],
+    ["sigma", "-p", "7", "-q", "100000007", "--method", "seifert"],
+    ["sigma", "-p", "7", "-q", "-100000007", "--all"],
+    ["sigma", "-p", "99999989", "-q", "100000007", "--method", "closed"],
 ])
 def test_hostile_q_is_rejected_before_allocating(argv):
     # in a child capped at 2 GB of address space: listing every candidate
@@ -92,6 +96,21 @@ def test_max_scan_cells_is_the_largest_accepted_box():
     assert scan_rows((2000, 3023), (2, 1025)) == []
     with pytest.raises(DomainError):
         scan_rows((2000, 3024), (2, 1025))
+
+
+def test_max_sigma_dim_is_the_largest_accepted_dimension(capsys):
+    # T(2, 2049) has (p-1)(q-1) = 2^11; the oracle enumerates it at once
+    assert MAX_SIGMA_DIM == 2048
+    code, out, _ = run(capsys, "sigma", "-p", "2", "-q", "2049",
+                       "--method", "oracle")
+    assert code == 0 and out == "-2048\n"
+    # T(2, 2051) is the smallest knot above it; the closed form still runs
+    for argv in (["--method", "oracle"], ["--method", "seifert"], ["--all"]):
+        code, out, err = run(capsys, "sigma", "-p", "2", "-q", "-2051", *argv)
+        assert code == 2 and out == ""
+        assert f"MAX_SIGMA_DIM = {MAX_SIGMA_DIM}" in err
+    code, out, _ = run(capsys, "sigma", "-p", "2", "-q", "2051")
+    assert code == 0 and out == "-2050\n"
 
 
 def test_max_q_is_the_largest_accepted_q():

@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torustwist import (DomainError, HermitianForm, TorusKnotParams,
                         build_form, inertia, prop35_bound_check,
                         seifert_matrix, sigma_closed, sigma_d,
                         sigma_d_counting, sigma_oracle, torus_braid,
                         tristram_sigma)
-from torustwist import certify, tristram
+from torustwist import certify, cyclotomic, tristram
 from torustwist.errors import InternalCheckError, UndecidedSignError
 from torustwist.tristram import (_lattice_hit, _sigma_counting_brute, is_prime,
                                  prime_divisors, smallest_prime_factors)
@@ -33,9 +34,23 @@ def coprime_range(pmax, qmax):
 def test_build_form_d2_is_twice_symmetrization():
     f = seifert_matrix(torus_braid(2, 3))
     h = build_form(f, 2)
-    # evaluate coefficients at zeta = -1
-    value = h.coeffs[:, :, 0] - h.coeffs[:, :, 1]
+    # evaluate the slices C0 + z C1 + conj(z) C2 at z = -1
+    c0, c1, c2 = np.moveaxis(h.coeffs, -1, 0)
+    value = c0 - c1 - c2
     assert value.tolist() == (2 * f.symmetrized()).tolist()
+
+
+def test_form_is_three_slices_and_rejects_other_shapes():
+    f = seifert_matrix(torus_braid(3, 4))
+    for d in filter(is_prime, range(2, 44)):
+        assert build_form(f, d).coeffs.shape == (6, 6, 3), d
+    # one slice, or two with C2 = 0, are forms too
+    for k in (1, 2, 3):
+        HermitianForm(5, 2, np.zeros((2, 2, k), dtype=np.int64))
+    # a d-slice cube of powers of zeta is not a form of this layout
+    for shape in [(2, 2, 5), (2, 2, 0), (2, 3, 3), (3, 3, 3), (2, 2), (2, 2, 3, 1)]:
+        with pytest.raises(DomainError):
+            HermitianForm(5, 2, np.zeros(shape, dtype=np.int64))
 
 
 def test_build_form_rejects_composite():
@@ -44,6 +59,89 @@ def test_build_form_rejects_composite():
         build_form(f, 4)
     with pytest.raises(DomainError):
         tristram_sigma(K(2, 5), 6)
+
+
+def test_hermitian_route_rejects_composite_d_before_the_seifert_matrix(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(tristram, "seifert_matrix", calls.append)
+    with pytest.raises(DomainError):
+        tristram_sigma(K(31, 37), 4)
+    assert calls == []
+
+
+def test_float_enclosure_contains_every_exact_entry():
+    from mpmath import mp
+
+    for p, q in [(2, 5), (3, 7), (4, 5)]:
+        f = seifert_matrix(torus_braid(p, q))
+        for d in (2, 3, 5, 7, 43):
+            h = build_form(f, d, source=(p, q))
+            enc = tristram._float_enclosure(h)
+            with mp.workprec(200):
+                z = mp.expj(2 * mp.pi * h.a / d)
+                roots = (1, z, mp.conj(z))
+                for i in range(h.dimension):
+                    for j in range(h.dimension):
+                        exact = sum(int(c) * r
+                                    for c, r in zip(h.coeffs[i, j], roots))
+                        gap = abs(exact - mp.mpc(complex(enc.mid[i, j])))
+                        assert gap <= enc.rad[i, j], (p, q, d, i, j)
+
+
+# torus form slices do not depend on d, and every torus form is
+# nonsingular at every prime d
+_TORUS_SLICES = [build_form(seifert_matrix(torus_braid(p, q)), 2).coeffs
+                 for p, q in [(2, 3), (2, 5), (3, 4)]]
+
+
+# the companion matrix of the minimal polynomial of z + conj(z),
+# a = [d/2]: x + 2, x + 1, x^2 + x - 1 and x^3 + x^2 - 2x - 1
+_TRACE_COMPANION = {2: [[-2]], 3: [[-1]], 5: [[0, 1], [1, -1]],
+                    7: [[0, 0, 1], [1, 0, 2], [0, 1, -1]]}
+
+
+def _block(kind, arg, d):
+    """(slices, nullity) of one block whose nullity is known at d."""
+    if kind == "zero":
+        return np.zeros((arg, arg, 3), dtype=np.int64), arg
+    if kind == "trace":
+        # (z + conj(z)) I - W: z + conj(z) is a simple eigenvalue of W, and
+        # swapping conj(z) for z would make the block nonsingular
+        w = np.array(_TRACE_COMPANION[d], dtype=np.int64)
+        one = np.eye(len(w), dtype=np.int64)
+        return np.stack([-w, one, one], axis=-1), 1
+    a = _TORUS_SLICES[arg]
+    if kind == "torus":
+        return a, 0
+    # [[A, A], [A, A]] is congruent to A + 0
+    return np.tile(a, (2, 2, 1)), len(a)
+
+
+_BLOCKS = st.one_of(
+    st.tuples(st.just("zero"), st.integers(1, 3)),
+    st.tuples(st.just("torus"), st.integers(0, 2)),
+    st.tuples(st.just("double"), st.integers(0, 1)),
+    st.tuples(st.just("trace"), st.just(0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7]),
+       blocks=st.lists(_BLOCKS, min_size=1, max_size=3),
+       data=st.data())
+def test_exact_nullity_of_block_sums(d, blocks, data):
+    parts = [_block(*b, d) for b in blocks]
+    n = sum(len(c) for c, _ in parts)
+    coeffs = np.zeros((n, n, 3), dtype=np.int64)
+    at = 0
+    for c, _ in parts:
+        coeffs[at:at + len(c), at:at + len(c)] = c
+        at += len(c)
+    # permuting rows and columns alike hides the blocks but keeps the nullity
+    perm = data.draw(st.permutations(range(n)))
+    coeffs = coeffs[perm][:, perm]
+    assert cyclotomic.hermitian_nullity_exact(coeffs, d) == \
+        sum(z for _, z in parts)
 
 
 def test_t25_all_primes():
