@@ -6,9 +6,13 @@ Subcommands:
   tables    verdict tables for the built-in knot families
   scan      classify every coprime pair in a parameter box
 
+classify, tables and scan take every sigma_d from the integer counting
+kernel; only sigma's seifert route runs certified arithmetic.
+
 Exit codes: 0 success, 2 invalid input, 3 internal consistency failure,
-4 precision exhaustion.  TORUSTWIST_PRECISION_BITS overrides the default
-certified-arithmetic precision cap.
+4 precision exhaustion (sigma only).  For sigma, --precision-bits or else
+TORUSTWIST_PRECISION_BITS overrides the default certified-arithmetic
+precision cap.
 """
 
 import argparse
@@ -23,7 +27,7 @@ from .errors import (DomainError, InternalCheckError, InvalidKnotError,
                      UndecidedSignError)
 from .fourmanifold import ledger_from_sequence, parse_sequence
 from .lattice import sigma_closed, sigma_oracle
-from .obstruction import (MAX_Q, NOT_IN_T, certificate_to_json,
+from .obstruction import (MAX_Q, NOT_IN_T, SIGMA_METHOD, certificate_to_json,
                           certificate_to_text, check_max_q, classify)
 from .tristram import sigma_d
 
@@ -43,7 +47,7 @@ MAX_SIGMA_DIM = 2 ** 11
 
 
 def _precision_cap(args):
-    if getattr(args, "precision_bits", None):
+    if args.precision_bits:
         return args.precision_bits
     env = os.environ.get("TORUSTWIST_PRECISION_BITS")
     return int(env) if env else None
@@ -81,8 +85,7 @@ def cmd_sigma(args) -> int:
 
 def cmd_classify(args) -> int:
     k = TorusKnotParams(args.p, args.q)
-    cert = classify(k, sigma_method=args.sigma_method,
-                    precision_cap=_precision_cap(args))
+    cert = classify(k)
     if args.format == "json":
         extra = ({"sequence_ledger": _sequence_report(args.sequence)}
                  if args.sequence else None)
@@ -163,7 +166,7 @@ def _family_rows(which, n_max):
 def cmd_tables(args) -> int:
     rows = []
     for label, p, q in _family_rows(args.which, args.n_max):
-        cert = classify(TorusKnotParams(p, q), sigma_method=args.sigma_method)
+        cert = classify(TorusKnotParams(p, q))
         rows.append({"family": label, "p": p, "q": q, "verdict": cert.verdict})
     if args.format == "json":
         print(json.dumps({"schema": "torustwist-tables/1", "table": args.which,
@@ -201,10 +204,10 @@ def _scan_pairs(p_range, q_range):
                 yield (p, q)
 
 
-def _scan_row(task):
-    (p, q), sigma_method, prime_cap = task
+def _scan_row(pair):
+    p, q = pair
     k = TorusKnotParams(p, q)
-    cert = classify(k, sigma_method=sigma_method, prime_cap=prime_cap)
+    cert = classify(k)
     nk, _ = normalize(k)
     sigma = 0 if nk.is_trivial else sigma_closed(nk)
     return {
@@ -218,7 +221,7 @@ def _scan_row(task):
     }
 
 
-def scan_rows(p_range, q_range, sigma_method="auto", jobs=1, prime_cap=None):
+def scan_rows(p_range, q_range, jobs=1):
     """Classify every coprime pair in the box; rows sorted by (p, q), and
     identical for every parallelism degree.  At most min(jobs, CPU count,
     number of pairs) worker processes are started.  A box with a bound
@@ -234,13 +237,12 @@ def scan_rows(p_range, q_range, sigma_method="auto", jobs=1, prime_cap=None):
         raise DomainError(f"scan box {list(p_range)} x {list(q_range)} has "
                           f"{cells} cells, above MAX_SCAN_CELLS = "
                           f"{MAX_SCAN_CELLS}")
-    tasks = [((p, q), sigma_method, prime_cap)
-             for p, q in _scan_pairs(p_range, q_range)]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    pairs = list(_scan_pairs(p_range, q_range))
+    workers = min(jobs, os.cpu_count() or 1, len(pairs))
     if workers <= 1:
-        return [_scan_row(t) for t in tasks]
+        return [_scan_row(pair) for pair in pairs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_row, tasks, chunksize=8))
+        return list(pool.map(_scan_row, pairs, chunksize=8))
 
 
 def render_scan_json(rows, config) -> str:
@@ -289,15 +291,15 @@ def render_scan_markdown(rows) -> str:
 
 
 def cmd_scan(args) -> int:
+    # the schema's fixed config keys: one sigma_d route, no prime cap
     config = {"p_range": [args.p_min, args.p_max],
               "q_range": [args.q_min, args.q_max],
-              "sigma_method": args.sigma_method,
-              "prime_cap": args.prime_cap}
+              "sigma_method": SIGMA_METHOD,
+              "prime_cap": None}
     out = sys.stdout
     try:
         rows = scan_rows((args.p_min, args.p_max), (args.q_min, args.q_max),
-                         sigma_method=args.sigma_method, jobs=args.jobs,
-                         prime_cap=args.prime_cap)
+                         jobs=args.jobs)
     except KeyboardInterrupt:
         out.write("# scan truncated by interrupt\n")
         out.flush()
@@ -337,18 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("-p", type=int, required=True)
     pc.add_argument("-q", type=int, required=True)
     pc.add_argument("--sequence", help="twist-sequence file to append")
-    pc.add_argument("--sigma-method", choices=("auto", "counting", "hermitian"),
-                    default="auto")
     pc.add_argument("--format", choices=("text", "json"), default="text")
-    pc.add_argument("--precision-bits", type=int, default=None)
     pc.set_defaults(func=cmd_classify)
 
     pt = sub.add_parser("tables", help="family verdict tables")
     pt.add_argument("--which", choices=("thm1.3", "thm1.5", "example1.6"),
                     required=True)
     pt.add_argument("--n-max", type=int, default=2)
-    pt.add_argument("--sigma-method", choices=("auto", "counting", "hermitian"),
-                    default="auto")
     pt.add_argument("--format", choices=("markdown", "csv", "json"),
                     default="markdown")
     pt.set_defaults(func=cmd_tables)
@@ -359,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--q-min", type=int, required=True)
     pn.add_argument("--q-max", type=int, required=True)
     pn.add_argument("--jobs", type=int, default=1)
-    pn.add_argument("--prime-cap", type=int, default=None)
-    pn.add_argument("--sigma-method", choices=("auto", "counting", "hermitian"),
-                    default="auto")
     pn.add_argument("--format", choices=("json", "csv", "markdown"),
                     default="json")
     pn.set_defaults(func=cmd_scan)

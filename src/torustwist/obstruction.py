@@ -31,12 +31,15 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .core import TorusKnotParams, is_exceptional, normalize
-from .errors import DomainError, InternalCheckError, UndecidedSignError
+from .errors import DomainError, InternalCheckError
 from .fourmanifold import (kikuchi_eliminate, ledger_from_sequence,
                            serialize_sequence, template_sequences)
 from .tristram import prime_divisors, sigma_d, smallest_prime_factors
 
 SCHEMA = "torustwist-certificate/1"
+# the schema's name for the one sigma_d route, the counting kernel; every
+# certificate carries it
+SIGMA_METHOD = "auto"
 
 TRIVIAL_OR_EXCEPTIONAL = "TrivialOrExceptional"
 NOT_IN_T = "NotInT"
@@ -146,7 +149,6 @@ class ObstructionCertificate:
     trivial: bool
     exceptional: bool
     verdict: str
-    sigma_method: str
     eliminations: Eliminations = ()
     survivors: tuple = ()
     sigma_inputs: dict = field(default_factory=dict)
@@ -177,7 +179,7 @@ def genus_cutoff(p: int, q: int) -> int:
 
 
 def condition_iv_check(p: int, q: int, omega: int, d: int,
-                       sigma_value: int = None, method: str = "auto") -> bool:
+                       sigma_value: int = None) -> bool:
     """Divisibility constraint at the prime d | w: the exact integer
     2[d/2](d-[d/2])w^2/d^2 must equal -sigma_d or 2 - sigma_d.
 
@@ -211,21 +213,17 @@ def condition_iv_check(p: int, q: int, omega: int, d: int,
         raise InternalCheckError(f"d^2={d * d} does not divide {num}")
     lhs = num // (d * d)
     if sigma_value is None:
-        sigma_value = sigma_d(TorusKnotParams(p, q), d, method=method)
+        sigma_value = sigma_d(TorusKnotParams(p, q), d)
     return lhs == -sigma_value or lhs == 2 - sigma_value
 
 
-def classify(k: TorusKnotParams, sigma_method: str = "auto",
-             precision_cap: int = None, prime_cap: int = None,
-             use_templates: bool = True) -> ObstructionCertificate:
+def classify(k: TorusKnotParams) -> ObstructionCertificate:
     """Decide TrivialOrExceptional / NotInT / Undecided for one knot.
 
-    sigma_method "auto" uses the integer counting fast path for the
-    d-signatures (cross-validated against the certified Hermitian route by
-    the test suite); "hermitian" forces the certified route.  prime_cap, if
-    set, skips divisibility checks at primes above the cap: affected
-    candidates are kept as survivors, never eliminated, so the verdict stays
-    sound.
+    Every sigma_d comes from the integer counting kernel
+    (tristram.sigma_d_counting), which the test suite cross-validates
+    against the certified Hermitian route; the certificate records it as
+    sigma_method SIGMA_METHOD.
     """
     nk, mirror = normalize(k)
     check_max_q(k, nk)
@@ -236,7 +234,7 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
     trivial = nk.is_trivial
     exceptional = False if trivial else is_exceptional(nk)
     base = dict(knot=k, normalized=nk, mirror=mirror, trivial=trivial,
-                exceptional=exceptional, sigma_method=sigma_method)
+                exceptional=exceptional)
     if trivial or exceptional:
         notes.append("a full-strand twist on the unknot realizes this knot")
         return ObstructionCertificate(verdict=TRIVIAL_OR_EXCEPTIONAL,
@@ -253,8 +251,7 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
 
     def sd(d):
         if d not in sigma_inputs:
-            sigma_inputs[d] = sigma_d(nk, d, method=sigma_method,
-                                      precision_cap=precision_cap)
+            sigma_inputs[d] = sigma_d(nk, d)
         return sigma_inputs[d]
 
     top = genus_cutoff(p, q)
@@ -265,53 +262,35 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
         if w % 2 == 0 and w <= p:
             reasons[w] = REASON_III
             continue
-        failed = None
-        capped = False
         for d in prime_divisors(w, spf):
-            if prime_cap is not None and d > prime_cap:
-                capped = True
-                continue
-            try:
-                ok = condition_iv_check(p, q, w, d, sigma_value=sd(d))
-            except UndecidedSignError:
-                notes.append(f"sigma_{d}({nk}) undecided at the precision "
-                             f"cap; omega={w} kept as a survivor")
-                capped = True
-                continue
-            if not ok:
-                failed = d
+            if not condition_iv_check(p, q, w, d, sigma_value=sd(d)):
+                reasons[w] = reason_iv(d)
                 break
-        if failed is not None:
-            reasons[w] = reason_iv(failed)
         else:
-            if capped:
-                notes.append(f"omega={w}: some prime divisors exceeded the "
-                             f"prime cap and were not checked")
             alive.append(w)
 
     template_reports = []
-    if use_templates:
-        for seq in template_sequences(nk):
-            ledger = ledger_from_sequence(seq, symbolic_omega=True)
-            res = kikuchi_eliminate(ledger)
-            template_reports.append(TemplateReport(
-                label=seq.label, sequence=serialize_sequence(seq),
-                sigma_m=ledger.sigma_m, b2_plus=ledger.b2_plus,
-                b2_minus=ledger.b2_minus,
-                xi_constant=ledger.xi_self_intersection[0],
-                applicable=res.applicable, omega_squared=res.omega_squared,
-                admissible=res.admissible, note=res.reason))
-            if not res.applicable:
-                continue
-            if res.omega_squared % 2 == 0:
-                raise InternalCheckError(
-                    f"template {seq.label} for {nk} forces an even "
-                    f"omega^2 = {res.omega_squared}")
-            allowed = set(res.admissible)
-            for w in [w for w in alive if w % 2 == 1]:
-                if w not in allowed:
-                    reasons[w] = REASON_KIKUCHI
-                    alive.remove(w)
+    for seq in template_sequences(nk):
+        ledger = ledger_from_sequence(seq, symbolic_omega=True)
+        res = kikuchi_eliminate(ledger)
+        template_reports.append(TemplateReport(
+            label=seq.label, sequence=serialize_sequence(seq),
+            sigma_m=ledger.sigma_m, b2_plus=ledger.b2_plus,
+            b2_minus=ledger.b2_minus,
+            xi_constant=ledger.xi_self_intersection[0],
+            applicable=res.applicable, omega_squared=res.omega_squared,
+            admissible=res.admissible, note=res.reason))
+        if not res.applicable:
+            continue
+        if res.omega_squared % 2 == 0:
+            raise InternalCheckError(
+                f"template {seq.label} for {nk} forces an even "
+                f"omega^2 = {res.omega_squared}")
+        allowed = set(res.admissible)
+        for w in [w for w in alive if w % 2 == 1]:
+            if w not in allowed:
+                reasons[w] = REASON_KIKUCHI
+                alive.remove(w)
 
     eliminations = Eliminations(
         tuple(Elimination(w, reasons[w]) for w in sorted(reasons)),
@@ -331,20 +310,18 @@ def classify(k: TorusKnotParams, sigma_method: str = "auto",
         templates=tuple(template_reports), notes=tuple(notes), **base)
 
 
-def survivors_p_plus_2(p: int, sigma_method: str = "auto"):
+def survivors_p_plus_2(p: int):
     """Surviving candidates for T(p, p+2), odd p >= 5."""
     if p < 5 or p % 2 == 0:
         raise DomainError(f"p={p}: need odd p >= 5")
-    return list(classify(TorusKnotParams(p, p + 2),
-                         sigma_method=sigma_method).survivors)
+    return list(classify(TorusKnotParams(p, p + 2)).survivors)
 
 
-def survivors_p_plus_4(p: int, sigma_method: str = "auto"):
+def survivors_p_plus_4(p: int):
     """Surviving candidates for T(p, p+4), odd p = 5,7 (mod 8), p >= 7."""
     if p < 7 or p % 8 not in (5, 7):
         raise DomainError(f"p={p}: need p = 5 or 7 (mod 8), p >= 7")
-    return list(classify(TorusKnotParams(p, p + 4),
-                         sigma_method=sigma_method).survivors)
+    return list(classify(TorusKnotParams(p, p + 4)).survivors)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +337,7 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
            f"mirror: {str(cert.mirror).lower()}",
            f"trivial: {str(cert.trivial).lower()}",
            f"exceptional: {str(cert.exceptional).lower()}",
-           f"sigma-method: {cert.sigma_method}",
+           f"sigma-method: {SIGMA_METHOD}",
            f"verdict: {cert.verdict}"]
     if cert.verdict != TRIVIAL_OR_EXCEPTIONAL:
         q = cert.normalized.q
@@ -402,7 +379,7 @@ def _fields_around_eliminations(cert: ObstructionCertificate):
         "mirror": cert.mirror,
         "trivial": cert.trivial,
         "exceptional": cert.exceptional,
-        "sigma_method": cert.sigma_method,
+        "sigma_method": SIGMA_METHOD,
         "verdict": cert.verdict,
     }
     tail = {

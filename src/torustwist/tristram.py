@@ -171,11 +171,18 @@ def _root_enclosures(d: int):
 def _float_enclosure(h: HermitianForm) -> MRMatrix:
     k = h.coeffs.shape[2]
     mid, rad = (x[:k] for x in _root_enclosures(h.d))
-    # einsum casts the int64 slices in buffered chunks: no float or complex
-    # copy of the (n, n, k) array is made
+    # einsum casts the int64 slices in buffered chunks, and the radius is
+    # summed one |C_s| at a time: no copy of the (n, n, k) array is made.
+    # The order C0, C2, C1 is that of einsum("ijk,k->ij")'s two-lane
+    # reduction over k on x86-64, so the radius is bit-identical to it there
     weights = rad + 8 * 2.0 ** -53 * np.abs(mid)
-    return MRMatrix(np.einsum("ijk,k->ij", h.coeffs, mid),
-                    np.einsum("ijk,k->ij", np.abs(h.coeffs), weights) + 1e-300)
+    radius = np.zeros(h.coeffs.shape[:2])
+    for s in [s for s in (0, 2, 1) if s < k]:
+        term = np.abs(h.coeffs[:, :, s], dtype=np.float64)
+        term *= weights[s]
+        radius += term
+    radius += 1e-300
+    return MRMatrix(np.einsum("ijk,k->ij", h.coeffs, mid), radius)
 
 
 def _mp_entry_fn(h: HermitianForm):
@@ -306,16 +313,16 @@ def sigma_d_counting(p: int, q: int, d: int) -> int:
 _sigma_counting_brute = sigma_d_enumerated
 
 
-def sigma_d(k: TorusKnotParams, d: int, method: str = "auto",
+def sigma_d(k: TorusKnotParams, d: int, method: str = "counting",
             precision_cap: int = None) -> int:
-    """sigma_d of a torus knot, 0 if trivial: "auto" and "counting" take
-    the integer fast path, "hermitian" the certified route.  The normalized
+    """sigma_d of a torus knot, 0 if trivial: "counting" takes the integer
+    fast path, "hermitian" the certified route.  The normalized
     knot's value must be even and at most -4 (T(2,3), at -2, excepted),
     else InternalCheckError; the mirror flag then negates it."""
     nk, mirror = normalize(k)
     if nk.is_trivial:
         return 0
-    if method in ("auto", "counting"):
+    if method == "counting":
         s = sigma_d_counting(nk.p, nk.q, d)
     elif method == "hermitian":
         s = _sigma_hermitian(nk.p, nk.q, d, precision_cap)
@@ -338,7 +345,8 @@ def tristram_sigma(k: TorusKnotParams, d: int, method: str = "hermitian",
     return sigma_d(k, d, method=method, precision_cap=precision_cap)
 
 
-def prop35_bound_check(k: TorusKnotParams, d: int, method: str = "auto") -> bool:
+def prop35_bound_check(k: TorusKnotParams, d: int,
+                       method: str = "counting") -> bool:
     """sigma_d <= -4 holds for every nontrivial torus knot except T(2,3);
     sigma_d raises InternalCheckError on a violation."""
     nk, _ = normalize(k)

@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from torustwist.cli import MAX_SCAN_CELLS, MAX_SIGMA_DIM
 from torustwist.obstruction import MAX_Q, certificate_to_dict
 
 DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -253,3 +255,52 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch):
 def test_scan_golden_csv():
     rows = scan_rows((2, 6), (3, 9))
     assert render_scan_csv(rows) == (DATA / "scan_small.csv").read_text()
+
+
+def test_output_schema_literals(capsys):
+    # one sigma_d route and no prime cap: the schemas' fixed values
+    code, out, _ = run(capsys, "scan", "--p-min", "2", "--p-max", "5",
+                       "--q-min", "3", "--q-max", "8", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"] == {"p_range": [2, 5], "q_range": [3, 8],
+                                         "sigma_method": "auto",
+                                         "prime_cap": None}
+    code, out, _ = run(capsys, "classify", "-p", "5", "-q", "8",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["sigma_method"] == "auto"
+    code, out, _ = run(capsys, "classify", "-p", "5", "-q", "8")
+    assert code == 0 and "\nsigma-method: auto\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-p", "7", "-q", "1005", "--sigma-method", "hermitian"],
+    ["classify", "-p", "5", "-q", "8", "--precision-bits", "64"],
+    ["tables", "--which", "thm1.5", "--sigma-method", "auto"],
+    ["scan", "--p-min", "2", "--p-max", "5", "--q-min", "3", "--q-max", "8",
+     "--sigma-method", "counting"],
+    ["scan", "--p-min", "2", "--p-max", "5", "--q-min", "3", "--q-max", "8",
+     "--prime-cap", "3"],
+])
+def test_pipeline_has_no_sigma_route_or_cap_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_command_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines()
+            if line.startswith("torustwist ")]
+
+
+def test_readme_command_lines_run(capsys, monkeypatch):
+    lines = _readme_command_lines()
+    assert len(lines) >= 5
+    monkeypatch.chdir(ROOT)
+    for line in lines:
+        code = main(shlex.split(line, comments=True)[1:])
+        out = capsys.readouterr()
+        assert code == 0, (line, out.err)
+        assert out.out, line

@@ -111,7 +111,7 @@ def test_classify_rejects_a_broken_partition(monkeypatch, mutate):
 
 
 def _eliminations_certs():
-    """Seeded certificates: mirrors, prime_cap, kikuchi and large-q cases."""
+    """Seeded certificates: mirrors, kikuchi, large-q and gapped cases."""
     rng = random.Random(606)
     pairs = [(1, 9), (4, 7), (5, 7), (-5, 8), (7, -5), (5, 8), (11, 15),
              (7, 16), (15, 19)]
@@ -121,7 +121,12 @@ def _eliminations_certs():
         if math.gcd(p, q) == 1:
             pairs.append((p, q))
     certs = [classify(K(p, q)) for p, q in pairs]
-    certs += [classify(K(13, 97), prime_cap=3), classify(K(7, 3001), prime_cap=2)]
+    # explicit parts with gaps between their omegas, next to a tail
+    for p, q in [(13, 97), (7, 3001)]:
+        cert = classify(K(p, q))
+        e = cert.eliminations
+        certs.append(dataclasses.replace(cert, eliminations=Eliminations(
+            e.explicit[::3], e.tail)))
     return certs
 
 
@@ -179,7 +184,8 @@ def _json_oracle(cert, extra=None):
 def _renderer_certs():
     certs = [classify(K(p, q)) for p, q in
              [(1, 9), (4, 7), (-5, 8), (7, -5), (5, 8), (11, 15), (7, 20011)]]
-    certs.append(classify(K(13, 97), prime_cap=3))
+    certs.append(dataclasses.replace(classify(K(13, 97)), notes=(
+        "omega=11: a note that names one candidate",)))
     assert not certs[0].eliminations and not certs[1].eliminations
     assert certs[2].mirror and certs[3].mirror
     assert any(e.reason == REASON_KIKUCHI for e in certs[5].eliminations)
@@ -243,11 +249,24 @@ def test_classify_deterministic():
 
 
 def test_templates_only_eliminate():
-    # the 4-manifold stage may only shrink the survivor set
-    for p, q in [(5, 7), (7, 9), (9, 13), (5, 8)]:
-        with_t = {s.omega for s in classify(K(p, q), use_templates=True).survivors}
-        without = {s.omega for s in classify(K(p, q), use_templates=False).survivors}
-        assert with_t <= without
+    # the 4-manifold stage may only remove odd candidates that every earlier
+    # filter kept, read from the certificate alone
+    seen = 0
+    for p, q in [(5, 7), (7, 9), (9, 13), (5, 8), (7, 11), (11, 15),
+                 (13, 17), (15, 19)]:
+        cert = classify(K(p, q))
+        applicable = [t for t in cert.templates if t.applicable]
+        for w, reason in cert.eliminations:
+            if reason != REASON_KIKUCHI:
+                continue
+            seen += 1
+            assert w % 2 == 1 and w <= genus_cutoff(p, q), (p, q, w)
+            assert any(w not in t.admissible for t in applicable), (p, q, w)
+            assert not (w % 2 == 0 and w <= p)   # condition (iii)
+            for d in prime_divisors(w):
+                assert condition_iv_check(
+                    p, q, w, d, sigma_value=cert.sigma_inputs[d]), (p, q, w, d)
+    assert seen > 0
 
 
 def test_survivors_p_plus_2():
@@ -287,19 +306,11 @@ def test_certificate_text_stable():
 def test_even_candidates_all_fail_in_gap_families():
     # for q = p + r with p = 2nr +- 1 under the family bound, the two values
     # an even candidate would need for w^2 are never even squares, so every
-    # even w is eliminated before the 4-manifold stage
+    # even w is eliminated before the 4-manifold stage (which removes only
+    # odd w, so the final survivors show it)
     for n in (1, 2):
         for r in (4, 6, 8):
             p = 2 * n * r + 1
-            cert = classify(K(p, p + r), use_templates=False)
+            cert = classify(K(p, p + r))
             even_alive = [s.omega for s in cert.survivors if s.omega % 2 == 0]
             assert even_alive == [], (p, r)
-
-
-def test_prime_cap_keeps_candidates():
-    capped = classify(K(5, 8), prime_cap=2)
-    full = classify(K(5, 8))
-    assert full.verdict == NOT_IN_T
-    # odd candidates whose primes were skipped must not be eliminated by
-    # the divisibility stage; the kikuchi stage still runs
-    assert {s.omega for s in capped.survivors} >= {s.omega for s in full.survivors}

@@ -157,6 +157,13 @@ def test_t23_d3():
             assert tristram_sigma(K(2, 3), d, method=method) == -2, (d, method)
 
 
+def test_sigma_d_has_one_name_per_route():
+    assert sigma_d(K(5, 7), 3) == sigma_d(K(5, 7), 3, method="counting")
+    for method in ("auto", "seifert"):
+        with pytest.raises(ValueError):
+            sigma_d(K(5, 7), 3, method=method)
+
+
 def test_inertia_examples():
     f = seifert_matrix(torus_braid(2, 3))
     tref = inertia(build_form(f, 2, source=(2, 3)))
