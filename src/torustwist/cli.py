@@ -131,11 +131,25 @@ def _sequence_report(path):
 
 
 def _family_rows(which, n_max):
+    """The (label, p, q) rows of a family table for n = 1..n_max, in order.
+
+    Raises DomainError if n_max < 1, or at the first row whose q exceeds
+    MAX_Q, so the listing stops there rather than after every n.
+    """
+    if n_max < 1:
+        raise DomainError(f"--n-max must be at least 1, got {n_max}")
     rows = []
+
+    def add(label, p, q):
+        if q > MAX_Q:
+            raise DomainError(f"table {which} row T({p},{q}) ({label}): "
+                              f"q exceeds MAX_Q = {MAX_Q}")
+        rows.append((label, p, q))
+
     if which == "thm1.3":
         for n in range(1, n_max + 1):
             for p in (8 * n + 1, 8 * n + 3):
-                rows.append(("p=%d (mod8=%d)" % (p, p % 8), p, p + 4))
+                add("p=%d (mod8=%d)" % (p, p % 8), p, p + 4)
     elif which == "thm1.5":
         for n in range(1, n_max + 1):
             r = 4
@@ -143,21 +157,21 @@ def _family_rows(which, n_max):
                 p = 2 * n * r + 1
                 if 2 * p < (r // 2 + 1) ** 2 - r // 2:
                     break
-                rows.append((f"r={r} n={n} p=2nr+1", p, p + r))
+                add(f"r={r} n={n} p=2nr+1", p, p + r)
                 r += 2
             r = 8
             while True:  # case p = 2nr-1, r even >= 8, 2p >= (r/2-1)^2 - r/2
                 p = 2 * n * r - 1
                 if 2 * p < (r // 2 - 1) ** 2 - r // 2:
                     break
-                rows.append((f"r={r} n={n} p=2nr-1", p, p + r))
+                add(f"r={r} n={n} p=2nr-1", p, p + r)
                 r += 2
     elif which == "example1.6":
         for n in range(1, n_max + 1):
             for r in range(4, 15, 2):
-                rows.append((f"r={r} n={n} p=2nr+1", 2 * n * r + 1, 2 * n * r + 1 + r))
+                add(f"r={r} n={n} p=2nr+1", 2 * n * r + 1, 2 * n * r + 1 + r)
             for r in range(8, 21, 2):
-                rows.append((f"r={r} n={n} p=2nr-1", 2 * n * r - 1, 2 * n * r - 1 + r))
+                add(f"r={r} n={n} p=2nr-1", 2 * n * r - 1, 2 * n * r - 1 + r)
     else:
         raise ValueError(f"unknown table {which!r}")
     return rows

@@ -54,10 +54,11 @@ REASON_PARITY = "characteristic-parity"
 # The largest normalized q that classify accepts.  classify keeps the genus
 # tail as a range, but a rendered certificate lists every candidate omega
 # in [2, q - 1]: the tracemalloc peak of classify + certificate_to_json is
-# about 110 bytes per omega (116 MB for T(7, 2^20 - 1)), and with
-# certificate_to_text about 90, so one certificate stays near 120 MB at
-# most; a larger q is rejected with DomainError (CLI exit code 2) before
-# anything is allocated.
+# about 95 bytes per omega (100 MB for T(7, 2^20 - 1), twice the 47 bytes
+# per omega of the text it returns), and with certificate_to_text about 57,
+# so one certificate stays near 100 MB at most (test_max_q_memory_bound
+# holds them to 100 and 60); a larger q is rejected with DomainError (CLI
+# exit code 2) before anything is allocated.
 MAX_Q = 2 ** 20
 
 
@@ -329,33 +330,62 @@ def survivors_p_plus_4(p: int):
 # ---------------------------------------------------------------------------
 
 
+# the genus tail is rendered in blocks of TAIL_BLOCK consecutive w (a power
+# of ten) that share their leading digits
+TAIL_BLOCK = 100
+_BLOCK_DIGITS = len(str(TAIL_BLOCK - 1))
+
+
+def _tail_parts(tail: range, sep: str) -> list:
+    """sep.join(map(str, tail)) as a list of parts, for the caller's join.
+
+    Every w in [B*c, B*c + B - 1], B = TAIL_BLOCK and c >= 1, is str(c)
+    followed by the zero-padded w - B*c, so the text of such a block, each
+    w followed by sep, is one str(c).join of fixed pieces; only the w at
+    the two ends of tail that fill no whole block are written one by one.
+    """
+    lo, hi = tail.start, tail.stop - 1   # the last w takes no sep
+    if tail.step != 1 or hi < lo:
+        raise InternalCheckError(f"genus tail {tail} is not a nonempty run")
+    # the whole blocks are c in [first, last); the block of hi is not whole
+    # for this purpose, since hi takes no sep
+    first = max(-(-lo // TAIL_BLOCK), 1)
+    last = hi // TAIL_BLOCK
+    if first >= last:
+        return [*(f"{w}{sep}" for w in range(lo, hi)), str(hi)]
+    pieces = ["", *(f"{r:0{_BLOCK_DIGITS}d}{sep}" for r in range(TAIL_BLOCK))]
+    return [*(f"{w}{sep}" for w in range(lo, first * TAIL_BLOCK)),
+            *map(str.join, map(str, range(first, last)), repeat(pieces)),
+            *(f"{w}{sep}" for w in range(last * TAIL_BLOCK, hi)), str(hi)]
+
+
 def certificate_to_text(cert: ObstructionCertificate) -> str:
     """Stable plain-text rendering (fixed field order, golden-file safe)."""
-    out = [SCHEMA,
-           f"knot: {cert.knot}",
-           f"normalized: {cert.normalized}",
-           f"mirror: {str(cert.mirror).lower()}",
-           f"trivial: {str(cert.trivial).lower()}",
-           f"exceptional: {str(cert.exceptional).lower()}",
-           f"sigma-method: {SIGMA_METHOD}",
-           f"verdict: {cert.verdict}"]
+    out = [f"{SCHEMA}\n",
+           f"knot: {cert.knot}\n",
+           f"normalized: {cert.normalized}\n",
+           f"mirror: {str(cert.mirror).lower()}\n",
+           f"trivial: {str(cert.trivial).lower()}\n",
+           f"exceptional: {str(cert.exceptional).lower()}\n",
+           f"sigma-method: {SIGMA_METHOD}\n",
+           f"verdict: {cert.verdict}\n"]
     if cert.verdict != TRIVIAL_OR_EXCEPTIONAL:
         q = cert.normalized.q
         out.append(f"candidates: omega in [2,{q - 1}] with n=1 "
-                   "(omega <= 1 cannot change the knot type)")
-        out.append("eliminated:")
+                   "(omega <= 1 cannot change the knot type)\n")
+        out.append("eliminated:\n")
         elims = cert.eliminations
-        out.extend(f"  omega={w}: {r}" for w, r in elims.explicit)
+        out.extend(f"  omega={w}: {r}\n" for w, r in elims.explicit)
         if elims.tail:
-            sep = f": {REASON_GENUS}\n  omega="
-            out.append(f"  omega={sep.join(map(str, elims.tail))}: "
-                       f"{REASON_GENUS}")
-        out.append("survivors:")
-        out.extend(f"  (n={s.n}, omega={s.omega})" for s in cert.survivors)
-        out.append("sigma-inputs:")
-        out.extend(f"  sigma_{d}({cert.normalized}) = {v}"
+            out.append("  omega=")
+            out += _tail_parts(elims.tail, f": {REASON_GENUS}\n  omega=")
+            out.append(f": {REASON_GENUS}\n")
+        out.append("survivors:\n")
+        out.extend(f"  (n={s.n}, omega={s.omega})\n" for s in cert.survivors)
+        out.append("sigma-inputs:\n")
+        out.extend(f"  sigma_{d}({cert.normalized}) = {v}\n"
                    for d, v in sorted(cert.sigma_inputs.items()))
-        out.append("templates:")
+        out.append("templates:\n")
         for t in cert.templates:
             adm = ",".join(str(a) for a in t.admissible) or "none"
             if t.applicable:
@@ -364,10 +394,10 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
                 detail = f"inapplicable ({t.note})"
             out.append(f"  {t.label}: sigma(M)={t.sigma_m} "
                        f"b2+={t.b2_plus} b2-={t.b2_minus} "
-                       f"xi.xi=-omega^2+{t.xi_constant}; {detail}")
-    for n in cert.notes:
-        out.append(f"note: {n}")
-    return "\n".join(out) + "\n"
+                       f"xi.xi=-omega^2+{t.xi_constant}; {detail}\n")
+    out.extend(f"note: {n}\n" for n in cert.notes)
+    # one join, so that the O(q) tail text is copied once
+    return "".join(out)
 
 
 def _fields_around_eliminations(cert: ObstructionCertificate):
@@ -412,7 +442,7 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
     The eliminations list every w in [2, q-1], and indent=2 runs the pure
     Python encoder, so that array is written from one template per
     explicit item instead, with each distinct reason encoded once, and the
-    genus tail from one join of its w.
+    genus tail in decimal blocks (_tail_parts).
     """
     head, tail = _fields_around_eliminations(cert)
     if extra:
@@ -428,7 +458,7 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
         # the next
         sep = f",\n      {genus}\n    ],\n    [\n      "
         array += [",\n" if elims.explicit else "", "    [\n      ",
-                  sep.join(map(str, elims.tail)), f",\n      {genus}\n    ]"]
+                  *_tail_parts(elims.tail, sep), f",\n      {genus}\n    ]"]
     # splice the array between the two objects (drop head's "\n}" and
     # tail's "{\n") in one join, so that the O(q) tail text is copied once
     return "".join([json.dumps(head, indent=2)[:-2], ',\n  "eliminations": ',

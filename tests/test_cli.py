@@ -64,6 +64,8 @@ def _cap_address_space():
     ["sigma", "-p", "7", "-q", "100000007", "--method", "seifert"],
     ["sigma", "-p", "7", "-q", "-100000007", "--all"],
     ["sigma", "-p", "99999989", "-q", "100000007", "--method", "closed"],
+    ["tables", "--which", "thm1.5", "--n-max", "1000000000"],
+    ["tables", "--which", "example1.6", "--n-max", "1000000000"],
 ])
 def test_hostile_q_is_rejected_before_allocating(argv):
     # in a child capped at 2 GB of address space: listing every candidate
@@ -185,6 +187,35 @@ def test_tables_thm15_row(capsys):
                        "--format", "csv")
     assert code == 0
     assert "r=4 n=1 p=2nr+1,9,13,NotInT" in out
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_tables_rejects_n_max_below_one(capsys, fmt, n_max):
+    code, out, err = run(capsys, "tables", "--which", "thm1.3", "--n-max",
+                         n_max, "--format", fmt)
+    assert code == 2 and out == ""
+    assert f"--n-max must be at least 1, got {n_max}" in err
+
+
+@pytest.mark.parametrize("which, n_max", [
+    ("thm1.3", "131072"), ("thm1.5", "200"), ("example1.6", "30000")])
+def test_tables_row_above_max_q_is_rejected_before_classifying(
+        capsys, monkeypatch, which, n_max):
+    # each table first passes MAX_Q at the last n here, and no row is
+    # classified
+    def classify_nothing(k):
+        raise AssertionError(f"classified {k}")
+
+    monkeypatch.setattr(cli, "classify", classify_nothing)
+    code, out, err = run(capsys, "tables", "--which", which, "--n-max", n_max)
+    assert code == 2 and out == ""
+    assert f"MAX_Q = {MAX_Q}" in err
+
+
+def test_tables_thm13_reaches_max_q_at_its_last_accepted_n():
+    assert cli._family_rows("thm1.3", 131071)[-1][1:] == (MAX_Q - 5,
+                                                           MAX_Q - 1)
 
 
 def test_scan_json_roundtrip(capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -202,6 +203,17 @@ def _renderer_certs():
         e.tail[1:])))
     certs.append(dataclasses.replace(certs[4], eliminations=Eliminations(
         (), range(2, 9))))
+    # the genus tail is rendered in decimal blocks: every edge of a block,
+    # each digit-width change, a tail inside one block, a one-w tail and
+    # a tail from below 100 to past 1000
+    tails = [range(lo, hi) for lo in (99, 100, 101)
+             for hi in (100, 101, 199, 200, 201) if lo < hi]
+    tails += [range(999, 1002), range(998, 1103), range(999, 1001),
+              range(1000, 1001), range(9999, 10002), range(9899, 10102),
+              range(10000, 10001), range(150, 181), range(150, 151),
+              range(42, 1234)]
+    certs += [dataclasses.replace(certs[4], eliminations=Eliminations((), t))
+              for t in tails]
     return certs
 
 
@@ -230,6 +242,35 @@ def test_certificate_text_matches_a_per_item_rendering(assert_same_text):
     assert any(c.eliminations.tail for c in certs)
     for cert in certs:
         assert_same_text(certificate_to_text(cert), _text_oracle(cert))
+
+
+@pytest.mark.parametrize("tail", [range(2, 3), range(99, 101), range(42, 1234),
+                                  range(7, 1000003)])
+def test_tail_parts_are_one_per_block(tail):
+    # besides the partial blocks at the two ends, one part per block of
+    # TAIL_BLOCK w, not one per w
+    sep = ": sep\n"
+    parts = obstruction._tail_parts(tail, sep)
+    assert "".join(parts) == sep.join(map(str, tail))
+    block = obstruction.TAIL_BLOCK
+    assert len(parts) <= len(tail) // block + 2 * block
+
+
+def test_max_q_memory_bound():
+    # the peak bytes per candidate w that the MAX_Q comment states, at the
+    # largest accepted knot whose certificate lists every w in [2, q - 1]
+    k = K(7, obstruction.MAX_Q - 1)
+    for render, bound in ((certificate_to_json, 100),
+                          (certificate_to_text, 60)):
+        tracemalloc.start()
+        try:
+            size = len(render(classify(k)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_omega = peak / (k.q - 2)
+        assert size / (k.q - 2) < per_omega <= bound, (render.__name__,
+                                                         per_omega)
 
 
 def test_an_even_template_root_is_an_internal_check_error(monkeypatch):
