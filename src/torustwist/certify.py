@@ -38,6 +38,9 @@ from .errors import InternalCheckError, UndecidedSignError
 
 _U = 2.0 ** -53
 _TINY = 1e-300
+# the highest mpmath precision, in bits, that certified_inertia tries
+# before it raises UndecidedSignError; read at call time
+PRECISION_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -239,9 +242,9 @@ def inertia_mp(entry_interval_fn, n, prec, nullity):
     return _merge_and_count(lows, highs, nullity)
 
 
-def certified_inertia(float_enclosure_fn, mp_entry_fn, n, nullity,
-                      precision_cap=4096):
-    """Run the ladder: double precision, then mpmath at 128, 256, ... bits.
+def certified_inertia(float_enclosure_fn, mp_entry_fn, n, nullity):
+    """Run the ladder: double precision, then mpmath at 128, 256, ... bits
+    up to PRECISION_CAP.
 
     float_enclosure_fn() -> MRMatrix; mp_entry_fn(i, j) -> (re, im) iv pair.
     Raises UndecidedSignError when the cap is exhausted.
@@ -249,12 +252,13 @@ def certified_inertia(float_enclosure_fn, mp_entry_fn, n, nullity,
     res = inertia_via_congruence(float_enclosure_fn(), nullity)
     if res is not None:
         return res
+    cap = PRECISION_CAP
     prec = 128
-    while prec <= precision_cap:
+    while prec <= cap:
         res = inertia_mp(mp_entry_fn, n, prec, nullity)
         if res is not None:
             return res
         prec *= 2
     raise UndecidedSignError(
-        f"eigenvalue signs unresolved at precision cap {precision_cap} bits",
-        precision_bits=precision_cap)
+        f"eigenvalue signs unresolved at precision cap {cap} bits",
+        precision_bits=cap)

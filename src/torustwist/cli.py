@@ -10,9 +10,7 @@ classify, tables and scan take every sigma_d from the integer counting
 kernel; only sigma's seifert route runs certified arithmetic.
 
 Exit codes: 0 success, 2 invalid input, 3 internal consistency failure,
-4 precision exhaustion (sigma only).  For sigma, --precision-bits or else
-TORUSTWIST_PRECISION_BITS overrides the default certified-arithmetic
-precision cap.
+4 precision exhaustion (sigma only).
 """
 
 import argparse
@@ -28,7 +26,8 @@ from .errors import (DomainError, InternalCheckError, InvalidKnotError,
 from .fourmanifold import ledger_from_sequence, parse_sequence
 from .lattice import sigma_closed, sigma_oracle
 from .obstruction import (MAX_Q, NOT_IN_T, SIGMA_METHOD, certificate_to_json,
-                          certificate_to_text, check_max_q, classify)
+                          certificate_to_text, check_max_q, classify,
+                          genus_cutoff)
 from .tristram import sigma_d
 
 SCAN_SCHEMA = "torustwist-scan/1"
@@ -44,18 +43,19 @@ MAX_SCAN_CELLS = 2 ** 20
 # 2-vCPU Intel Xeon, one BLAS thread).  A larger knot is rejected on those
 # routes with DomainError (exit 2) before any work.
 MAX_SIGMA_DIM = 2 ** 11
+# tables classifies every row it lists, at 2.2-4.4 us per candidate omega
+# up to the row's genus cutoff (one classify of T(10001,10005) or
+# T(100001,100003) per fresh process, three runs each; 2-vCPU Intel Xeon,
+# Python 3.11.7), so at this bound on the genus cutoffs summed over the
+# rows a table is 5 to 10 minutes of work.  A larger one is rejected with
+# DomainError (exit 2) after the rows are listed and before any is
+# classified.
+MAX_TABLE_OMEGAS = 2 ** 27
 
 
-def _precision_cap(args):
-    if args.precision_bits:
-        return args.precision_bits
-    env = os.environ.get("TORUSTWIST_PRECISION_BITS")
-    return int(env) if env else None
-
-
-def _sigma_one(k, method, cap):
+def _sigma_one(k, method):
     if method == "seifert":
-        return sigma_d(k, 2, method="hermitian", precision_cap=cap)
+        return sigma_d(k, 2, method="hermitian")
     nk, mirror = normalize(k)
     if nk.is_trivial:
         return 0
@@ -71,29 +71,29 @@ def cmd_sigma(args) -> int:
     if dim > MAX_SIGMA_DIM and (args.all or args.method != "closed"):
         raise DomainError(f"{k}: (p-1)(q-1) = {dim} exceeds MAX_SIGMA_DIM = "
                           f"{MAX_SIGMA_DIM} on the oracle and seifert routes")
-    cap = _precision_cap(args)
     if args.all:
-        values = {m: _sigma_one(k, m, cap) for m in ("oracle", "closed", "seifert")}
+        values = {m: _sigma_one(k, m) for m in ("oracle", "closed", "seifert")}
         for m, v in values.items():
             print(f"{m}: {v}")
         if len(set(values.values())) != 1:
             raise InternalCheckError(f"signature methods disagree for {k}: {values}")
     else:
-        print(_sigma_one(k, args.method, cap))
+        print(_sigma_one(k, args.method))
     return 0
 
 
 def cmd_classify(args) -> int:
     k = TorusKnotParams(args.p, args.q)
     cert = classify(k)
+    # read and check the sequence before anything is written
+    rep = (_sequence_report(args.sequence, cert.normalized)
+           if args.sequence else None)
     if args.format == "json":
-        extra = ({"sequence_ledger": _sequence_report(args.sequence)}
-                 if args.sequence else None)
+        extra = {"sequence_ledger": rep} if rep else None
         sys.stdout.write(certificate_to_json(cert, extra))
     else:
         sys.stdout.write(certificate_to_text(cert))
-        if args.sequence:
-            rep = _sequence_report(args.sequence)
+        if rep:
             print("sequence-ledger:")
             print(f"  file: {args.sequence}")
             print(f"  sigma(M)={rep['sigma_m']} b2+={rep['b2_plus']} "
@@ -113,9 +113,14 @@ def _poly_str(c):
     return "".join(parts)
 
 
-def _sequence_report(path):
+def _sequence_report(path, nk):
+    """The ledger of the twist sequence in the file path, which must start
+    at the normalized knot nk itself (not at its mirror)."""
     with open(path, encoding="utf-8") as fh:
         seq = parse_sequence(fh.read())
+    if normalize(seq.start) != (nk, False):
+        raise SequenceSemanticError(
+            f"{path}: sequence starts at {seq.start}, not at {nk}")
     ledger = ledger_from_sequence(seq, symbolic_omega=True)
     return {
         "sigma_m": ledger.sigma_m,
@@ -178,8 +183,14 @@ def _family_rows(which, n_max):
 
 
 def cmd_tables(args) -> int:
+    family = _family_rows(args.which, args.n_max)
+    work = sum(genus_cutoff(p, q) for _, p, q in family)
+    if work > MAX_TABLE_OMEGAS:
+        raise DomainError(f"table {args.which} up to n = {args.n_max}: its "
+                          f"genus cutoffs sum to {work}, above "
+                          f"MAX_TABLE_OMEGAS = {MAX_TABLE_OMEGAS}")
     rows = []
-    for label, p, q in _family_rows(args.which, args.n_max):
+    for label, p, q in family:
         cert = classify(TorusKnotParams(p, q))
         rows.append({"family": label, "p": p, "q": q, "verdict": cert.verdict})
     if args.format == "json":
@@ -220,10 +231,8 @@ def _scan_pairs(p_range, q_range):
 
 def _scan_row(pair):
     p, q = pair
-    k = TorusKnotParams(p, q)
-    cert = classify(k)
-    nk, _ = normalize(k)
-    sigma = 0 if nk.is_trivial else sigma_closed(nk)
+    cert = classify(TorusKnotParams(p, q))
+    sigma = 0 if cert.trivial else sigma_closed(cert.normalized)
     return {
         "p": p,
         "q": q,
@@ -346,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="closed")
     ps.add_argument("--all", action="store_true",
                     help="print all three methods and require agreement")
-    ps.add_argument("--precision-bits", type=int, default=None)
     ps.set_defaults(func=cmd_sigma)
 
     pc = sub.add_parser("classify", help="obstruction certificate for T(p,q)")

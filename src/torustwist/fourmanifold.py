@@ -153,7 +153,7 @@ def _step_errors(seq: TwistSequence):
     for idx, step in enumerate(seq.steps):
         if isinstance(step, TwistStep):
             move = step.move
-            if abs(move.n) != 1 and move.n % 2 != 0:
+            if not move.is_supported:
                 yield idx, (f"twist {move}: odd twist counts beyond 1 carry "
                             "no homological summand")
                 return
@@ -203,15 +203,15 @@ def ledger_from_sequence(seq: TwistSequence, symbolic_omega: bool = True
     if symbolic_omega:
         summands.append(Summand(MINUS_CP2, (LinCoef(1, 0),)))
     for move in seq.moves:
+        if not move.is_supported:
+            raise UnsupportedTwistError(f"move {move} has no summand")
         if abs(move.n) == 1:
             kind = MINUS_CP2 if move.n == 1 else PLUS_CP2
             summands.append(Summand(kind, (LinCoef(0, move.omega),)))
-        elif move.n % 2 == 0:
+        else:
             half = move.n // 2
             summands.append(Summand(S2XS2, (LinCoef(0, move.omega),
                                             LinCoef(0, -half * move.omega))))
-        else:
-            raise UnsupportedTwistError(f"move {move} has no summand")
     return FourManifoldLedger(tuple(summands))
 
 

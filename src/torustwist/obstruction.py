@@ -23,7 +23,6 @@ knot.
 """
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import isqrt
@@ -48,8 +47,6 @@ UNDECIDED = "Undecided"
 REASON_GENUS = "genus-bound"
 REASON_III = "condition-iii"
 REASON_KIKUCHI = "kikuchi-no-square"
-# never emitted: no template forces an even omega^2 (see template_sequences)
-REASON_PARITY = "characteristic-parity"
 
 # The largest normalized q that classify accepts.  classify keeps the genus
 # tail as a range, but a rendered certificate lists every candidate omega
@@ -84,14 +81,14 @@ class Elimination(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Eliminations(Sequence):
+class Eliminations:
     """A certificate's eliminations: the `explicit` items, then one
     genus-bound item for each w in the range `tail`.
 
     Every w above the genus cutoff is a genus-bound elimination, so
     classify keeps that part of [2, q-1] as range(cutoff + 1, q) instead of
-    as O(q) items.  Iteration, len, indexing, slicing (to a tuple), ==,
-    hash and repr are those of the tuple explicit + tail items.
+    as O(q) items.  Iteration and len are those of the tuple explicit +
+    tail items.
     """
 
     explicit: tuple = ()
@@ -105,27 +102,6 @@ class Eliminations(Sequence):
         # __new__ call each
         return chain(self.explicit, map(tuple.__new__, repeat(Elimination),
                                         zip(self.tail, repeat(REASON_GENUS))))
-
-    def __getitem__(self, index):
-        # range does the tuple's index checks and slice arithmetic
-        at = range(len(self))[index]
-        if isinstance(at, range):
-            return tuple(map(self.__getitem__, at))
-        k = len(self.explicit)
-        if at < k:
-            return self.explicit[at]
-        return Elimination(self.tail[at - k], REASON_GENUS)
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, Eliminations)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self):
-        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -150,16 +126,11 @@ class ObstructionCertificate:
     trivial: bool
     exceptional: bool
     verdict: str
-    eliminations: Eliminations = ()
+    eliminations: Eliminations = Eliminations()
     survivors: tuple = ()
     sigma_inputs: dict = field(default_factory=dict)
     templates: tuple = ()
     notes: tuple = ()
-
-    def __post_init__(self):
-        # a plain tuple of items is the all-explicit form
-        if not isinstance(self.eliminations, Eliminations):
-            self.eliminations = Eliminations(tuple(self.eliminations))
 
 
 def thom_bound_check(p: int, q: int, omega: int) -> bool:

@@ -47,8 +47,6 @@ from .errors import DomainError, InternalCheckError
 from .lattice import sigma_d_enumerated
 from .seifert import SeifertForm, seifert_matrix, torus_braid
 
-DEFAULT_PRECISION_CAP = 4096
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -227,12 +225,11 @@ def _nullity(h: HermitianForm) -> int:
     return cyclotomic.hermitian_nullity_exact(h.coeffs, h.d)
 
 
-def inertia(h: HermitianForm, precision_cap: int = None) -> Inertia:
+def inertia(h: HermitianForm) -> Inertia:
     """Certified inertia (n_plus, n_zero, n_minus) of the form."""
-    cap = DEFAULT_PRECISION_CAP if precision_cap is None else precision_cap
     z = _nullity(h)
     return certified_inertia(lambda: _float_enclosure(h), _mp_entry_fn(h),
-                             h.dimension, z, precision_cap=cap)
+                             h.dimension, z)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +238,10 @@ def inertia(h: HermitianForm, precision_cap: int = None) -> Inertia:
 
 
 @lru_cache(maxsize=None)
-def _sigma_hermitian(p: int, q: int, d: int, cap) -> int:
+def _sigma_hermitian(p: int, q: int, d: int) -> int:
     _require_prime(d)   # before building the Seifert matrix
     form = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
-    ine = inertia(form, precision_cap=cap)
+    ine = inertia(form)
     if ine.n_zero != 0:
         raise InternalCheckError(
             f"H_{d}(T({p},{q})) is singular: nullity {ine.n_zero}")
@@ -313,8 +310,7 @@ def sigma_d_counting(p: int, q: int, d: int) -> int:
 _sigma_counting_brute = sigma_d_enumerated
 
 
-def sigma_d(k: TorusKnotParams, d: int, method: str = "counting",
-            precision_cap: int = None) -> int:
+def sigma_d(k: TorusKnotParams, d: int, method: str = "counting") -> int:
     """sigma_d of a torus knot, 0 if trivial: "counting" takes the integer
     fast path, "hermitian" the certified route.  The normalized
     knot's value must be even and at most -4 (T(2,3), at -2, excepted),
@@ -325,7 +321,7 @@ def sigma_d(k: TorusKnotParams, d: int, method: str = "counting",
     if method == "counting":
         s = sigma_d_counting(nk.p, nk.q, d)
     elif method == "hermitian":
-        s = _sigma_hermitian(nk.p, nk.q, d, precision_cap)
+        s = _sigma_hermitian(nk.p, nk.q, d)
     else:
         raise ValueError(f"unknown method {method!r}")
     if s % 2 != 0:
@@ -336,13 +332,13 @@ def sigma_d(k: TorusKnotParams, d: int, method: str = "counting",
     return -s if mirror else s
 
 
-def tristram_sigma(k: TorusKnotParams, d: int, method: str = "hermitian",
-                   precision_cap: int = None) -> int:
+def tristram_sigma(k: TorusKnotParams, d: int,
+                   method: str = "hermitian") -> int:
     """sigma_d of a nontrivial torus knot, by default on the certified
     Hermitian route; see sigma_d."""
     if k.is_trivial:
         raise DomainError(f"{k} is trivial")
-    return sigma_d(k, d, method=method, precision_cap=precision_cap)
+    return sigma_d(k, d, method=method)
 
 
 def prop35_bound_check(k: TorusKnotParams, d: int,

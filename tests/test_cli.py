@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from torustwist import DomainError, TorusKnotParams, cli, classify
+from torustwist import (DomainError, TorusKnotParams, certify, cli, classify,
+                        tristram)
 from torustwist.cli import (main, parse_scan_csv, render_scan_csv,
                             render_scan_json, scan_rows)
 from torustwist.cli import MAX_SCAN_CELLS, MAX_SIGMA_DIM
@@ -48,6 +49,19 @@ def test_sigma_mirror(capsys):
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "sigma", "-p", "4", "-q", "6")
     assert code == 2 and "coprime" in err
+
+
+def test_precision_exhaustion_exit_code(capsys, monkeypatch):
+    # no rung resolves: the double rung gives up and the cap is below the
+    # first mpmath rung at 128 bits.  The cache does not key on the cap, and
+    # the --all tests may already hold T(5,8) at d = 2 there
+    tristram._sigma_hermitian.cache_clear()
+    monkeypatch.setattr(certify, "PRECISION_CAP", 64)
+    monkeypatch.setattr(certify, "inertia_via_congruence", lambda h, z: None)
+    code, out, err = run(capsys, "sigma", "-p", "5", "-q", "8",
+                         "--method", "seifert")
+    assert code == 4 and out == ""
+    assert "precision exhausted" in err
 
 
 def _cap_address_space():
@@ -147,16 +161,30 @@ def test_classify_with_sequence(capsys):
     assert "sigma(M)=1" in out and "-w^2+42" in out
 
 
+# an untwisting sequence that starts at each normalized knot below
+_UNTWIST = {
+    (5, 8): (DATA / "t58_untwist.seq").read_text(encoding="utf-8"),
+    (7, 4999): "start T(7,4999)\ntwist n=-714 w=7 -> T(7,1)\nend unknot\n",
+    (7, 5001): "start T(7,5001)\ntwist n=-714 w=7 -> T(7,3)\n"
+               "identify T(3,7)\ntwist n=-2 w=3 -> T(3,1)\nend unknot\n",
+}
+
+
 @pytest.mark.parametrize("p, q", [(5, 8), (-5, 8), (7, 4999), (7, 5001)])
 @pytest.mark.parametrize("sequence", [False, True])
-def test_classify_json_matches_the_dict_route(capsys, assert_same_text, p, q,
+def test_classify_json_matches_the_dict_route(tmp_path, capsys,
+                                              assert_same_text, p, q,
                                               sequence):
     argv = ["classify", "-p", str(p), "-q", str(q), "--format", "json"]
-    payload = certificate_to_dict(classify(TorusKnotParams(p, q)))
+    cert = classify(TorusKnotParams(p, q))
+    payload = certificate_to_dict(cert)
     if sequence:
-        path = str(DATA / "t58_untwist.seq")
-        argv += ["--sequence", path]
-        payload["sequence_ledger"] = cli._sequence_report(path)
+        path = tmp_path / "untwist.seq"
+        path.write_text(_UNTWIST[cert.normalized.p, cert.normalized.q],
+                        encoding="utf-8")
+        argv += ["--sequence", str(path)]
+        payload["sequence_ledger"] = cli._sequence_report(str(path),
+                                                          cert.normalized)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert_same_text(out, json.dumps(payload, indent=2) + "\n")
@@ -170,6 +198,19 @@ def test_classify_bad_sequence_exit(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "-p", "5", "-q", "8",
                        "--sequence", str(bad))
     assert code == 2 and "line 2" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("p, q, path, message", [
+    (5, 8, "/nonexistent.seq", "No such file"),
+    (9, 13, str(DATA / "t58_untwist.seq"), "starts at T(5,8), not at T(9,13)"),
+], ids=["missing-file", "other-knot"])
+def test_classify_checks_the_sequence_before_writing(capsys, fmt, p, q, path,
+                                                     message):
+    code, out, err = run(capsys, "classify", "-p", str(p), "-q", str(q),
+                         "--sequence", path, "--format", fmt)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_tables_thm13(capsys):
@@ -211,6 +252,21 @@ def test_tables_row_above_max_q_is_rejected_before_classifying(
     code, out, err = run(capsys, "tables", "--which", which, "--n-max", n_max)
     assert code == 2 and out == ""
     assert f"MAX_Q = {MAX_Q}" in err
+
+
+@pytest.mark.parametrize("which, n_max", [
+    ("thm1.3", "131071"), ("thm1.5", "180"), ("example1.6", "26213")])
+def test_tables_over_the_work_bound_is_rejected_before_classifying(
+        capsys, monkeypatch, which, n_max):
+    # every row here passes MAX_Q, but the genus cutoffs sum past
+    # MAX_TABLE_OMEGAS
+    def classify_nothing(k):
+        raise AssertionError(f"classified {k}")
+
+    monkeypatch.setattr(cli, "classify", classify_nothing)
+    code, out, err = run(capsys, "tables", "--which", which, "--n-max", n_max)
+    assert code == 2 and out == ""
+    assert f"MAX_TABLE_OMEGAS = {cli.MAX_TABLE_OMEGAS}" in err
 
 
 def test_tables_thm13_reaches_max_q_at_its_last_accepted_n():
@@ -311,6 +367,7 @@ def test_output_schema_literals(capsys):
      "--sigma-method", "counting"],
     ["scan", "--p-min", "2", "--p-max", "5", "--q-min", "3", "--q-max", "8",
      "--prime-cap", "3"],
+    ["sigma", "-p", "5", "-q", "8", "--precision-bits", "64"],
 ])
 def test_pipeline_has_no_sigma_route_or_cap_flags(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -13,8 +13,8 @@ from torustwist import (DomainError, TorusKnotParams, classify,
 from torustwist.errors import InternalCheckError
 from torustwist.fourmanifold import KikuchiResult
 from torustwist.obstruction import (NOT_IN_T, REASON_GENUS, REASON_KIKUCHI,
-                                    REASON_PARITY, TRIVIAL_OR_EXCEPTIONAL,
-                                    UNDECIDED, Elimination, Eliminations,
+                                    TRIVIAL_OR_EXCEPTIONAL, UNDECIDED,
+                                    Elimination, Eliminations,
                                     certificate_to_dict, certificate_to_json,
                                     certificate_to_text, genus_cutoff)
 from torustwist.tristram import prime_divisors
@@ -132,37 +132,16 @@ def _eliminations_certs():
 
 
 def test_eliminations_behave_as_the_materialized_tuple():
-    rng = random.Random(7)
     certs = _eliminations_certs()
     assert any(e.reason == REASON_KIKUCHI for c in certs for e in c.eliminations)
     for cert in certs:
         e = cert.eliminations
         ref = e.explicit + tuple(Elimination(w, REASON_GENUS) for w in e.tail)
-        n, k = len(ref), len(e.explicit)
         assert isinstance(e, Eliminations)
-        assert tuple(e) == ref and len(e) == n
-        for i in {0, k - 1, k, n - 1, *rng.sample(range(n), min(n, 20))}:
-            if 0 <= i < n:
-                assert e[i] == ref[i] and e[i - n] == ref[i - n], i
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                e[i]
-        for sl in (slice(None), slice(3, -3), slice(None, None, -1),
-                   slice(k - 2, k + 2), slice(-5, None), slice(1, n, 7),
-                   slice(n, 0, -3), slice(n + 5, None)):
-            assert e[sl] == ref[sl], sl
-        assert e == ref and ref == e and not e != ref
-        assert e == Eliminations(ref) and Eliminations(ref) == e
-        if n:
-            assert e != ref[:-1] and ref[:-1] != e
-        assert e != list(ref)
-        assert hash(e) == hash(ref) and repr(e) == repr(ref)
+        assert tuple(e) == ref and len(e) == len(ref)
         back = pickle.loads(pickle.dumps(e))
         assert type(back) is Eliminations and back.tail == e.tail
-        assert back == ref
-        flat = dataclasses.replace(cert, eliminations=ref)
-        assert flat.eliminations.explicit == ref and not flat.eliminations.tail
-        assert repr(flat) == repr(cert) and flat == cert
+        assert tuple(back) == ref
 
 
 def test_genus_cutoff_matches_a_linear_scan():
@@ -191,16 +170,16 @@ def _renderer_certs():
     assert certs[2].mirror and certs[3].mirror
     assert any(e.reason == REASON_KIKUCHI for e in certs[5].eliminations)
     assert any(n.startswith("omega=") for n in certs[-1].notes)
-    # characteristic-parity and reasons that need escaping, by hand
-    certs.append(dataclasses.replace(certs[5], eliminations=(
-        Elimination(3, REASON_PARITY), Elimination(5, 'quote " and \u00e9'),
-        Elimination(7, REASON_PARITY))))
+    # a reason classify never emits and one that needs escaping, by hand
+    certs.append(dataclasses.replace(certs[5], eliminations=Eliminations((
+        Elimination(3, "characteristic-parity"),
+        Elimination(5, 'quote " and \u00e9'),
+        Elimination(7, "characteristic-parity")))))
     # a genus-bound item in the explicit part, next to the tail; a tail
     # with no explicit part
     e = certs[6].eliminations
     certs.append(dataclasses.replace(certs[6], eliminations=Eliminations(
-        e.explicit + e[len(e.explicit):len(e.explicit) + 1],
-        e.tail[1:])))
+        e.explicit + (Elimination(e.tail[0], REASON_GENUS),), e.tail[1:])))
     certs.append(dataclasses.replace(certs[4], eliminations=Eliminations(
         (), range(2, 9))))
     # the genus tail is rendered in decimal blocks: every edge of a block,
@@ -228,7 +207,8 @@ def test_certificate_json_matches_the_dict_oracle(assert_same_text):
 
 def _text_oracle(cert):
     """certificate_to_text with one line per elimination, written here."""
-    text = certificate_to_text(dataclasses.replace(cert, eliminations=()))
+    text = certificate_to_text(dataclasses.replace(cert,
+                                                   eliminations=Eliminations()))
     if cert.verdict == TRIVIAL_OR_EXCEPTIONAL:
         return text
     lines = text.split("\n")

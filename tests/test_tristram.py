@@ -185,12 +185,13 @@ def test_inertia_escalates_past_double_precision():
     assert (res.n_plus, res.n_zero, res.n_minus) == (1, 0, 1)
 
 
-def test_precision_cap_raises_undecided():
+def test_precision_cap_raises_undecided(monkeypatch):
     n = 2 ** 27
     coeffs = np.zeros((2, 2, 2), dtype=np.int64)
     coeffs[:, :, 0] = [[1, n], [n, n * n - 1]]
+    monkeypatch.setattr(certify, "PRECISION_CAP", 53)
     with pytest.raises(UndecidedSignError):
-        inertia(HermitianForm(2, 2, coeffs), precision_cap=53)
+        inertia(HermitianForm(2, 2, coeffs))
 
 
 def _fixture(k, seed=5):
