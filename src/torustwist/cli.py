@@ -43,13 +43,14 @@ MAX_SCAN_CELLS = 2 ** 20
 # 2-vCPU Intel Xeon, one BLAS thread).  A larger knot is rejected on those
 # routes with DomainError (exit 2) before any work.
 MAX_SIGMA_DIM = 2 ** 11
-# tables classifies every row it lists, at 2.2-4.4 us per candidate omega
-# up to the row's genus cutoff (one classify of T(10001,10005) or
-# T(100001,100003) per fresh process, three runs each; 2-vCPU Intel Xeon,
-# Python 3.11.7), so at this bound on the genus cutoffs summed over the
-# rows a table is 5 to 10 minutes of work.  A larger one is rejected with
-# DomainError (exit 2) after the rows are listed and before any is
-# classified.
+# tables and scan classify every knot they list, at 1.6-3.0 us per
+# candidate omega up to the knot's genus cutoff (one classify of
+# T(10001,10005) or T(100001,100003) per fresh process, three runs each;
+# 2-vCPU Intel Xeon, Python 3.11.7), so at this bound on the genus cutoffs
+# summed over the knots a table or a scan is 3.5 to 7 minutes of work.  A
+# larger table is rejected with DomainError (exit 2) after its rows are
+# listed, and a larger scan as soon as its pairs pass the bound; either
+# before any knot is classified.
 MAX_TABLE_OMEGAS = 2 ** 27
 
 
@@ -250,7 +251,10 @@ def scan_rows(p_range, q_range, jobs=1):
     number of pairs) worker processes are started.  A box with a bound
     above MAX_Q in absolute value, or with more than MAX_SCAN_CELLS cells,
     is rejected before any pair is listed, so every pair classified has
-    normalized q <= MAX_Q."""
+    normalized q <= MAX_Q.  The genus cutoffs of the box's nontrivial
+    knots may sum to at most MAX_TABLE_OMEGAS; the pairs are listed up to
+    the first that passes it, and then the box is rejected before any
+    classify."""
     if max(map(abs, (*p_range, *q_range))) > MAX_Q:
         raise DomainError(f"scan box {list(p_range)} x {list(q_range)} "
                           f"exceeds MAX_Q = {MAX_Q}")
@@ -260,12 +264,26 @@ def scan_rows(p_range, q_range, jobs=1):
         raise DomainError(f"scan box {list(p_range)} x {list(q_range)} has "
                           f"{cells} cells, above MAX_SCAN_CELLS = "
                           f"{MAX_SCAN_CELLS}")
-    pairs = list(_scan_pairs(p_range, q_range))
+    pairs = []
+    work = 0
+    for p, q in _scan_pairs(p_range, q_range):
+        a, b = sorted((abs(p), abs(q)))   # the normal form of T(p, q)
+        if a > 1:
+            work += genus_cutoff(a, b)
+            if work > MAX_TABLE_OMEGAS:
+                raise DomainError(
+                    f"scan box {list(p_range)} x {list(q_range)}: the genus "
+                    f"cutoffs of its knots sum past MAX_TABLE_OMEGAS = "
+                    f"{MAX_TABLE_OMEGAS}")
+        pairs.append((p, q))
     workers = min(jobs, os.cpu_count() or 1, len(pairs))
     if workers <= 1:
         return [_scan_row(pair) for pair in pairs]
+    # about 16 chunks per worker: enough to balance the load, few enough
+    # that the parent's per-chunk work does not cap the pool
+    chunksize = -(-len(pairs) // (16 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_row, pairs, chunksize=8))
+        return list(pool.map(_scan_row, pairs, chunksize=chunksize))
 
 
 def render_scan_json(rows, config) -> str:

@@ -25,15 +25,18 @@ knot.
 import json
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from math import isqrt
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .core import TorusKnotParams, is_exceptional, normalize
 from .errors import DomainError, InternalCheckError
 from .fourmanifold import (kikuchi_eliminate, ledger_from_sequence,
                            serialize_sequence, template_sequences)
-from .tristram import prime_divisors, sigma_d, smallest_prime_factors
+# classify does not call prime_divisors; it is imported so that
+# perfbench/spans.py, which traces obstruction.prime_divisors by name, finds it
+from .tristram import prime_divisors, primes_upto, sigma_d  # noqa: F401
 
 SCHEMA = "torustwist-certificate/1"
 # the schema's name for the one sigma_d route, the counting kernel; every
@@ -150,6 +153,23 @@ def genus_cutoff(p: int, q: int) -> int:
     return top
 
 
+def condition_iv_multipliers(d: int, sigma_value: int) -> list:
+    """The k >= 0, ascending, for which w = dk passes condition (iv) at the
+    prime d, given sigma_d: with w = dk the exact integer
+    2[d/2](d-[d/2])w^2/d^2 is 2[d/2](d-[d/2])k^2, so k^2 is one of
+    -sigma_d and 2 - sigma_d divided by 2[d/2](d-[d/2]).  There are at
+    most two such k, so every other multiple of d fails."""
+    a = d // 2
+    c = 2 * a * (d - a)
+    out = []
+    for lhs in (-sigma_value, 2 - sigma_value):
+        if lhs >= 0 and lhs % c == 0:
+            k = isqrt(lhs // c)
+            if k * k * c == lhs:
+                out.append(k)
+    return out
+
+
 def condition_iv_check(p: int, q: int, omega: int, d: int,
                        sigma_value: int = None) -> bool:
     """Divisibility constraint at the prime d | w: the exact integer
@@ -179,14 +199,9 @@ def condition_iv_check(p: int, q: int, omega: int, d: int,
     """
     if omega % d != 0:
         raise DomainError(f"d={d} does not divide omega={omega}")
-    a = d // 2
-    num = 2 * a * (d - a) * omega * omega
-    if num % (d * d) != 0:
-        raise InternalCheckError(f"d^2={d * d} does not divide {num}")
-    lhs = num // (d * d)
     if sigma_value is None:
         sigma_value = sigma_d(TorusKnotParams(p, q), d)
-    return lhs == -sigma_value or lhs == 2 - sigma_value
+    return abs(omega) // d in condition_iv_multipliers(d, sigma_value)
 
 
 def classify(k: TorusKnotParams) -> ObstructionCertificate:
@@ -219,27 +234,31 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     if thom_bound_check(p, q, q):
         raise InternalCheckError(f"genus bound fails to exclude w=q for {nk}")
 
-    sigma_inputs = {}
-
-    def sd(d):
-        if d not in sigma_inputs:
-            sigma_inputs[d] = sigma_d(nk, d)
-        return sigma_inputs[d]
-
+    # Condition (iv) for every w in [2, top] at once, as a sieve over the
+    # primes d <= top.  A w is eliminated at the smallest prime d | w that
+    # fails, and at each d at most two multiples of d pass; so the primes
+    # run in descending order, each marks all its multiples as failing and
+    # gives the passing ones their earlier mark back, and the smallest
+    # failing d writes last.  sigma_inputs holds sigma_d for every prime d
+    # that divides some w checked: each odd prime d <= top (at w = d), and
+    # 2 only if some even w lies above p, since condition (iii) alone
+    # eliminates the even w <= p.
     top = genus_cutoff(p, q)
-    spf = smallest_prime_factors(top + 1)
-    reasons = {}
-    alive = []
-    for w in range(2, top + 1):
-        if w % 2 == 0 and w <= p:
-            reasons[w] = REASON_III
-            continue
-        for d in prime_divisors(w, spf):
-            if not condition_iv_check(p, q, w, d, sigma_value=sd(d)):
-                reasons[w] = reason_iv(d)
-                break
-        else:
-            alive.append(w)
+    primes = primes_upto(top)
+    if top // 2 <= p // 2:
+        primes = primes[1:]
+    sigma_inputs = {d: sigma_d(nk, d) for d in primes}
+    reasons = [None] * (top + 1)
+    for d in reversed(primes):
+        kept = [(d * k, reasons[d * k])
+                for k in condition_iv_multipliers(d, sigma_inputs[d])
+                if 0 < d * k <= top]
+        reasons[d::d] = [reason_iv(d)] * (top // d)
+        for w, r in kept:
+            reasons[w] = r
+    # condition (iii): even w <= p (< top), whatever condition (iv) says
+    reasons[2:p + 1:2] = [REASON_III] * (p // 2)
+    alive = [w for w in range(2, top + 1) if reasons[w] is None]
 
     template_reports = []
     for seq in template_sequences(nk):
@@ -264,8 +283,11 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
                 reasons[w] = REASON_KIKUCHI
                 alive.remove(w)
 
+    # tuple.__new__ builds the items without a Python-level __new__ call
+    # each, as in Eliminations.__iter__
     eliminations = Eliminations(
-        tuple(Elimination(w, reasons[w]) for w in sorted(reasons)),
+        tuple(map(tuple.__new__, repeat(Elimination),
+                  filter(itemgetter(1), enumerate(reasons)))),
         range(top + 1, q))
     survivors = tuple(CandidateTwist(1, w) for w in alive)
     omegas = sorted([*map(attrgetter("omega"), eliminations.explicit),
@@ -412,14 +434,15 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
 
     The eliminations list every w in [2, q-1], and indent=2 runs the pure
     Python encoder, so that array is written from one template per
-    explicit item instead, with each distinct reason encoded once, and the
-    genus tail in decimal blocks (_tail_parts).
+    explicit item instead, with each distinct reason encoded once by the
+    string encoder that json.dumps(str) itself calls, and the genus tail
+    in decimal blocks (_tail_parts).
     """
     head, tail = _fields_around_eliminations(cert)
     if extra:
         tail.update(extra)
     elims = cert.eliminations
-    encoded = {r: json.dumps(r) for r in
+    encoded = {r: encode_basestring_ascii(r) for r in
                {*map(attrgetter("reason"), elims.explicit), REASON_GENUS}}
     genus = encoded[REASON_GENUS]
     array = [",\n".join([f"    [\n      {w},\n      {encoded[r]}\n    ]"

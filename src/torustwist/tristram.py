@@ -36,7 +36,8 @@ which also checks the value's invariants in one place.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, inf, nextafter
+from itertools import compress
+from math import gcd, inf, isqrt, nextafter
 
 import numpy as np
 
@@ -72,6 +73,17 @@ def smallest_prime_factors(limit: int) -> list:
                     spf[k] = f
         f += 1
     return spf
+
+
+def primes_upto(n: int) -> list:
+    """The primes d <= n, ascending (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    for f in range(3, isqrt(n) + 1, 2):
+        if sieve[f]:
+            sieve[f * f::2 * f] = bytes(len(range(f * f, n + 1, 2 * f)))
+    return [2, *compress(range(3, n + 1, 2), sieve[3::2])]
 
 
 def prime_divisors(n: int, spf: list = None) -> list:

@@ -13,7 +13,7 @@ from torustwist import (DomainError, TorusKnotParams, certify, cli, classify,
 from torustwist.cli import (main, parse_scan_csv, render_scan_csv,
                             render_scan_json, scan_rows)
 from torustwist.cli import MAX_SCAN_CELLS, MAX_SIGMA_DIM
-from torustwist.obstruction import MAX_Q, certificate_to_dict
+from torustwist.obstruction import MAX_Q, certificate_to_dict, genus_cutoff
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +106,39 @@ def test_hostile_scan_box_is_rejected_before_listing_pairs():
     assert res.returncode == 2, res.stderr
     assert f"MAX_SCAN_CELLS = {MAX_SCAN_CELLS}" in res.stderr
     assert res.stdout == ""
+
+
+def test_scan_over_the_work_bound_is_rejected_before_classifying():
+    # 2^20 cells, within MAX_SCAN_CELLS, but each knot's genus cutoff is
+    # about 2^20, so the cutoffs pass MAX_TABLE_OMEGAS after a few hundred
+    # pairs; listing and classifying every pair would not fit the cap
+    lo, hi = str(2 ** 20 - 1023), str(2 ** 20)
+    res = _run_capped(["scan", "--p-min", lo, "--p-max", hi,
+                       "--q-min", lo, "--q-max", hi])
+    assert res.returncode == 2, res.stderr
+    assert f"MAX_TABLE_OMEGAS = {cli.MAX_TABLE_OMEGAS}" in res.stderr
+    assert res.stdout == ""
+
+
+def test_scan_work_bound_sums_the_normalized_nontrivial_cutoffs(monkeypatch):
+    # mirrors, trivial and exceptional knots; the sum taken from classify's
+    # own normal forms
+    box = ((-9, 9), (-3, 14))
+    certs = [classify(TorusKnotParams(r["p"], r["q"]))
+             for r in scan_rows(*box)]
+    work = sum(genus_cutoff(c.normalized.p, c.normalized.q)
+               for c in certs if not c.trivial)
+    assert any(c.mirror for c in certs) and any(c.trivial for c in certs)
+    monkeypatch.setattr(cli, "MAX_TABLE_OMEGAS", work)
+    assert len(scan_rows(*box)) == len(certs)
+
+    def classify_nothing(k):
+        raise AssertionError(f"classified {k}")
+
+    monkeypatch.setattr(cli, "MAX_TABLE_OMEGAS", work - 1)
+    monkeypatch.setattr(cli, "classify", classify_nothing)
+    with pytest.raises(DomainError, match="MAX_TABLE_OMEGAS"):
+        scan_rows(*box)
 
 
 def test_max_scan_cells_is_the_largest_accepted_box():
@@ -317,6 +350,8 @@ def test_scan_parallel_matches_serial():
 def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch):
     seen = []
 
+    chunks = []
+
     class FakePool:
         def __init__(self, max_workers):
             seen.append(max_workers)
@@ -328,6 +363,7 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            chunks.append((len(tasks), chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
@@ -335,8 +371,14 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch):
     serial = scan_rows((2, 9), (3, 12), jobs=1)
     assert scan_rows((2, 9), (3, 12), jobs=10 ** 6) == serial
     assert scan_rows((2, 2), (3, 5), jobs=10 ** 6) == scan_rows((2, 2), (3, 5))
+    wide = scan_rows((2, 30), (3, 60), jobs=1)
+    assert scan_rows((2, 30), (3, 60), jobs=3) == wide
     # 4 CPUs; the second box holds the 2 pairs (2, 3) and (2, 5)
-    assert seen == [4, 2]
+    assert seen == [4, 2, 3]
+    # about 16 chunks per worker, each of at least one pair: 769 pairs do
+    # not fit 16 * 3 chunks of 16, so the chunks hold 17
+    assert len(wide) == 16 * 3 * 16 + 1
+    assert chunks == [(len(serial), 1), (2, 1), (len(wide), 17)]
 
 
 def test_scan_golden_csv():

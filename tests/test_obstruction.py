@@ -17,7 +17,9 @@ from torustwist.obstruction import (NOT_IN_T, REASON_GENUS, REASON_KIKUCHI,
                                     Elimination, Eliminations,
                                     certificate_to_dict, certificate_to_json,
                                     certificate_to_text, genus_cutoff)
-from torustwist.tristram import prime_divisors
+from torustwist import tristram
+from torustwist.tristram import (is_prime, prime_divisors,
+                                 smallest_prime_factors)
 
 
 def K(p, q):
@@ -41,6 +43,19 @@ def test_condition_iv_examples():
         assert condition_iv_check(9, 13, w, 2) is False
     with pytest.raises(DomainError):
         condition_iv_check(5, 7, 5, 2)
+
+
+def test_condition_iv_check_matches_the_formula():
+    # 2[d/2](d-[d/2])w^2/d^2 in {-sigma_d, 2 - sigma_d}, computed directly,
+    # for each multiple w of d and every sigma_d in a window around the
+    # values it can pass at, odd ones too
+    for d in [d for d in range(2, 40) if is_prime(d)]:
+        a = d // 2
+        for w in range(-5 * d, 40 * d + 1, d):
+            lhs = 2 * a * (d - a) * w * w // (d * d)
+            for s in range(-lhs - 4, -lhs + 5):
+                assert condition_iv_check(5, 7, w, d, sigma_value=s) is (
+                    lhs in (-s, 2 - s)), (d, w, s)
 
 
 def test_condition_iv_accepts_every_exceptional_realization():
@@ -267,6 +282,68 @@ def test_classify_deterministic():
     a = certificate_to_dict(classify(K(9, 13)))
     b = certificate_to_dict(classify(K(9, 13)))
     assert a == b
+
+
+def _per_omega_condition_iv(p, q, spf):
+    """The reference for classify's condition-(iv) sieve: each w in
+    [2, cutoff] on its own, condition (iii) first, then its prime
+    divisors in ascending order through condition_iv_check, eliminated at
+    the first that fails.  Returns the reasons by w, the w that pass, and
+    the sigma_d read on the way."""
+    sigma, reasons, alive = {}, {}, []
+    for w in range(2, genus_cutoff(p, q) + 1):
+        if w % 2 == 0 and w <= p:
+            reasons[w] = "condition-iii"
+            continue
+        for d in prime_divisors(w, spf):
+            if d not in sigma:
+                sigma[d] = tristram.sigma_d(K(p, q), d)
+            if not condition_iv_check(p, q, w, d, sigma_value=sigma[d]):
+                reasons[w] = f"condition-iv(d={d})"
+                break
+        else:
+            alive.append(w)
+    return reasons, alive, sigma
+
+
+def _sieve_oracle_knots():
+    def plain(p, q):
+        return math.gcd(p, q) == 1 and not obstruction.is_exceptional(K(p, q))
+
+    knots = [(p, q) for p in range(5, 150) for q in range(p + 1, 151)
+             if plain(p, q)]
+    rng = random.Random(1207)
+    seeded = []
+    while len(seeded) < 40:
+        p = rng.randint(5, 3000)
+        q = rng.randint(p + 2, 3 * p)
+        if plain(p, q):
+            seeded.append((p, q))
+    return knots + seeded
+
+
+def test_condition_iv_sieve_matches_the_per_omega_loop():
+    knots = _sieve_oracle_knots()
+    spf = smallest_prime_factors(max(genus_cutoff(p, q) for p, q in knots) + 1)
+    with_two = without_two = 0
+    for p, q in knots:
+        cert = classify(K(p, q))
+        reasons, alive, sigma = _per_omega_condition_iv(p, q, spf)
+        # the templates only remove odd w that passed condition (iv)
+        kikuchi = [w for w, r in cert.eliminations.explicit
+                   if r == REASON_KIKUCHI]
+        assert {w: r for w, r in cert.eliminations.explicit
+                if r != REASON_KIKUCHI} == reasons, (p, q)
+        assert sorted(kikuchi + [s.omega for s in cert.survivors]) == alive
+        assert cert.sigma_inputs == sigma, (p, q)
+        # every odd prime up to the cutoff, and 2 iff an even w is above p
+        top = genus_cutoff(p, q)
+        odd = {d for d in range(3, top + 1) if is_prime(d)}
+        two = top // 2 > p // 2
+        assert set(sigma) == odd | ({2} if two else set()), (p, q)
+        with_two += two
+        without_two += not two
+    assert with_two > 0 and without_two > 0
 
 
 def test_templates_only_eliminate():

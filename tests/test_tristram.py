@@ -17,7 +17,8 @@ from torustwist import (DomainError, HermitianForm, TorusKnotParams,
 from torustwist import certify, cyclotomic, tristram
 from torustwist.errors import InternalCheckError, UndecidedSignError
 from torustwist.tristram import (_lattice_hit, _sigma_counting_brute, is_prime,
-                                 prime_divisors, smallest_prime_factors)
+                                 prime_divisors, primes_upto,
+                                 smallest_prime_factors)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -408,6 +409,11 @@ def test_prime_divisors_match_trial_division():
         assert prime_divisors(n, spf) == reference(n), n
     for n in list(range(1, 200)) + [4096, 19997, 30030]:
         assert prime_divisors(n) == reference(n), n
+
+
+def test_primes_upto_match_trial_division():
+    for n in [*range(-1, 200), 961, 1021, 1024, 20000]:
+        assert primes_upto(n) == [d for d in range(n + 1) if is_prime(d)], n
 
 
 def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
