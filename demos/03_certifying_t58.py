@@ -20,7 +20,7 @@ print("The built-in untwisting chain:")
 seq = template_sequences(k)[0]
 print(serialize_sequence(seq))
 
-led = ledger_from_sequence(seq, symbolic_omega=True)
+led = ledger_from_sequence(seq)
 c0, c1, c2 = led.xi_self_intersection
 print(f"ledger: sigma(M) = {led.sigma_m}, b2+ = {led.b2_plus}, "
       f"b2- = {led.b2_minus}, xi.xi = -w^2 + {c0}")

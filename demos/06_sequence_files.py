@@ -20,7 +20,7 @@ seq = parse_sequence(text)
 assert serialize_sequence(seq) == text
 print(f"parsed {len(seq.steps)} steps; round-trip is byte-identical")
 
-led = ledger_from_sequence(seq, symbolic_omega=True)
+led = ledger_from_sequence(seq)
 c0, _, _ = led.xi_self_intersection
 print(f"ledger with the hypothesized (1,w)-move prepended: "
       f"sigma(M)={led.sigma_m}, b2+={led.b2_plus}, b2-={led.b2_minus}, "

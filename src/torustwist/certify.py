@@ -53,10 +53,6 @@ class Inertia:
     def signature(self) -> int:
         return self.n_plus - self.n_minus
 
-    @property
-    def dimension(self) -> int:
-        return self.n_plus + self.n_zero + self.n_minus
-
 
 @dataclass
 class MRMatrix:

@@ -116,13 +116,18 @@ def _poly_str(c):
 
 def _sequence_report(path, nk):
     """The ledger of the twist sequence in the file path, which must start
-    at the normalized knot nk itself (not at its mirror)."""
-    with open(path, encoding="utf-8") as fh:
-        seq = parse_sequence(fh.read())
+    at the normalized knot nk itself (not at its mirror).  Any OSError
+    from reading the file (missing, a directory, unreadable) is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise DomainError(str(e)) from e
+    seq = parse_sequence(text)
     if normalize(seq.start) != (nk, False):
         raise SequenceSemanticError(
             f"{path}: sequence starts at {seq.start}, not at {nk}")
-    ledger = ledger_from_sequence(seq, symbolic_omega=True)
+    ledger = ledger_from_sequence(seq)
     return {
         "sigma_m": ledger.sigma_m,
         "b2_plus": ledger.b2_plus,
@@ -407,7 +412,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidKnotError, DomainError, SequenceSyntaxError,
-            SequenceSemanticError, FileNotFoundError, ValueError) as e:
+            SequenceSemanticError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalCheckError as e:

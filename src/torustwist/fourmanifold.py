@@ -50,10 +50,6 @@ class LinCoef:
     def at(self, w: int) -> int:
         return self.m * w + self.c
 
-    def parity(self, omega_parity: str) -> int:
-        bit = 1 if omega_parity == "odd" else 0
-        return (self.m * bit + self.c) % 2
-
     def __str__(self):
         if self.m == 0:
             return str(self.c)
@@ -136,13 +132,6 @@ class TwistSequence:
     label: str = field(default="", compare=False)
 
     @property
-    def final(self) -> TorusKnotParams:
-        if not self.steps:
-            return self.start
-        last = self.steps[-1]
-        return last.result if isinstance(last, TwistStep) else last.params
-
-    @property
     def moves(self):
         return tuple(s.move for s in self.steps if isinstance(s, TwistStep))
 
@@ -187,21 +176,11 @@ def validate_sequence(seq: TwistSequence):
         raise SequenceSemanticError(msg)
 
 
-def ledger_from_sequence(seq: TwistSequence, symbolic_omega: bool = True
-                         ) -> FourManifoldLedger:
-    """Accumulate the 4-manifold ledger of a validated sequence.
-
-    With symbolic_omega the hypothesized (1, w)-move from the unknot to
-    seq.start is prepended with w symbolic; otherwise the sequence itself
-    must start at the unknot.
-    """
+def ledger_from_sequence(seq: TwistSequence) -> FourManifoldLedger:
+    """Validate seq and accumulate its 4-manifold ledger, led by the
+    hypothesized (1, w)-move from the unknot to seq.start with w symbolic."""
     validate_sequence(seq)
-    if not symbolic_omega and not seq.start.is_trivial:
-        raise SequenceSemanticError(
-            f"sequence starts at {seq.start}, not at the unknot")
-    summands = []
-    if symbolic_omega:
-        summands.append(Summand(MINUS_CP2, (LinCoef(1, 0),)))
+    summands = [Summand(MINUS_CP2, (LinCoef(1, 0),))]
     for move in seq.moves:
         if not move.is_supported:
             raise UnsupportedTwistError(f"move {move} has no summand")
@@ -215,14 +194,13 @@ def ledger_from_sequence(seq: TwistSequence, symbolic_omega: bool = True
     return FourManifoldLedger(tuple(summands))
 
 
-def characteristic_check(ledger: FourManifoldLedger, omega_parity: str) -> bool:
-    """Characteristic condition for the accumulated class: odd coefficients
-    on every +-CP^2 generator, even pairs on every S^2 x S^2."""
-    if omega_parity not in ("odd", "even"):
-        raise ValueError("omega_parity must be 'odd' or 'even'")
+def characteristic_check(ledger: FourManifoldLedger) -> bool:
+    """Characteristic condition for the accumulated class at odd w: odd
+    coefficients on every +-CP^2 generator, even pairs on every S^2 x S^2.
+    At odd w, m*w + c has the parity of m + c."""
     for kind, coef in ledger.all_coefficients():
         want = 1 if kind in (MINUS_CP2, PLUS_CP2) else 0
-        if coef.parity(omega_parity) != want:
+        if coef.at(1) % 2 != want:
             return False
     return True
 
@@ -246,7 +224,7 @@ def kikuchi_eliminate(ledger: FourManifoldLedger) -> KikuchiResult:
     if ledger.b2_plus > 3 or ledger.b2_minus > 3:
         return KikuchiResult(False, reason=(
             f"b2+={ledger.b2_plus}, b2-={ledger.b2_minus} exceed 3"))
-    if not characteristic_check(ledger, "odd"):
+    if not characteristic_check(ledger):
         return KikuchiResult(False, reason="class not characteristic for odd w")
     c0, c1, c2 = ledger.xi_self_intersection
     if (c1, c2) != (0, -1):
@@ -398,7 +376,8 @@ def template_sequences(k: TorusKnotParams):
         C = p^2 + 32n + t^2 and sigma(M) = 1, with p and t odd;
       * double-step: +CP^2 (p) twice and S^2 x S^2 (2, -n) give
         C = 2p^2 - 4n and sigma(M) = 1.
-    So an admissible w is never even; classify checks this.
+    So an admissible w is never even; classify checks this.  The chains
+    are not validated here: ledger_from_sequence validates each one.
     """
     from .core import is_exceptional
 
@@ -445,7 +424,4 @@ def template_sequences(k: TorusKnotParams):
         s3 = _twist(ident.params, n_even, 2)
         out.append(TwistSequence(k, (s1, s2, ident, s3),
                                  label=f"double-step n={n_even}"))
-
-    for seq in out:
-        validate_sequence(seq)
     return out

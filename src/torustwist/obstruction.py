@@ -262,7 +262,7 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
 
     template_reports = []
     for seq in template_sequences(nk):
-        ledger = ledger_from_sequence(seq, symbolic_omega=True)
+        ledger = ledger_from_sequence(seq)
         res = kikuchi_eliminate(ledger)
         template_reports.append(TemplateReport(
             label=seq.label, sequence=serialize_sequence(seq),

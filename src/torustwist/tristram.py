@@ -108,7 +108,7 @@ def _require_prime(d: int):
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
     """Exact Hermitian form H = C0 + z C1 + conj(z) C2 over Z[z], with
-    z = exp(2*pi*i*a/d) and a = [d/2].
+    z = exp(2*pi*i*a/d) and a = [d/2], for a prime d.
 
     coeffs has shape (dimension, dimension, k), 1 <= k <= 3, and
     coeffs[:, :, s] is the integer slice C_s; missing slices are zero.  H is
@@ -123,6 +123,7 @@ class HermitianForm:
     source: tuple = None
 
     def __post_init__(self):
+        _require_prime(self.d)
         n = self.dimension
         shape = np.shape(self.coeffs)
         if len(shape) != 3 or shape[:2] != (n, n) or not 1 <= shape[2] <= 3:
@@ -137,7 +138,6 @@ class HermitianForm:
 def build_form(f: SeifertForm, d: int, source=None) -> HermitianForm:
     """H = (1-z)V + (1-conj(z))V^T at z = exp(2*pi*i*[d/2]/d), exactly, as
     the slices (V + V^T, -V, -V^T); at d = 2 it evaluates to 2(V + V^T)."""
-    _require_prime(d)
     v = f.matrix
     return HermitianForm(d, f.dimension, np.stack([v + v.T, -v, -v.T], axis=-1),
                          source)

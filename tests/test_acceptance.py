@@ -173,7 +173,7 @@ def test_criterion_09_sequence_dsl():
     text = path.read_text()
     seq = parse_sequence(text)
     ok = serialize_sequence(seq) == text
-    led = ledger_from_sequence(seq, symbolic_omega=True)
+    led = ledger_from_sequence(seq)
     ok = ok and led.sigma_m == 1 and led.xi_self_intersection == (42, 0, -1)
     corrupted = text.replace("T(5,3)", "T(5,4)")
     try:

@@ -237,13 +237,26 @@ def test_classify_bad_sequence_exit(tmp_path, capsys):
 @pytest.mark.parametrize("p, q, path, message", [
     (5, 8, "/nonexistent.seq", "No such file"),
     (9, 13, str(DATA / "t58_untwist.seq"), "starts at T(5,8), not at T(9,13)"),
-], ids=["missing-file", "other-knot"])
+    (5, 8, str(DATA), "Is a directory"),
+], ids=["missing-file", "other-knot", "directory"])
 def test_classify_checks_the_sequence_before_writing(capsys, fmt, p, q, path,
                                                      message):
     code, out, err = run(capsys, "classify", "-p", str(p), "-q", str(q),
                          "--sequence", path, "--format", fmt)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_an_oserror_writing_stdout_is_not_bad_input(monkeypatch):
+    # only OSErrors from reading the --sequence file mean exit 2
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["classify", "-p", "5", "-q", "8",
+              "--sequence", str(DATA / "t58_untwist.seq")])
 
 
 def test_tables_thm13(capsys):
@@ -317,6 +330,23 @@ def test_scan_json_roundtrip(capsys):
     assert again == out
     t58 = [r for r in payload["rows"] if (r["p"], r["q"]) == (5, 8)]
     assert t58 and t58[0]["verdict"] == "NotInT" and t58[0]["sigma"] == -20
+
+
+def test_scan_markdown_pins_the_normalized_sigma_of_a_mirror_row(capsys):
+    code, out, _ = run(capsys, "scan", "--p-min", "-5", "--p-max", "-5",
+                       "--q-min", "7", "--q-max", "9", "--format", "markdown")
+    assert code == 0
+    assert out == (
+        "| p | q | exceptional | verdict | survivors | sigma |\n"
+        "|---|---|-------------|---------|-----------|-------|\n"
+        "| -5 | 7 | false | Undecided | 1:6 | -16 |\n"
+        "| -5 | 8 | false | NotInT | - | -20 |\n"
+        "| -5 | 9 | true | TrivialOrExceptional | - | -24 |\n")
+    # sigma is the normalized knot's, T(5,8), not the mirror's
+    code, out, _ = run(capsys, "sigma", "-p", "-5", "-q", "8")
+    assert code == 0 and out == "20\n"
+    row = scan_rows((-5, -5), (8, 8))[0]
+    assert row["sigma"] == -20 == row["sigma_d_used"]["2"]
 
 
 def test_scan_csv_roundtrip():

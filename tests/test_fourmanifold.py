@@ -33,33 +33,32 @@ def t58_sequence():
 def test_ledger_even_gap_instance():
     # q = p + r with p = 2nr+1, at p=9, r=4, n=1
     seq = template_sequences(K(9, 13))[0]
-    led = ledger_from_sequence(seq, symbolic_omega=True)
+    led = ledger_from_sequence(seq)
     assert led.sigma_m == 0
     assert (led.b2_plus, led.b2_minus) == (2, 2)
     assert led.xi_self_intersection == (81 + 2 * 1 * 16, 0, -1)  # -w^2 + p^2 + 2nr^2
 
 
 def test_ledger_t58():
-    led = ledger_from_sequence(t58_sequence(), symbolic_omega=True)
+    led = ledger_from_sequence(t58_sequence())
     assert led.sigma_m == 1
     assert (led.b2_plus, led.b2_minus) == (3, 2)
     assert led.xi_self_intersection == (25 + 25 - 8, 0, -1)
 
 
 def test_ledger_empty_sequence():
+    # only the hypothesized symbolic move: one -CP^2 carrying w
     seq = TwistSequence(K(1, 1), ())
-    led = ledger_from_sequence(seq, symbolic_omega=False)
-    assert led.sigma_m == 0
-    assert (led.b2_plus, led.b2_minus) == (0, 0)
-    assert led.xi_self_intersection == (0, 0, 0)
+    led = ledger_from_sequence(seq)
+    assert led.sigma_m == -1
+    assert (led.b2_plus, led.b2_minus) == (0, 1)
+    assert led.xi_self_intersection == (0, 0, -1)
 
 
 def test_ledger_requires_closure():
     seq = TwistSequence(K(5, 8), (TwistStep(TwistMove(-1, 5), K(5, 3)),))
     with pytest.raises(SequenceSemanticError):
-        ledger_from_sequence(seq, symbolic_omega=True)
-    with pytest.raises(SequenceSemanticError):
-        ledger_from_sequence(t58_sequence(), symbolic_omega=False)
+        ledger_from_sequence(seq)
 
 
 def test_ledger_additive_over_concatenation():
@@ -81,10 +80,18 @@ def test_ledger_additive_over_concatenation():
 
 def test_characteristic_parity():
     led = ledger_from_sequence(template_sequences(K(9, 13))[0])
-    assert characteristic_check(led, "odd")
-    assert not characteristic_check(led, "even")
+    assert characteristic_check(led)
     t58 = ledger_from_sequence(t58_sequence())
-    assert characteristic_check(t58, "odd")
+    assert characteristic_check(t58)
+    # at odd w, m*w + c has the parity of m + c
+    from torustwist import FourManifoldLedger
+    for summand in (Summand(MINUS_CP2, (LinCoef(1, 1),)),
+                    Summand(PLUS_CP2, (LinCoef(0, 4),)),
+                    Summand(S2XS2, (LinCoef(0, 4), LinCoef(2, 1)))):
+        assert not characteristic_check(FourManifoldLedger((summand,)))
+    assert characteristic_check(FourManifoldLedger(
+        (Summand(PLUS_CP2, (LinCoef(2, 1),)),
+         Summand(S2XS2, (LinCoef(1, 1), LinCoef(0, -6))))))
 
 
 def test_kikuchi_t58():
@@ -277,8 +284,7 @@ def test_templates_validate_and_close():
                     cases.append(K(p, q))
     for k in cases:
         for seq in template_sequences(k):
-            validate_sequence(seq)  # raises on any broken step
-            assert seq.final.is_trivial
+            validate_sequence(seq)  # raises on any broken step or no closure
 
 
 def test_t58_template_matches_golden_sequence():

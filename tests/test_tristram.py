@@ -58,6 +58,16 @@ def test_build_form_rejects_composite():
     f = seifert_matrix(torus_braid(2, 3))
     with pytest.raises(DomainError):
         build_form(f, 4)
+
+
+@pytest.mark.parametrize("d", [1, 4, 9, 15])
+def test_sourceless_form_rejects_non_prime_d(d):
+    # z = exp(2*pi*i*[d/2]/d) has order d only for prime d, and the exact
+    # nullity works over 1 + x + ... + x^(d-1), which is cyclotomic only then
+    coeffs = np.zeros((2, 2, 3), dtype=np.int64)
+    coeffs[0, 0, 0] = coeffs[1, 1, 0] = 1
+    with pytest.raises(DomainError, match="need a prime"):
+        HermitianForm(d, 2, coeffs)
     with pytest.raises(DomainError):
         tristram_sigma(K(2, 5), 6)
 
