@@ -25,8 +25,10 @@ u = 2^-53, with generous slack factors; radius overestimation only costs an
 occasional escalation, never soundness.  If it cannot separate the
 intervals, the mpmath rungs follow at 128, 256, ... bits up to a cap:
 mp.eighe at that precision, then an exact integer congruence (see
-`inertia_mp`) with no rounding model at all.  Exhausting the cap raises,
-never guesses.
+`inertia_mp`) with no rounding model at all.  Each rung takes H from its
+caller as an enclosure: an MRMatrix in doubles, and at `prec` bits integer
+matrices cr, ci, rad with |2^prec H - (cr + i ci)| <= rad entrywise, built
+only when that rung runs.  Exhausting the cap raises, never guesses.
 """
 
 from dataclasses import dataclass
@@ -164,61 +166,45 @@ def inertia_via_congruence(h: MRMatrix, nullity: int):
 # ---------------------------------------------------------------------------
 
 
-def inertia_mp(entry_interval_fn, n, prec, nullity):
+def inertia_mp(enclosure_fn, n, prec, nullity):
     """Certification at `prec` bits: an mpmath eigenbasis, checked exactly.
 
-    entry_interval_fn(i, j) must return the exact entry H[i,j] as a pair of
-    mpmath.iv real intervals (re, im), evaluated inside the iv context that
-    is active when it is called.  mp.eighe diagonalizes the midpoint matrix
-    at `prec` bits; its eigenvector matrix, scaled by 2^prec and rounded, is
-    an integer matrix G.  The entries of 2^prec * H are enclosed by integer
-    intervals C +- R (exact floor and ceiling of the scaled endpoints), so
-    M = G* (2^prec H) G lies entrywise within G* C G +- |G|^T R |G|, where
-    |G| is bounded by |Re G| + |Im G|.  Both products are integer matmuls
-    over Python ints, so the Gershgorin intervals of M are exact integers
-    (an off-diagonal modulus is bounded by isqrt(re^2 + im^2) + 1) and no
-    rounding model is involved.  Any integer G is allowed: G is the
-    congruence itself, and by the argument in the module docstring it needs
-    no invertibility check.  Returns None if unresolved.
+    enclosure_fn(prec) must return n x n object arrays (cr, ci, rad) of
+    Python ints with |2^prec H - (cr + i ci)| <= rad entrywise.  mp.eighe
+    diagonalizes the midpoint 2^-prec (cr + i ci) at `prec` bits; its
+    eigenvector matrix, scaled by 2^prec and rounded, is an integer matrix
+    G.  With C = cr + i ci and R = rad, M = G* (2^prec H) G lies entrywise
+    within G* C G +- |G|^T R |G|, where |G| is bounded by |Re G| + |Im G|.
+    Both products are integer matmuls over Python ints, so the Gershgorin
+    intervals of M are exact integers (an off-diagonal modulus is bounded
+    by isqrt(re^2 + im^2) + 1) and no rounding model is involved.  Any
+    integer G is allowed: G is the congruence itself, and by the argument
+    in the module docstring it needs no invertibility check.  Returns None
+    if unresolved.
     """
-    from mpmath import iv, mp
+    from mpmath import mp
     from mpmath.libmp import mpf_shift, to_int
 
-    old_iv, old_mp = iv.prec, mp.prec
-    iv.prec = prec
-    mp.prec = prec
-    try:
-        H = [entry_interval_fn(i, j) for i in range(n) for j in range(n)]
+    cr, ci, rad = enclosure_fn(prec)
+    with mp.workprec(prec):
         Hmid = mp.matrix(n, n)
         for i in range(n):
             for j in range(n):
-                re, im = H[i * n + j]
-                Hmid[i, j] = mp.mpc(re.mid, im.mid)
+                Hmid[i, j] = mp.mpc(mp.ldexp(cr[i, j], -prec),
+                                    mp.ldexp(ci[i, j], -prec))
         try:
             _, Q = mp.eighe(Hmid)
         except Exception:
             return None
-    finally:
-        iv.prec = old_iv
-        mp.prec = old_mp
 
-    def scaled(x, rounding):
-        return to_int(mpf_shift(x, prec), rounding)
+    def scaled(x):
+        return to_int(mpf_shift(x, prec), "n")
 
-    cr, ci, rad = [], [], []
-    for part in H:
-        (rlo, rhi), (ilo, ihi) = (x._mpi_ for x in part)
-        rlo, rhi = scaled(rlo, "f"), scaled(rhi, "c")
-        ilo, ihi = scaled(ilo, "f"), scaled(ihi, "c")
-        cr.append((rlo + rhi) >> 1)
-        ci.append((ilo + ihi) >> 1)
-        rad.append(rhi - cr[-1] + ihi - ci[-1])
     qs = [Q[i, j] for i in range(n) for j in range(n)]
-    gr = [scaled(z.real._mpf_, "n") for z in qs]
-    gi = [scaled(z.imag._mpf_, "n") for z in qs]
+    gr = [scaled(z.real._mpf_) for z in qs]
+    gi = [scaled(z.imag._mpf_) for z in qs]
     # Python ints in object arrays: the matmuls below are exact
-    cr, ci, rad, gr, gi = (np.array(v, dtype=object).reshape(n, n)
-                           for v in (cr, ci, rad, gr, gi))
+    gr, gi = (np.array(v, dtype=object).reshape(n, n) for v in (gr, gi))
 
     # P = G* C G, with W = C G; entries as (re, im) integer matrices
     wr = cr @ gr - ci @ gi
@@ -238,12 +224,14 @@ def inertia_mp(entry_interval_fn, n, prec, nullity):
     return _merge_and_count(lows, highs, nullity)
 
 
-def certified_inertia(float_enclosure_fn, mp_entry_fn, n, nullity):
+def certified_inertia(float_enclosure_fn, mp_enclosure_fn, n, nullity):
     """Run the ladder: double precision, then mpmath at 128, 256, ... bits
     up to PRECISION_CAP.
 
-    float_enclosure_fn() -> MRMatrix; mp_entry_fn(i, j) -> (re, im) iv pair.
-    Raises UndecidedSignError when the cap is exhausted.
+    float_enclosure_fn() -> MRMatrix; mp_enclosure_fn(prec) -> (cr, ci, rad),
+    the integer enclosure of 2^prec H that `inertia_mp` reads, built only
+    when a precision rung runs.  Raises UndecidedSignError when the cap is
+    exhausted.
     """
     res = inertia_via_congruence(float_enclosure_fn(), nullity)
     if res is not None:
@@ -251,7 +239,7 @@ def certified_inertia(float_enclosure_fn, mp_entry_fn, n, nullity):
     cap = PRECISION_CAP
     prec = 128
     while prec <= cap:
-        res = inertia_mp(mp_entry_fn, n, prec, nullity)
+        res = inertia_mp(mp_enclosure_fn, n, prec, nullity)
         if res is not None:
             return res
         prec *= 2

@@ -253,13 +253,15 @@ def _scan_row(pair):
 def scan_rows(p_range, q_range, jobs=1):
     """Classify every coprime pair in the box; rows sorted by (p, q), and
     identical for every parallelism degree.  At most min(jobs, CPU count,
-    number of pairs) worker processes are started.  A box with a bound
-    above MAX_Q in absolute value, or with more than MAX_SCAN_CELLS cells,
-    is rejected before any pair is listed, so every pair classified has
-    normalized q <= MAX_Q.  The genus cutoffs of the box's nontrivial
+    number of pairs) worker processes are started.  Jobs below 1, or a box
+    with a bound above MAX_Q in absolute value or with more than
+    MAX_SCAN_CELLS cells, is rejected before any pair is listed, so every
+    pair classified has normalized q <= MAX_Q.  The genus cutoffs of the box's nontrivial
     knots may sum to at most MAX_TABLE_OMEGAS; the pairs are listed up to
     the first that passes it, and then the box is rejected before any
     classify."""
+    if jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {jobs}")
     if max(map(abs, (*p_range, *q_range))) > MAX_Q:
         raise DomainError(f"scan box {list(p_range)} x {list(q_range)} "
                           f"exceeds MAX_Q = {MAX_Q}")

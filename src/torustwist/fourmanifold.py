@@ -182,8 +182,6 @@ def ledger_from_sequence(seq: TwistSequence) -> FourManifoldLedger:
     validate_sequence(seq)
     summands = [Summand(MINUS_CP2, (LinCoef(1, 0),))]
     for move in seq.moves:
-        if not move.is_supported:
-            raise UnsupportedTwistError(f"move {move} has no summand")
         if abs(move.n) == 1:
             kind = MINUS_CP2 if move.n == 1 else PLUS_CP2
             summands.append(Summand(kind, (LinCoef(0, move.omega),)))

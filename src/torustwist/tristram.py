@@ -14,7 +14,11 @@ d.  That arithmetic fact certifies the nullity; a form without a torus
 knot source gets its nullity from one exact rational rank (`cyclotomic`).
 The remaining eigenvalue signs are certified by `certify`: interval
 arithmetic in doubles, then exact integer congruences at rising mpmath
-precision until every sign resolves or a cap is hit.
+precision until every sign resolves or a cap is hit.  z is evaluated only
+in `_root_bounds`, as integer bounds on 2^bits cos(t) and 2^bits sin(t),
+t = 2*pi*a/d: the double rung rounds the 80-bit bounds outward, and each
+precision rung encloses 2^prec H entrywise by integers, from
+H = C0 + cos(t) (C1 + C2) + i sin(t) (C1 - C2).
 
 For torus knots there is also an exact integer fast path (Litherland,
 "Signatures of iterated torus knots", LNM 722, 1979): writing
@@ -143,13 +147,23 @@ def build_form(f: SeifertForm, d: int, source=None) -> HermitianForm:
                          source)
 
 
-def _double_enclosure(val):
-    """(midpoint, radius) of a double-precision disk around an mpmath
-    interval, with its endpoints rounded outward."""
-    lo = nextafter(float(val.a), -inf)
-    hi = nextafter(float(val.b), inf)
-    mid = 0.5 * (lo + hi)
-    return mid, max(hi - mid, mid - lo) * (1 + 2 ** -50)
+@lru_cache(maxsize=None)
+def _root_bounds(d: int, bits: int):
+    """Integer enclosures ((c_lo, c_hi), (s_lo, s_hi)) of 2^bits cos(t) and
+    2^bits sin(t), t = 2*pi*a/d: exact floor and ceiling of an interval
+    evaluation with guard bits.  The one place where z is evaluated."""
+    from mpmath import iv
+    from mpmath.libmp import mpf_shift, to_int
+
+    old = iv.prec
+    iv.prec = bits + 10
+    try:
+        t = 2 * iv.pi * (d // 2) / d
+        return tuple((to_int(mpf_shift(lo, bits), "f"),
+                      to_int(mpf_shift(hi, bits), "c"))
+                     for lo, hi in (iv.cos(t)._mpi_, iv.sin(t)._mpi_))
+    finally:
+        iv.prec = old
 
 
 @lru_cache(maxsize=None)
@@ -157,25 +171,18 @@ def _root_enclosures(d: int):
     """Outward double enclosures of 1, z and conj(z), as (midpoints,
     radii).  The midpoints are real at d = 2, where z = conj(z) = -1
     exactly, so forms at d = 2 stay in real arithmetic."""
-    from mpmath import iv
-
     if d == 2:
         return np.array([1.0, -1.0, -1.0]), np.zeros(3)
-    old = iv.prec
-    iv.prec = 80
-    try:
-        mid = np.ones(3, dtype=np.complex128)
-        rad = np.zeros(3)
-        # z = zeta^a and conj(z) = zeta^(d-a), zeta = exp(2*pi*i/d)
-        for s, k in ((1, d // 2), (2, d - d // 2)):
-            ang = 2 * iv.pi * k / d
-            cos_mid, cos_rad = _double_enclosure(iv.cos(ang))
-            sin_mid, sin_rad = _double_enclosure(iv.sin(ang))
-            mid[s] = complex(cos_mid, sin_mid)
-            rad[s] = cos_rad + sin_rad
-        return mid, rad
-    finally:
-        iv.prec = old
+    parts = []
+    for lo, hi in _root_bounds(d, 80):
+        lo = nextafter(lo * 2.0 ** -80, -inf)
+        hi = nextafter(hi * 2.0 ** -80, inf)
+        mid = 0.5 * (lo + hi)
+        parts.append((mid, max(hi - mid, mid - lo) * (1 + 2 ** -50)))
+    (cos_mid, cos_rad), (sin_mid, sin_rad) = parts
+    mid = np.array([1, complex(cos_mid, sin_mid), complex(cos_mid, -sin_mid)])
+    rad = np.array([0.0, cos_rad + sin_rad, cos_rad + sin_rad])
+    return mid, rad
 
 
 def _float_enclosure(h: HermitianForm) -> MRMatrix:
@@ -195,31 +202,20 @@ def _float_enclosure(h: HermitianForm) -> MRMatrix:
     return MRMatrix(np.einsum("ijk,k->ij", h.coeffs, mid), radius)
 
 
-def _mp_entry_fn(h: HermitianForm):
-    """entry(i, j) -> (re, im) iv enclosure of H[i, j] at the active iv
-    precision; z is enclosed once per precision."""
-    from mpmath import iv
-
-    roots = {}
-
-    def root_intervals():
-        if iv.prec not in roots:
-            t = 2 * iv.pi * h.a / h.d
-            cos_z, sin_z = iv.cos(t), iv.sin(t)
-            roots[iv.prec] = [(iv.mpf(1), iv.mpf(0)), (cos_z, sin_z),
-                              (cos_z, -sin_z)]
-        return roots[iv.prec]
-
-    def entry(i, j):
-        re = iv.mpf(0)
-        im = iv.mpf(0)
-        for c, (cos_k, sin_k) in zip(h.coeffs[i, j].tolist(), root_intervals()):
-            if c:
-                re += c * cos_k
-                im += c * sin_k
-        return re, im
-
-    return entry
+def _mp_enclosure(h: HermitianForm, prec: int):
+    """(cr, ci, rad), object arrays of Python ints with
+    |2^prec H - (cr + i ci)| <= rad entrywise, from
+    H = C0 + cos(t) (C1 + C2) + i sin(t) (C1 - C2) and `_root_bounds`."""
+    n, _, k = h.coeffs.shape
+    c = np.zeros((n, n, 3), dtype=object)
+    c[:, :, :k] = h.coeffs
+    re, im = c[:, :, 1] + c[:, :, 2], c[:, :, 1] - c[:, :, 2]
+    (c_lo, c_hi), (s_lo, s_hi) = _root_bounds(h.d, prec)
+    c_mid, s_mid = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
+    cr = (c[:, :, 0] << prec) + re * c_mid
+    ci = im * s_mid
+    rad = np.abs(re) * (c_hi - c_mid) + np.abs(im) * (s_hi - s_mid)
+    return cr, ci, rad
 
 
 def _nullity(h: HermitianForm) -> int:
@@ -229,10 +225,9 @@ def _nullity(h: HermitianForm) -> int:
         # is a pq-th root of unity whose order divides neither p nor q, so
         # its order has prime factors from both p and q and is composite.
         # Hence H(z) is nonsingular.
-        if gcd(p, q) != 1 or not is_prime(h.d):
+        if gcd(p, q) != 1:
             raise InternalCheckError(
-                f"nullity certificate needs coprime (p,q) and prime d, "
-                f"got ({p},{q}), d={h.d}")
+                f"nullity certificate needs coprime (p,q), got ({p},{q})")
         return 0
     return cyclotomic.hermitian_nullity_exact(h.coeffs, h.d)
 
@@ -240,7 +235,8 @@ def _nullity(h: HermitianForm) -> int:
 def inertia(h: HermitianForm) -> Inertia:
     """Certified inertia (n_plus, n_zero, n_minus) of the form."""
     z = _nullity(h)
-    return certified_inertia(lambda: _float_enclosure(h), _mp_entry_fn(h),
+    return certified_inertia(lambda: _float_enclosure(h),
+                             lambda prec: _mp_enclosure(h, prec),
                              h.dimension, z)
 
 

@@ -377,6 +377,19 @@ def test_scan_parallel_matches_serial():
     assert render_scan_csv(a) == render_scan_csv(b)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_scan_rejects_jobs_below_one_before_listing_pairs(capsys, monkeypatch,
+                                                          jobs):
+    def list_nothing(p_range, q_range):
+        raise AssertionError("listed pairs")
+
+    monkeypatch.setattr(cli, "_scan_pairs", list_nothing)
+    code, out, err = run(capsys, "scan", "--p-min", "2", "--p-max", "9",
+                         "--q-min", "3", "--q-max", "12", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert f"--jobs must be at least 1, got {jobs}" in err
+
+
 def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch):
     seen = []
 

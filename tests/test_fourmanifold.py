@@ -61,6 +61,16 @@ def test_ledger_requires_closure():
         ledger_from_sequence(seq)
 
 
+def test_ledger_rejects_an_unsupported_move_by_validation():
+    # an odd twist count beyond 1 has no summand; validation rejects it
+    # before the ledger loop reaches it
+    move = TwistMove(3, 5)
+    assert not move.is_supported
+    seq = TwistSequence(K(5, 8), (TwistStep(move, K(5, 83)),))
+    with pytest.raises(SequenceSemanticError, match="no homological summand"):
+        ledger_from_sequence(seq)
+
+
 def test_ledger_additive_over_concatenation():
     from torustwist import FourManifoldLedger
     l1 = ledger_from_sequence(t58_sequence())

@@ -100,6 +100,47 @@ def test_float_enclosure_contains_every_exact_entry():
                         assert gap <= enc.rad[i, j], (p, q, d, i, j)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 43, 97])
+def test_root_bounds_enclose_cos_and_sin(d):
+    from mpmath import mp
+
+    with mp.workprec(200):
+        t = 2 * mp.pi * (d // 2) / d
+        for bits in (53, 80, 128):
+            # 200-bit values are within 2^(bits - 190) of the true ones
+            slack = mp.ldexp(1, bits - 190)
+            for (lo, hi), f in zip(tristram._root_bounds(d, bits),
+                                   (mp.cos, mp.sin)):
+                x = mp.ldexp(f(t), bits)
+                assert lo <= x + slack and x - slack <= hi, (d, bits, f)
+                assert hi - lo <= 2, (d, bits, f)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_mp_enclosure_contains_every_exact_entry(k):
+    # 2-slice forms here are (V + V^T, -V): not Hermitian, but the
+    # enclosure of C0 + z C1 + conj(z) C2 holds for any integer slices
+    from mpmath import mp
+
+    for p, q in [(2, 5), (3, 7), (4, 5)]:
+        f = seifert_matrix(torus_braid(p, q))
+        for d in (2, 3, 5, 7, 43):
+            coeffs = build_form(f, d).coeffs[:, :, :k]
+            h = HermitianForm(d, f.dimension, coeffs, source=(p, q))
+            for prec in (53, 128, 256):
+                cr, ci, rad = tristram._mp_enclosure(h, prec)
+                with mp.workprec(prec + 200):
+                    z = mp.expj(2 * mp.pi * h.a / d)
+                    roots = (1, z, mp.conj(z))
+                    for i in range(h.dimension):
+                        for j in range(h.dimension):
+                            exact = sum(int(c) * r
+                                        for c, r in zip(coeffs[i, j], roots))
+                            gap = abs(exact * 2 ** prec
+                                      - mp.mpc(cr[i, j], ci[i, j]))
+                            assert gap <= rad[i, j], (p, q, d, prec, i, j)
+
+
 # torus form slices do not depend on d, and every torus form is
 # nonsingular at every prime d
 _TORUS_SLICES = [build_form(seifert_matrix(torus_braid(p, q)), 2).coeffs
@@ -218,8 +259,18 @@ def _fixture(k, seed=5):
 
 
 def _mp_rung(h, prec, nullity=0):
-    return certify.inertia_mp(tristram._mp_entry_fn(h), h.dimension, prec,
-                              nullity)
+    return certify.inertia_mp(lambda bits: tristram._mp_enclosure(h, bits),
+                              h.dimension, prec, nullity)
+
+
+def _integer_enclosure(cr, ci=None, rad=None):
+    """enclosure_fn(prec) for inertia_mp: the given integer matrices
+    (cr, ci, rad) of 2^prec H, with ci and rad zero when not given."""
+    cr = np.array(cr, dtype=object)
+    zero = np.zeros(cr.shape, dtype=object)
+    ci = zero if ci is None else np.array(ci, dtype=object)
+    rad = zero if rad is None else np.array(rad, dtype=object)
+    return lambda prec: (cr, ci, rad)
 
 
 def test_mp_rung_resolves_fixtures_at_128_bits():
@@ -267,18 +318,19 @@ def test_mp_rung_leaves_the_2_27_fixture_unresolved_below_128_bits():
 
 
 def test_mp_rung_honours_the_entry_radius():
-    from mpmath import iv
+    prec = 128
+    one = 1 << prec
 
     def off_diagonal_in(lo, hi):
-        # [[1, x], [x, 1]] for every x in [lo, hi]
-        def entry(i, j):
-            return (iv.mpf(1) if i == j else iv.mpf([lo, hi])), iv.mpf(0)
-        return entry
+        # [[1, x], [x, 1]] for every x in [lo, hi] / 10, scaled by 2^prec
+        mid, rad = (lo + hi) * one // 20, (hi - lo) * one // 20
+        return _integer_enclosure([[one, mid], [mid, one]],
+                                  rad=[[0, rad], [rad, 0]])
 
-    res = certify.inertia_mp(off_diagonal_in(0.2, 0.6), 2, 128, 0)
+    res = certify.inertia_mp(off_diagonal_in(2, 6), 2, prec, 0)
     assert (res.n_plus, res.n_zero, res.n_minus) == (2, 0, 0)
     # the midpoint 0.8 is positive definite, x = 1.4 is not
-    assert certify.inertia_mp(off_diagonal_in(0.2, 1.4), 2, 128, 0) is None
+    assert certify.inertia_mp(off_diagonal_in(2, 14), 2, prec, 0) is None
 
 
 def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
@@ -289,17 +341,13 @@ def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
     # floors sum to 20, so at c0 = 21 the row's edge lies within n = 3
     # units of zero, and only the +1 on each floored modulus keeps the row
     # from being counted positive.  Any G is a valid congruence.
-    from mpmath import iv, mp
+    from mpmath import mp
 
     prec = 128
 
     def form(c0):
-        c = [[c0, 7 + 8j, 3 + 10j], [7 - 8j, 100, 0], [3 - 10j, 0, 100]]
-
-        def entry(i, j):
-            z = complex(c[i][j]) * 2.0 ** -prec   # exact in a double
-            return iv.mpf(z.real), iv.mpf(z.imag)
-        return entry
+        return _integer_enclosure([[c0, 7, 3], [7, 100, 0], [3, 0, 100]],
+                                  [[0, 8, 10], [-8, 0, 0], [-10, 0, 0]])
 
     real = certify.inertia_mp(form(21), 3, prec, 0)
     assert (real.n_plus, real.n_zero, real.n_minus) == (3, 0, 0)
