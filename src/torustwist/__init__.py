@@ -29,7 +29,8 @@ from .obstruction import (CandidateTwist, ObstructionCertificate,
 from .seifert import (BraidWord, SeifertForm, genus_from_form, seifert_matrix,
                       torus_braid)
 from .tristram import (HermitianForm, build_form, inertia, prop35_bound_check,
-                       sigma_d, sigma_d_counting, tristram_sigma)
+                       sigma_d, sigma_d_counting, sigma_d_sweep,
+                       tristram_sigma)
 
 __version__ = "0.1.0"
 
@@ -41,7 +42,7 @@ __all__ = [
     "BraidWord", "SeifertForm", "torus_braid", "seifert_matrix",
     "genus_from_form",
     "HermitianForm", "Inertia", "build_form", "inertia", "tristram_sigma",
-    "sigma_d", "sigma_d_counting", "prop35_bound_check",
+    "sigma_d", "sigma_d_counting", "sigma_d_sweep", "prop35_bound_check",
     "Summand", "FourManifoldLedger", "TwistSequence", "KikuchiResult",
     "ledger_from_sequence", "characteristic_check", "kikuchi_eliminate",
     "gilmer_viro_check", "parse_sequence", "serialize_sequence",

@@ -36,7 +36,7 @@ from .fourmanifold import (kikuchi_eliminate, ledger_from_sequence,
                            serialize_sequence, template_sequences)
 # classify does not call prime_divisors; it is imported so that
 # perfbench/spans.py, which traces obstruction.prime_divisors by name, finds it
-from .tristram import prime_divisors, primes_upto, sigma_d  # noqa: F401
+from .tristram import prime_divisors, sigma_d, sigma_d_sweep  # noqa: F401
 
 SCHEMA = "torustwist-certificate/1"
 # the schema's name for the one sigma_d route, the counting kernel; every
@@ -207,10 +207,10 @@ def condition_iv_check(p: int, q: int, omega: int, d: int,
 def classify(k: TorusKnotParams) -> ObstructionCertificate:
     """Decide TrivialOrExceptional / NotInT / Undecided for one knot.
 
-    Every sigma_d comes from the integer counting kernel
-    (tristram.sigma_d_counting), which the test suite cross-validates
-    against the certified Hermitian route; the certificate records it as
-    sigma_method SIGMA_METHOD.
+    Every sigma_d comes from one tristram.sigma_d_sweep over the primes up
+    to the genus cutoff: the integer window count at each, which the test
+    suite cross-validates against the certified Hermitian route; the
+    certificate records it as sigma_method SIGMA_METHOD.
     """
     nk, mirror = normalize(k)
     check_max_q(k, nk)
@@ -244,12 +244,9 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     # 2 only if some even w lies above p, since condition (iii) alone
     # eliminates the even w <= p.
     top = genus_cutoff(p, q)
-    primes = primes_upto(top)
-    if top // 2 <= p // 2:
-        primes = primes[1:]
-    sigma_inputs = {d: sigma_d(nk, d) for d in primes}
+    sigma_inputs = sigma_d_sweep(nk, top, 2 if top // 2 > p // 2 else 3)
     reasons = [None] * (top + 1)
-    for d in reversed(primes):
+    for d in reversed(sigma_inputs):
         kept = [(d * k, reasons[d * k])
                 for k in condition_iv_multipliers(d, sigma_inputs[d])
                 if 0 < d * k <= top]
@@ -393,8 +390,9 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
     return "".join(out)
 
 
-def _fields_around_eliminations(cert: ObstructionCertificate):
-    """The certificate's JSON fields before and after "eliminations"."""
+def _fields_around_lists(cert: ObstructionCertificate):
+    """The certificate's JSON fields before "eliminations" and after
+    "sigma_inputs"."""
     head = {
         "schema": SCHEMA,
         "knot": [cert.knot.p, cert.knot.q],
@@ -406,8 +404,6 @@ def _fields_around_eliminations(cert: ObstructionCertificate):
         "verdict": cert.verdict,
     }
     tail = {
-        "survivors": [[s.n, s.omega] for s in cert.survivors],
-        "sigma_inputs": {str(d): v for d, v in sorted(cert.sigma_inputs.items())},
         "templates": [{
             "label": t.label, "sigma_m": t.sigma_m, "b2_plus": t.b2_plus,
             "b2_minus": t.b2_minus, "xi_constant": t.xi_constant,
@@ -423,22 +419,33 @@ def _fields_around_eliminations(cert: ObstructionCertificate):
 def certificate_to_dict(cert: ObstructionCertificate) -> dict:
     """The certificate as plain JSON data; json.dumps of it with indent=2 is
     the reference that certificate_to_json is tested against."""
-    head, tail = _fields_around_eliminations(cert)
+    head, tail = _fields_around_lists(cert)
     return {**head,
             "eliminations": [[e.omega, e.reason] for e in cert.eliminations],
+            "survivors": [[s.n, s.omega] for s in cert.survivors],
+            "sigma_inputs": {str(d): v for d, v in
+                             sorted(cert.sigma_inputs.items())},
             **tail}
+
+
+def _json_block(items: list, brackets: str) -> str:
+    """A JSON array or object ("[]" or "{}") one level into the
+    certificate, as json.dumps(indent=2) writes it, from its items' text."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n  {brackets[1]}"
 
 
 def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str:
     """json.dumps(certificate_to_dict(cert) | extra, indent=2) + "\n".
 
-    The eliminations list every w in [2, q-1], and indent=2 runs the pure
-    Python encoder, so that array is written from one template per
-    explicit item instead, with each distinct reason encoded once by the
-    string encoder that json.dumps(str) itself calls, and the genus tail
-    in decimal blocks (_tail_parts).
+    indent=2 runs the pure Python encoder, so the integer lists and the
+    sigma_inputs object are written from one template per item instead.
+    The eliminations list every w in [2, q-1]: each distinct reason is
+    encoded once by the string encoder that json.dumps(str) itself calls,
+    and the genus tail is written in decimal blocks (_tail_parts).
     """
-    head, tail = _fields_around_eliminations(cert)
+    head, tail = _fields_around_lists(cert)
     if extra:
         tail.update(extra)
     elims = cert.eliminations
@@ -453,8 +460,14 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
         sep = f",\n      {genus}\n    ],\n    [\n      "
         array += [",\n" if elims.explicit else "", "    [\n      ",
                   *_tail_parts(elims.tail, sep), f",\n      {genus}\n    ]"]
-    # splice the array between the two objects (drop head's "\n}" and
+    survivors = _json_block([f"    [\n      {s.n},\n      {s.omega}\n    ]"
+                             for s in cert.survivors], "[]")
+    sigma_inputs = _json_block([f'    "{d}": {v}' for d, v in
+                                sorted(cert.sigma_inputs.items())], "{}")
+    # splice the lists between the two objects (drop head's "\n}" and
     # tail's "{\n") in one join, so that the O(q) tail text is copied once
     return "".join([json.dumps(head, indent=2)[:-2], ',\n  "eliminations": ',
                     "[\n" if elims else "[", *array, "\n  ]" if elims else "]",
+                    ',\n  "survivors": ', survivors,
+                    ',\n  "sigma_inputs": ', sigma_inputs,
                     ",\n", json.dumps(tail, indent=2)[2:], "\n"])

@@ -34,10 +34,12 @@ reproduces the half-turn lattice count at d = 2 and is validated against
 the Hermitian route across the whole test range; the Hermitian route stays
 authoritative.
 
-Every caller reaches the two routes through one dispatcher, `sigma_d`,
-which also checks the value's invariants in one place.
+Every caller reaches the two routes through one dispatcher, `sigma_d`;
+`sigma_d_sweep` takes the counting path at every prime up to a bound in
+one call.  Both check each value's invariants in one helper, `_checked`.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -287,8 +289,9 @@ def _lattice_hit(p: int, q: int, n: int) -> bool:
     return i + t * pg < p and j - t * qg > 0
 
 
-def sigma_d_counting(p: int, q: int, d: int) -> int:
-    """Exact integer fast path for sigma_d(T(p,q)), 0 < p < q coprime.
+def _window_count(p: int, q: int, d: int) -> int:
+    """sigma_d(T(p,q)) by the window count, for 0 < p < q coprime and a
+    prime d, which the callers check.
 
     With a = [d/2], the pairs (i,j) whose x = i/p + j/q lies outside the
     window (s, 1+s), s = a/d, number [q|ap - di|/(dp)] at each i: for
@@ -300,9 +303,6 @@ def sigma_d_counting(p: int, q: int, d: int) -> int:
     {a*pq, (d+a)*pq}; that is checked exactly (it never happens for prime d
     and coprime p, q) and raises InternalCheckError.  O(log q) steps.
     """
-    _require_prime(d)
-    if not 0 < p < q:
-        raise DomainError(f"need 0 < p < q, got ({p},{q})")
     a = d // 2
     for num in (a * p * q, (d + a) * p * q):
         if num % d == 0 and _lattice_hit(p, q, num // d):
@@ -314,8 +314,28 @@ def sigma_d_counting(p: int, q: int, d: int) -> int:
     return 2 * (lo + hi) - (p - 1) * (q - 1)
 
 
+def sigma_d_counting(p: int, q: int, d: int) -> int:
+    """Exact integer fast path for sigma_d(T(p,q)), 0 < p < q coprime and d
+    prime, else DomainError: the window count `_window_count`."""
+    _require_prime(d)
+    if not 0 < p < q:
+        raise DomainError(f"need 0 < p < q, got ({p},{q})")
+    return _window_count(p, q, d)
+
+
 # the O(pq) lattice enumeration the fast path is tested against
 _sigma_counting_brute = sigma_d_enumerated
+
+
+def _checked(nk: TorusKnotParams, d: int, s: int) -> int:
+    """s = sigma_d of the nontrivial normalized knot nk, if it is even and
+    at most -4 (T(2,3), at -2, excepted); else InternalCheckError."""
+    if s % 2 != 0:
+        raise InternalCheckError(f"sigma_{d}({nk}) = {s} is odd")
+    if s > -4 and (nk.p, nk.q) != (2, 3):
+        raise InternalCheckError(
+            f"sigma_{d}({nk}) = {s} violates the -4 bound")
+    return s
 
 
 def sigma_d(k: TorusKnotParams, d: int, method: str = "counting") -> int:
@@ -332,12 +352,25 @@ def sigma_d(k: TorusKnotParams, d: int, method: str = "counting") -> int:
         s = _sigma_hermitian(nk.p, nk.q, d)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if s % 2 != 0:
-        raise InternalCheckError(f"sigma_{d}({nk}) = {s} is odd")
-    if s > -4 and (nk.p, nk.q) != (2, 3):
-        raise InternalCheckError(
-            f"sigma_{d}({nk}) = {s} violates the -4 bound")
+    s = _checked(nk, d, s)
     return -s if mirror else s
+
+
+def sigma_d_sweep(k: TorusKnotParams, top: int, least: int = 2) -> dict:
+    """{d: sigma_d(k, d)} for every prime d in [least, top], ascending, on
+    the counting path, for a nontrivial knot (else DomainError).
+
+    The knot is normalized and its domain checked once, and the primes come
+    from one sieve, so each d costs one window count and the invariant
+    check of sigma_d."""
+    nk, mirror = normalize(k)
+    if nk.is_trivial:
+        raise DomainError(f"{k} is trivial")
+    p, q = nk.p, nk.q
+    primes = primes_upto(top)
+    out = {d: _checked(nk, d, _window_count(p, q, d))
+           for d in primes[bisect_left(primes, least):]}
+    return {d: -s for d, s in out.items()} if mirror else out
 
 
 def tristram_sigma(k: TorusKnotParams, d: int,

@@ -185,6 +185,10 @@ def _renderer_certs():
     assert certs[2].mirror and certs[3].mirror
     assert any(e.reason == REASON_KIKUCHI for e in certs[5].eliminations)
     assert any(n.startswith("omega=") for n in certs[-1].notes)
+    # sigma_inputs in non-ascending insertion order with a two-digit key:
+    # rendered in int order of d, not in str order
+    certs.append(dataclasses.replace(certs[5], sigma_inputs={
+        11: -60, 2: -10, 7: -40}))
     # a reason classify never emits and one that needs escaping, by hand
     certs.append(dataclasses.replace(certs[5], eliminations=Eliminations((
         Elimination(3, "characteristic-parity"),
@@ -344,6 +348,19 @@ def test_condition_iv_sieve_matches_the_per_omega_loop():
         with_two += two
         without_two += not two
     assert with_two > 0 and without_two > 0
+
+
+def test_classify_takes_its_primes_from_one_sieve(monkeypatch):
+    # no per-d primality test on classify's path: its sigma_d sweep takes
+    # the primes from its own sieve
+    k = K(101, 257)
+    want = certificate_to_json(classify(k))
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(tristram, "is_prime", refuse)
+    assert certificate_to_json(classify(k)) == want
 
 
 def test_templates_only_eliminate():

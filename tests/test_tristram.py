@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from torustwist import (DomainError, HermitianForm, TorusKnotParams,
                         build_form, inertia, prop35_bound_check,
                         seifert_matrix, sigma_closed, sigma_d,
-                        sigma_d_counting, sigma_oracle, torus_braid,
-                        tristram_sigma)
+                        sigma_d_counting, sigma_d_sweep, sigma_oracle,
+                        torus_braid, tristram_sigma)
 from torustwist import certify, cyclotomic, tristram
 from torustwist.errors import InternalCheckError, UndecidedSignError
+from torustwist.obstruction import genus_cutoff
 from torustwist.tristram import (_lattice_hit, _sigma_counting_brute, is_prime,
                                  prime_divisors, primes_upto,
                                  smallest_prime_factors)
@@ -474,14 +475,35 @@ def test_primes_upto_match_trial_division():
         assert primes_upto(n) == [d for d in range(n + 1) if is_prime(d)], n
 
 
+def test_sweep_matches_sigma_d_at_every_prime_up_to_the_cutoff():
+    for p, q in coprime_range(59, 60):
+        top = genus_cutoff(p, q)
+        primes = [d for d in range(2, top + 1) if is_prime(d)]
+        for k in (K(p, q), K(-p, q), K(q, p)):
+            want = {d: sigma_d(k, d) for d in primes}
+            got = sigma_d_sweep(k, top)
+            assert list(got.items()) == list(want.items()), k
+            assert sigma_d_sweep(k, top, 3) == {d: want[d] for d in primes
+                                                if d >= 3}, k
+    assert sigma_d_sweep(K(5, 7), 1) == {}
+    assert sigma_d_sweep(K(5, 7), 40, 41) == {}
+
+
+@pytest.mark.parametrize("k", [K(1, 7), K(-1, 7), K(7, 1), K(0, 1), K(1, 1)])
+def test_sweep_rejects_a_trivial_knot(k):
+    with pytest.raises(DomainError):
+        sigma_d_sweep(k, 10)
+
+
 def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
-    # -5 is odd; -2 is even but above the -4 bound, and T(5,7) is not T(2,3)
+    # -5 is odd; -2 is even but above the -4 bound, and T(5,7) is not T(2,3).
+    # sigma_d_counting and sigma_d_sweep (classify's route) both read the
+    # window count as the module global _window_count
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for bad in (-5, -2):
-        monkeypatch.setattr(tristram, "sigma_d_counting",
-                            lambda p, q, d: bad)
+        monkeypatch.setattr(tristram, "_window_count", lambda p, q, d: bad)
         with pytest.raises(InternalCheckError):
             tristram_sigma(K(5, 7), 3, method="counting")
         # the check must survive python -O, and the CLI maps it to exit 3
@@ -489,7 +511,7 @@ def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
             "import sys\n"
             "from torustwist import cli, tristram\n"
             "from torustwist.errors import InternalCheckError\n"
-            f"tristram.sigma_d_counting = lambda p, q, d: {bad}\n"
+            f"tristram._window_count = lambda p, q, d: {bad}\n"
             "try:\n"
             "    tristram.tristram_sigma(tristram.TorusKnotParams(5, 7), 3,\n"
             "                            method='counting')\n"
