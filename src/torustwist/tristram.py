@@ -26,8 +26,10 @@ x(i,j) = i/p + j/q over 0 < i < p, 0 < j < q and s = a/d, the form's
 eigenvalue on the (i,j) monodromy line is negative exactly when
 s < x(i,j) < 1 + s, positive otherwise, and never zero for prime d.  For
 each i the positive j number [q|ap - di|/(dp)], so the count splits into
-two floor sums over the i-ranges on either side of i = ap/d, each
-evaluated in O(log) steps by the Euclid-like `floor_sum` recursion.  A
+two floor sums over the i-ranges on either side of i = ap/d.  Only the
+first is evaluated, in O(log) steps by the Euclid-like `floor_sum`
+recursion: the sum over all i is a complete residue sum that Hermite's
+identity closes in O(1), so the second follows from the first.  A
 point on the window boundary would be a solution of iq + jp = N in the
 box, which one modular inverse decides, also in O(log) steps.  The path
 reproduces the half-turn lattice count at d = 2 and is validated against
@@ -293,15 +295,28 @@ def _window_count(p: int, q: int, d: int) -> int:
     """sigma_d(T(p,q)) by the window count, for 0 < p < q coprime and a
     prime d, which the callers check.
 
-    With a = [d/2], the pairs (i,j) whose x = i/p + j/q lies outside the
-    window (s, 1+s), s = a/d, number [q|ap - di|/(dp)] at each i: for
-    i <= m = [(ap-1)/d] they are the j with x < s, and for i > m the j with
-    x > 1+s, whose bound q + q(ap - di)/(dp) is q plus a nonpositive number.
-    Neither range needs clamping, so the positive count is two floor sums,
-    and sigma_d = 2 * positive - (p-1)(q-1).  The count holds only if no
-    lattice point lies on the window boundary d(iq + jp) in
-    {a*pq, (d+a)*pq}; that is checked exactly (it never happens for prime d
-    and coprime p, q) and raises InternalCheckError.  O(log q) steps.
+    With a = [d/2] and t_i = q(ap - di)/(dp), the pairs (i,j) whose
+    x = i/p + j/q lies outside the window (s, 1+s), s = a/d, number
+    [|t_i|] at each i: for i <= m = [(ap-1)/d] they are the j with x < s,
+    and for i > m the j with x > 1+s, whose bound q - t_i is q plus a
+    nonpositive number.  Neither range needs clamping, so the positive
+    count is lo + hi, lo = sum_{i<=m} [t_i] (one `floor_sum`) and
+    hi = sum_{i>m} [-t_i].  hi follows from lo in O(1):
+      - [-t] = -[t] - 1 + [t in Z], and for i > m, t_i is an integer only
+        at i = ap/d, which is an integer iff d | p.  This uses that d is
+        prime; for a prime power d it must be re-derived.
+      - S = sum_{i=1}^{p-1} [t_i] is complete: i -> p - i turns it into
+        sum_i [aq/d + qi/p] - q(p-1); i -> qi mod p permutes the nonzero
+        residues mod p, splitting off sum_i [qi/p] = (p-1)(q-1)/2; and
+        Hermite's identity sum_{r<p} [x + r/p] = [px] gives
+        S = (p-1)(q-1)/2 - q(p-1) + [apq/d] - [aq/d].
+    So positive = 2 lo - S - (p-1-m) + [d | p], and
+    sigma_d = 2 * positive - (p-1)(q-1)
+            = 2 (2 lo + m + [d | p] - [apq/d] + [aq/d]).
+    The count holds only if no lattice point lies on the window boundary
+    d(iq + jp) in {a*pq, (d+a)*pq}; that is checked exactly (it never
+    happens for prime d and coprime p, q) and raises InternalCheckError.
+    O(log q) steps.
     """
     a = d // 2
     for num in (a * p * q, (d + a) * p * q):
@@ -310,8 +325,7 @@ def _window_count(p: int, q: int, d: int) -> int:
                 f"window boundary attained at ({p},{q},{d})")
     m = (a * p - 1) // d
     lo = floor_sum(m, d * p, d * q, q * (a * p - d * m))
-    hi = floor_sum(p - 1 - m, d * p, d * q, q * (d * (m + 1) - a * p))
-    return 2 * (lo + hi) - (p - 1) * (q - 1)
+    return 2 * (2 * lo + m + (p % d == 0) - a * p * q // d + a * q // d)
 
 
 def sigma_d_counting(p: int, q: int, d: int) -> int:

@@ -16,7 +16,7 @@ from torustwist import (DomainError, HermitianForm, TorusKnotParams,
                         torus_braid, tristram_sigma)
 from torustwist import certify, cyclotomic, tristram
 from torustwist.errors import InternalCheckError, UndecidedSignError
-from torustwist.obstruction import genus_cutoff
+from torustwist.obstruction import MAX_Q, genus_cutoff
 from torustwist.tristram import (_lattice_hit, _sigma_counting_brute, is_prime,
                                  prime_divisors, primes_upto,
                                  smallest_prime_factors)
@@ -31,6 +31,18 @@ def K(p, q):
 def coprime_range(pmax, qmax):
     return [(p, q) for p in range(2, pmax + 1) for q in range(p + 1, qmax + 1)
             if math.gcd(p, q) == 1]
+
+
+def trial_division_primes(n):
+    """Distinct prime divisors of n >= 1, ascending, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
 
 def test_build_form_d2_is_twice_symmetrization():
@@ -426,6 +438,54 @@ def test_counting_d2_is_ordinary_signature():
         assert sigma_d_counting(p, q, 2) == sigma_closed(K(p, q)), (p, q)
 
 
+def _two_floor_sums(p, q, d):
+    # the window count as both floor sums, on either side of i = ap/d
+    a = d // 2
+    m = (a * p - 1) // d
+    lo = tristram.floor_sum(m, d * p, d * q, q * (a * p - d * m))
+    hi = tristram.floor_sum(p - 1 - m, d * p, d * q,
+                            q * (d * (m + 1) - a * p))
+    return 2 * (lo + hi) - (p - 1) * (q - 1)
+
+
+_SMALL_PRIMES = primes_upto(5000)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), p=st.integers(2, MAX_Q - 1),
+       source=st.sampled_from(["two", "small", "factor of p", "factor of q"]))
+def test_hermite_closed_sum_matches_two_floor_sums(data, p, source):
+    # the kernel closes the second floor sum by Hermite's identity, with a
+    # [d | p] correction: d | p on the "factor of p" draws, d does not
+    # divide p on the "factor of q" ones
+    q = data.draw(st.integers(p + 1, MAX_Q).filter(
+        lambda q: math.gcd(p, q) == 1))
+    d = data.draw(st.sampled_from({
+        "two": [2], "small": _SMALL_PRIMES,
+        "factor of p": trial_division_primes(p),
+        "factor of q": trial_division_primes(q)}[source]))
+    assert tristram._window_count(p, q, d) == _two_floor_sums(p, q, d), \
+        (p, q, d)
+
+
+def test_window_count_makes_one_floor_sum_per_prime(monkeypatch):
+    calls = []
+    floor_sum = tristram.floor_sum
+
+    def counted(*args):
+        calls.append(args)
+        return floor_sum(*args)
+
+    monkeypatch.setattr(tristram, "floor_sum", counted)
+    top = genus_cutoff(101, 203)
+    result = sigma_d_sweep(K(101, 203), top)
+    assert len(calls) == len(result) == len(primes_upto(top))
+    for d in (2, 3, 7, 29, 101, 211):
+        calls.clear()
+        sigma_d_counting(101, 203, d)
+        assert len(calls) == 1, d
+
+
 def test_window_boundary_detector_matches_enumeration():
     # The kernel raises when d(iq + jp) meets a*pq or (d+a)*pq inside the
     # box.  For prime d and coprime (p, q) that never happens, so compare
@@ -453,21 +513,11 @@ def test_window_boundary_detector_matches_enumeration():
 
 
 def test_prime_divisors_match_trial_division():
-    def reference(n):
-        out, f = [], 2
-        while f * f <= n:
-            if n % f == 0:
-                out.append(f)
-                while n % f == 0:
-                    n //= f
-            f += 1
-        return out + [n] if n > 1 else out
-
     spf = smallest_prime_factors(20001)
     for n in range(2, 20001):
-        assert prime_divisors(n, spf) == reference(n), n
+        assert prime_divisors(n, spf) == trial_division_primes(n), n
     for n in list(range(1, 200)) + [4096, 19997, 30030]:
-        assert prime_divisors(n) == reference(n), n
+        assert prime_divisors(n) == trial_division_primes(n), n
 
 
 def test_primes_upto_match_trial_division():
