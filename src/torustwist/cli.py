@@ -43,11 +43,11 @@ MAX_SCAN_CELLS = 2 ** 20
 # 2-vCPU Intel Xeon, one BLAS thread).  A larger knot is rejected on those
 # routes with DomainError (exit 2) before any work.
 MAX_SIGMA_DIM = 2 ** 11
-# tables and scan classify every knot they list, at 1.3-1.7 us per
+# tables and scan classify every knot they list, at 0.7-1.0 us per
 # candidate omega up to the knot's genus cutoff (one classify of
 # T(10001,10005) or T(100001,100003) per fresh process, three runs each;
 # 2-vCPU Intel Xeon, Python 3.11.7), so at this bound on the genus cutoffs
-# summed over the knots a table or a scan is 2.9 to 3.8 minutes of work.  A
+# summed over the knots a table or a scan is 1.6 to 2.3 minutes of work.  A
 # larger table is rejected with DomainError (exit 2) after its rows are
 # listed, and a larger scan as soon as its pairs pass the bound; either
 # before any knot is classified.

@@ -24,10 +24,10 @@ knot.
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from math import isqrt
-from operator import attrgetter, itemgetter
+from operator import not_
 from typing import NamedTuple
 
 from .core import TorusKnotParams, is_exceptional, normalize
@@ -85,26 +85,29 @@ class Elimination(NamedTuple):
 
 @dataclass(frozen=True)
 class Eliminations:
-    """A certificate's eliminations: the `explicit` items, then one
-    genus-bound item for each w in the range `tail`.
-
-    Every w above the genus cutoff is a genus-bound elimination, so
-    classify keeps that part of [2, q-1] as range(cutoff + 1, q) instead of
-    as O(q) items.  Iteration and len are those of the tuple explicit +
-    tail items.
+    """A certificate's eliminations: classify's sieve list `reasons`, a
+    tuple indexed by w <= genus cutoff whose slot holds the reason w is
+    eliminated (a shared string, so one reference per w), or None for w < 2
+    and for survivors; then one genus-bound item for each w in `tail`, kept
+    as range(cutoff + 1, q) instead of as O(q) items.  Iteration and len
+    are those of the tuple of Elimination(w, reason) items, in ascending w.
     """
 
-    explicit: tuple = ()
+    reasons: tuple = ()
     tail: range = range(0)
 
+    def explicit(self):
+        """The (w, reason) pairs of the slots that hold a reason."""
+        return compress(enumerate(self.reasons), self.reasons)
+
     def __len__(self):
-        return len(self.explicit) + len(self.tail)
+        return len(self.reasons) - self.reasons.count(None) + len(self.tail)
 
     def __iter__(self):
-        # tuple.__new__ builds the tail's items without a Python-level
-        # __new__ call each
-        return chain(self.explicit, map(tuple.__new__, repeat(Elimination),
-                                        zip(self.tail, repeat(REASON_GENUS))))
+        # tuple.__new__ builds the items without a Python-level __new__
+        # call each
+        return map(tuple.__new__, repeat(Elimination), chain(
+            self.explicit(), zip(self.tail, repeat(REASON_GENUS))))
 
 
 @dataclass(frozen=True)
@@ -275,23 +278,18 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
                 f"template {seq.label} for {nk} forces an even "
                 f"omega^2 = {res.omega_squared}")
         allowed = set(res.admissible)
-        for w in [w for w in alive if w % 2 == 1]:
-            if w not in allowed:
+        for w in alive:
+            if w % 2 == 1 and w not in allowed:
                 reasons[w] = REASON_KIKUCHI
-                alive.remove(w)
+        alive = [w for w in alive if reasons[w] is None]
 
-    # tuple.__new__ builds the items without a Python-level __new__ call
-    # each, as in Eliminations.__iter__
-    eliminations = Eliminations(
-        tuple(map(tuple.__new__, repeat(Elimination),
-                  filter(itemgetter(1), enumerate(reasons)))),
-        range(top + 1, q))
+    eliminations = Eliminations(tuple(reasons), range(top + 1, q))
     survivors = tuple(CandidateTwist(1, w) for w in alive)
-    omegas = sorted([*map(attrgetter("omega"), eliminations.explicit),
-                     *map(attrgetter("omega"), survivors)])
-    # every w in [2, q-1] once: [2, top] explicitly or as a survivor, and
-    # (top, q) as the genus tail
-    if (omegas != list(range(2, top + 1))
+    # every w in [2, q-1] once, read from the certificate: a reason or a
+    # survivor in [2, top] (none for w < 2), and (top, q) as the genus tail
+    slots = eliminations.reasons
+    empty = list(compress(range(top + 1), map(not_, slots)))
+    if (len(slots) != top + 1 or empty != [0, 1, *alive]
             or eliminations.tail != range(top + 1, q)):
         raise InternalCheckError(f"candidate partition broken for {nk}")
     verdict = NOT_IN_T if not survivors else UNDECIDED
@@ -365,7 +363,7 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
                    "(omega <= 1 cannot change the knot type)\n")
         out.append("eliminated:\n")
         elims = cert.eliminations
-        out.extend(f"  omega={w}: {r}\n" for w, r in elims.explicit)
+        out.extend(f"  omega={w}: {r}\n" for w, r in elims.explicit())
         if elims.tail:
             out.append("  omega=")
             out += _tail_parts(elims.tail, f": {REASON_GENUS}\n  omega=")
@@ -450,15 +448,15 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
         tail.update(extra)
     elims = cert.eliminations
     encoded = {r: encode_basestring_ascii(r) for r in
-               {*map(attrgetter("reason"), elims.explicit), REASON_GENUS}}
+               {*filter(None, elims.reasons), REASON_GENUS}}
     genus = encoded[REASON_GENUS]
     array = [",\n".join([f"    [\n      {w},\n      {encoded[r]}\n    ]"
-                         for w, r in elims.explicit])]
+                         for w, r in elims.explicit()])]
     if elims.tail:
         # the text between two tail w: the end of one item, the start of
         # the next
         sep = f",\n      {genus}\n    ],\n    [\n      "
-        array += [",\n" if elims.explicit else "", "    [\n      ",
+        array += [",\n" if array[0] else "", "    [\n      ",
                   *_tail_parts(elims.tail, sep), f",\n      {genus}\n    ]"]
     survivors = _json_block([f"    [\n      {s.n},\n      {s.omega}\n    ]"
                              for s in cert.survivors], "[]")

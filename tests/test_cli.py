@@ -186,6 +186,21 @@ def test_classify_golden_text(capsys):
     assert out == (DATA / "t57_certificate.txt").read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    # condition (iii), condition (iv) at many d, one kikuchi-no-square
+    # and the genus tail
+    (["-p", "79", "-q", "119", "--format", "json"], "t79_119_certificate.json"),
+    # the paper's survivor omega = 17
+    (["-p", "15", "-q", "19"], "t15_19_certificate.txt"),
+])
+def test_classify_golden_bytes(capsys, argv, golden):
+    # compared byte for byte, with no renderer or certificate_to_dict in
+    # between
+    code, out, _ = run(capsys, "classify", *argv)
+    assert code == 0
+    assert out.encode() == (DATA / golden).read_bytes()
+
+
 def test_classify_with_sequence(capsys):
     code, out, _ = run(capsys, "classify", "-p", "5", "-q", "8",
                        "--sequence", str(DATA / "t58_untwist.seq"))

@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,8 @@ from torustwist.obstruction import (NOT_IN_T, REASON_GENUS, REASON_KIKUCHI,
 from torustwist import tristram
 from torustwist.tristram import (is_prime, prime_divisors,
                                  smallest_prime_factors)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def K(p, q):
@@ -104,26 +110,63 @@ def test_certificate_partitions_candidates():
 
 
 def _shift_tail(by_start, by_stop):
-    def mutate(explicit, tail):
-        return explicit, range(tail.start + by_start, tail.stop + by_stop)
+    def mutate(reasons, tail):
+        return reasons, range(tail.start + by_start, tail.stop + by_stop)
     return mutate
+
+
+def _set_slot(reasons, w, reason):
+    return reasons[:w] + (reason,) + reasons[w + 1:]
 
 
 @pytest.mark.parametrize("mutate", [
     _shift_tail(1, 1), _shift_tail(-1, -1), _shift_tail(1, 0),
     _shift_tail(-1, 0),
-    lambda explicit, tail: (explicit + explicit[-1:], tail),
+    # the last slot duplicated: one slot too long
+    lambda reasons, tail: (reasons + reasons[-1:], tail),
+    # the first survivor's slot given a reason
+    lambda reasons, tail: (_set_slot(reasons, reasons.index(None, 2),
+                                     REASON_KIKUCHI), tail),
+    # the first eliminated w's slot cleared
+    lambda reasons, tail: (_set_slot(reasons, 2, None), tail),
+    # w = 1, which is no candidate, given a reason
+    lambda reasons, tail: (_set_slot(reasons, 1, REASON_GENUS), tail),
 ], ids=["tail+1", "tail-1", "tail-start+1", "tail-start-1",
-        "duplicated-explicit"])
+        "duplicated-last-slot", "survivor-given-a-reason", "reason-cleared",
+        "omega-1-given-a-reason"])
 def test_classify_rejects_a_broken_partition(monkeypatch, mutate):
     class Broken(Eliminations):
-        def __init__(self, explicit, tail):
-            super().__init__(*mutate(explicit, tail))
+        def __init__(self, reasons, tail):
+            super().__init__(*mutate(reasons, tail))
 
-    assert classify(K(7, 3001)).verdict == NOT_IN_T
+    # a survivor, reasons below it and a genus tail above it
+    cert = classify(K(7, 47))
+    assert [s.omega for s in cert.survivors] == [18]
+    assert cert.eliminations.reasons[2] and cert.eliminations.tail
     monkeypatch.setattr(obstruction, "Eliminations", Broken)
     with pytest.raises(InternalCheckError):
-        classify(K(7, 3001))
+        classify(K(7, 47))
+
+
+def test_a_broken_partition_exits_3_also_under_O():
+    # the partition check is no bare assert: python -O keeps it, and the
+    # CLI maps it to exit 3
+    script = (
+        "import sys\n"
+        "from torustwist import cli, obstruction\n"
+        "class Broken(obstruction.Eliminations):\n"
+        "    def __init__(self, reasons, tail):\n"
+        "        super().__init__(reasons[:2] + (None,) + reasons[3:],\n"
+        "                         tail)\n"
+        "obstruction.Eliminations = Broken\n"
+        "sys.exit(cli.main(['classify', '-p', '7', '-q', '47']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "candidate partition broken" in res.stderr and res.stdout == ""
 
 
 def _eliminations_certs():
@@ -137,13 +180,19 @@ def _eliminations_certs():
         if math.gcd(p, q) == 1:
             pairs.append((p, q))
     certs = [classify(K(p, q)) for p, q in pairs]
-    # explicit parts with gaps between their omegas, next to a tail
+    # reasons with gaps between their omegas, next to a tail
     for p, q in [(13, 97), (7, 3001)]:
         cert = classify(K(p, q))
         e = cert.eliminations
         certs.append(dataclasses.replace(cert, eliminations=Eliminations(
-            e.explicit[::3], e.tail)))
+            tuple(r if w % 3 == 2 else None for w, r in enumerate(e.reasons)),
+            e.tail)))
     return certs
+
+
+def _slots(reasons):
+    """An Eliminations.reasons tuple from a {w: reason} dict."""
+    return tuple(map(reasons.get, range(max(reasons, default=-1) + 1)))
 
 
 def test_eliminations_behave_as_the_materialized_tuple():
@@ -151,7 +200,9 @@ def test_eliminations_behave_as_the_materialized_tuple():
     assert any(e.reason == REASON_KIKUCHI for c in certs for e in c.eliminations)
     for cert in certs:
         e = cert.eliminations
-        ref = e.explicit + tuple(Elimination(w, REASON_GENUS) for w in e.tail)
+        ref = tuple(Elimination(w, r) for w, r in enumerate(e.reasons)
+                    if r is not None)
+        ref += tuple(Elimination(w, REASON_GENUS) for w in e.tail)
         assert isinstance(e, Eliminations)
         assert tuple(e) == ref and len(e) == len(ref)
         back = pickle.loads(pickle.dumps(e))
@@ -190,15 +241,15 @@ def _renderer_certs():
     certs.append(dataclasses.replace(certs[5], sigma_inputs={
         11: -60, 2: -10, 7: -40}))
     # a reason classify never emits and one that needs escaping, by hand
-    certs.append(dataclasses.replace(certs[5], eliminations=Eliminations((
-        Elimination(3, "characteristic-parity"),
-        Elimination(5, 'quote " and \u00e9'),
-        Elimination(7, "characteristic-parity")))))
-    # a genus-bound item in the explicit part, next to the tail; a tail
-    # with no explicit part
+    certs.append(dataclasses.replace(certs[5], eliminations=Eliminations(
+        _slots({3: "characteristic-parity", 5: 'quote " and \u00e9',
+                7: "characteristic-parity"}))))
+    # a genus-bound slot in reasons, next to the tail; a tail with no
+    # reasons
     e = certs[6].eliminations
+    assert len(e.reasons) == e.tail[0]
     certs.append(dataclasses.replace(certs[6], eliminations=Eliminations(
-        e.explicit + (Elimination(e.tail[0], REASON_GENUS),), e.tail[1:])))
+        e.reasons + (REASON_GENUS,), e.tail[1:])))
     certs.append(dataclasses.replace(certs[4], eliminations=Eliminations(
         (), range(2, 9))))
     # the genus tail is rendered in decimal blocks: every edge of a block,
@@ -272,6 +323,25 @@ def test_max_q_memory_bound():
                                                          per_omega)
 
 
+def test_classify_memory_per_omega_below_the_cutoff():
+    # a near-diagonal knot, whose genus cutoff is about q: below the
+    # cutoff classify keeps one shared reason reference per w and builds no
+    # item per w
+    k = K(30001, 30011)
+    top = genus_cutoff(k.p, k.q)
+    assert top == 30006
+    classify(K(101, 257))   # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        cert = classify(k)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.verdict == NOT_IN_T
+    assert retained / top <= 40 and peak / top <= 64, (retained / top,
+                                                        peak / top)
+
+
 def test_an_even_template_root_is_an_internal_check_error(monkeypatch):
     # every built-in template forces an odd omega^2, so classify treats an
     # even one as a broken invariant rather than as an elimination reason
@@ -334,10 +404,10 @@ def test_condition_iv_sieve_matches_the_per_omega_loop():
         cert = classify(K(p, q))
         reasons, alive, sigma = _per_omega_condition_iv(p, q, spf)
         # the templates only remove odd w that passed condition (iv)
-        kikuchi = [w for w, r in cert.eliminations.explicit
-                   if r == REASON_KIKUCHI]
-        assert {w: r for w, r in cert.eliminations.explicit
-                if r != REASON_KIKUCHI} == reasons, (p, q)
+        slots = cert.eliminations.reasons
+        kikuchi = [w for w, r in enumerate(slots) if r == REASON_KIKUCHI]
+        assert {w: r for w, r in enumerate(slots)
+                if r not in (None, REASON_KIKUCHI)} == reasons, (p, q)
         assert sorted(kikuchi + [s.omega for s in cert.survivors]) == alive
         assert cert.sigma_inputs == sigma, (p, q)
         # every odd prime up to the cutoff, and 2 iff an even w is above p
