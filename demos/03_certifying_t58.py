@@ -21,9 +21,8 @@ seq = template_sequences(k)[0]
 print(serialize_sequence(seq))
 
 led = ledger_from_sequence(seq)
-c0, c1, c2 = led.xi_self_intersection
 print(f"ledger: sigma(M) = {led.sigma_m}, b2+ = {led.b2_plus}, "
-      f"b2- = {led.b2_minus}, xi.xi = -w^2 + {c0}")
+      f"b2- = {led.b2_minus}, xi.xi = -w^2 + {led.xi_constant}")
 res = kikuchi_eliminate(led)
 print(f"characteristic sphere needs w^2 = {res.omega_squared}; "
       f"admissible integers: {list(res.admissible) or 'none'}")

@@ -21,10 +21,9 @@ assert serialize_sequence(seq) == text
 print(f"parsed {len(seq.steps)} steps; round-trip is byte-identical")
 
 led = ledger_from_sequence(seq)
-c0, _, _ = led.xi_self_intersection
 print(f"ledger with the hypothesized (1,w)-move prepended: "
       f"sigma(M)={led.sigma_m}, b2+={led.b2_plus}, b2-={led.b2_minus}, "
-      f"xi.xi = -w^2 + {c0}")
+      f"xi.xi = -w^2 + {led.xi_constant}")
 
 print()
 print("A wrong step is rejected with the offending line:")

@@ -99,24 +99,15 @@ def cmd_classify(args) -> int:
             print(f"  file: {args.sequence}")
             print(f"  sigma(M)={rep['sigma_m']} b2+={rep['b2_plus']} "
                   f"b2-={rep['b2_minus']} "
-                  f"xi.xi={_poly_str(rep['xi_self_intersection'])}")
+                  f"xi.xi=-w^2{rep['xi_self_intersection'][0]:+d}")
     return 0
-
-
-def _poly_str(c):
-    c0, c1, c2 = c
-    parts = []
-    if c2:
-        parts.append(f"{c2:+d}w^2" if abs(c2) != 1 else ("-w^2" if c2 < 0 else "+w^2"))
-    if c1:
-        parts.append(f"{c1:+d}w")
-    parts.append(f"{c0:+d}")
-    return "".join(parts)
 
 
 def _sequence_report(path, nk):
     """The ledger of the twist sequence in the file path, which must start
-    at the normalized knot nk itself (not at its mirror).  Any OSError
+    at the normalized knot nk itself (not at its mirror).  Its
+    xi_self_intersection lists the coefficients [C, 0, -1] of
+    xi.xi = -w^2 + C in powers of w.  Any OSError
     from reading the file (missing, a directory, unreadable) is bad input."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -132,7 +123,7 @@ def _sequence_report(path, nk):
         "sigma_m": ledger.sigma_m,
         "b2_plus": ledger.b2_plus,
         "b2_minus": ledger.b2_minus,
-        "xi_self_intersection": list(ledger.xi_self_intersection),
+        "xi_self_intersection": [ledger.xi_constant, 0, -1],
     }
 
 

@@ -6,13 +6,14 @@ annulus per move.  Each (+-1, w)-move contributes a punctured -(+-1)CP^2
 whose annulus carries homology class w times the generator; each (2n, w)-
 move contributes a punctured S^2 x S^2 with class (w, -n*w) against the
 standard hyperbolic generators.  The ledger accumulates the signature,
-b2^+, b2^-, and the self-intersection of the total class, with the
-hypothesized first move's w kept symbolic.
+b2^+, b2^-, and the self-intersection xi.xi = -w^2 + C of the total class,
+where the hypothesized first move's w enters only through -w^2 and the
+chain's own moves give the integer C.
 
 When b2^+ <= 3, b2^- <= 3 and the class is characteristic (all CP^2
 coefficients odd, all S^2 x S^2 coefficients even), a characteristic sphere
-forces xi.xi = sigma(M); solving that for the symbolic w eliminates odd
-candidates wholesale.  The Gilmer-Viro inequality check is the open-manifold
+forces xi.xi = sigma(M); solving that for w eliminates odd candidates
+wholesale.  The Gilmer-Viro inequality check is the open-manifold
 counterpart used for single moves.
 
 Sequences are exchanged in a line-oriented text format:
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .core import TorusKnotParams, TwistMove, apply_full_strand_twist, normalize
+from .core import (TorusKnotParams, TwistMove, apply_full_strand_twist,
+                   is_exceptional, normalize)
 from .errors import (InvalidKnotError, SequenceSemanticError,
                      SequenceSyntaxError, UnsupportedTwistError)
 
@@ -41,26 +43,9 @@ S2XS2 = "S2xS2"
 
 
 @dataclass(frozen=True)
-class LinCoef:
-    """Integer-linear expression m*w + c in the symbolic twist width w."""
-
-    m: int
-    c: int
-
-    def at(self, w: int) -> int:
-        return self.m * w + self.c
-
-    def __str__(self):
-        if self.m == 0:
-            return str(self.c)
-        head = "w" if self.m == 1 else f"{self.m}w"
-        return head if self.c == 0 else f"{head}{self.c:+d}"
-
-
-@dataclass(frozen=True)
 class Summand:
     kind: str
-    coeffs: tuple  # one LinCoef for +-CP^2, a pair for S^2 x S^2
+    coeffs: tuple  # one int for +-CP^2, a pair for S^2 x S^2
 
     @property
     def sigma(self) -> int:
@@ -70,25 +55,29 @@ class Summand:
     def b2(self):
         return {MINUS_CP2: (0, 1), PLUS_CP2: (1, 0), S2XS2: (1, 1)}[self.kind]
 
-    def self_intersection(self):
-        """Self-intersection of the carried class as (c0, c1, c2) in powers
-        of w: -a^2 on -CP^2, +a^2 on +CP^2, 2bc on S^2 x S^2."""
+    @property
+    def self_intersection(self) -> int:
+        """-a^2 on -CP^2, +a^2 on +CP^2, 2ab on S^2 x S^2."""
         if self.kind == S2XS2:
             a, b = self.coeffs
-            s = 2
-        else:
-            a = b = self.coeffs[0]
-            s = -1 if self.kind == MINUS_CP2 else 1
-        return (s * a.c * b.c, s * (a.m * b.c + a.c * b.m), s * a.m * b.m)
+            return 2 * a * b
+        a, = self.coeffs
+        return -a * a if self.kind == MINUS_CP2 else a * a
 
 
 @dataclass(frozen=True)
 class FourManifoldLedger:
+    """The closed 4-manifold of an untwisting chain led by the hypothesized
+    (1, w)-move from the unknot.  summands holds the chain's own moves only;
+    the leading move, a punctured -CP^2 carrying w, is not stored.  The
+    properties add it: -1 to sigma(M), +1 to b2^-, and -w^2 to xi.xi, so
+    xi.xi = -w^2 + xi_constant."""
+
     summands: tuple
 
     @property
     def sigma_m(self) -> int:
-        return sum(s.sigma for s in self.summands)
+        return sum(s.sigma for s in self.summands) - 1
 
     @property
     def b2_plus(self) -> int:
@@ -96,22 +85,12 @@ class FourManifoldLedger:
 
     @property
     def b2_minus(self) -> int:
-        return sum(s.b2[1] for s in self.summands)
+        return sum(s.b2[1] for s in self.summands) + 1
 
     @property
-    def xi_self_intersection(self):
-        """(c0, c1, c2): xi.xi = c0 + c1*w + c2*w^2."""
-        c0 = c1 = c2 = 0
-        for s in self.summands:
-            a, b, c = s.self_intersection()
-            c0 += a
-            c1 += b
-            c2 += c
-        return (c0, c1, c2)
-
-    def all_coefficients(self):
-        for s in self.summands:
-            yield from ((s.kind, c) for c in s.coeffs)
+    def xi_constant(self) -> int:
+        """C in xi.xi = -w^2 + C."""
+        return sum(s.self_intersection for s in self.summands)
 
 
 @dataclass(frozen=True)
@@ -136,71 +115,65 @@ class TwistSequence:
         return tuple(s.move for s in self.steps if isinstance(s, TwistStep))
 
 
-def _step_errors(seq: TwistSequence):
-    """Yield (step_index, message) for every invalid step."""
+def _first_step_error(seq: TwistSequence):
+    """(step_index, message) for the first invalid step, or None."""
     cur = seq.start
     for idx, step in enumerate(seq.steps):
         if isinstance(step, TwistStep):
             move = step.move
             if not move.is_supported:
-                yield idx, (f"twist {move}: odd twist counts beyond 1 carry "
-                            "no homological summand")
-                return
+                return idx, (f"twist {move}: odd twist counts beyond 1 carry "
+                             "no homological summand")
             if move.omega != abs(cur.p):
-                yield idx, (f"twist {move} on {cur}: only full-strand steps "
-                            f"(w = {abs(cur.p)}) can be validated")
-                return
+                return idx, (f"twist {move} on {cur}: only full-strand steps "
+                             f"(w = {abs(cur.p)}) can be validated")
             expected = apply_full_strand_twist(cur, move)
             if step.result != expected:
-                yield idx, (f"twist {move} on {cur}: expected {expected}, "
-                            f"got {step.result}")
-                return
+                return idx, (f"twist {move} on {cur}: expected {expected}, "
+                             f"got {step.result}")
             cur = step.result
         else:
             want = normalize(cur)
             got = normalize(step.params)
             if want != got:
-                yield idx, (f"identify {step.params}: {cur} normalizes to "
-                            f"{want[0]}"
-                            f"{' (mirror)' if want[1] else ''}, not to "
-                            f"{got[0]}{' (mirror)' if got[1] else ''}")
-                return
+                return idx, (f"identify {step.params}: {cur} normalizes to "
+                             f"{want[0]}"
+                             f"{' (mirror)' if want[1] else ''}, not to "
+                             f"{got[0]}{' (mirror)' if got[1] else ''}")
             cur = step.params
     if not cur.is_trivial:
-        yield len(seq.steps), f"sequence ends at {cur}, not at the unknot"
+        return len(seq.steps), f"sequence ends at {cur}, not at the unknot"
+    return None
 
 
 def validate_sequence(seq: TwistSequence):
     """Raise SequenceSemanticError on the first invalid step."""
-    for _, msg in _step_errors(seq):
-        raise SequenceSemanticError(msg)
+    err = _first_step_error(seq)
+    if err:
+        raise SequenceSemanticError(err[1])
 
 
 def ledger_from_sequence(seq: TwistSequence) -> FourManifoldLedger:
-    """Validate seq and accumulate its 4-manifold ledger, led by the
-    hypothesized (1, w)-move from the unknot to seq.start with w symbolic."""
+    """Validate seq and accumulate the 4-manifold ledger of its moves, led
+    by the hypothesized (1, w)-move from the unknot to seq.start."""
     validate_sequence(seq)
-    summands = [Summand(MINUS_CP2, (LinCoef(1, 0),))]
+    summands = []
     for move in seq.moves:
         if abs(move.n) == 1:
             kind = MINUS_CP2 if move.n == 1 else PLUS_CP2
-            summands.append(Summand(kind, (LinCoef(0, move.omega),)))
+            summands.append(Summand(kind, (move.omega,)))
         else:
-            half = move.n // 2
-            summands.append(Summand(S2XS2, (LinCoef(0, move.omega),
-                                            LinCoef(0, -half * move.omega))))
+            summands.append(Summand(S2XS2, (move.omega,
+                                            -(move.n // 2) * move.omega)))
     return FourManifoldLedger(tuple(summands))
 
 
 def characteristic_check(ledger: FourManifoldLedger) -> bool:
     """Characteristic condition for the accumulated class at odd w: odd
     coefficients on every +-CP^2 generator, even pairs on every S^2 x S^2.
-    At odd w, m*w + c has the parity of m + c."""
-    for kind, coef in ledger.all_coefficients():
-        want = 1 if kind in (MINUS_CP2, PLUS_CP2) else 0
-        if coef.at(1) % 2 != want:
-            return False
-    return True
+    The leading move's coefficient is w itself, odd by hypothesis."""
+    return all(c % 2 == (s.kind != S2XS2)
+               for s in ledger.summands for c in s.coeffs)
 
 
 @dataclass(frozen=True)
@@ -212,8 +185,8 @@ class KikuchiResult:
 
 
 def kikuchi_eliminate(ledger: FourManifoldLedger) -> KikuchiResult:
-    """Solve the characteristic-sphere constraint xi.xi = sigma(M) for the
-    symbolic w; returns the admissible positive integers (usually none).
+    """Solve the characteristic-sphere constraint xi.xi = sigma(M) for w;
+    returns the admissible positive integers (usually none).
 
     Applies only to closed manifolds with b2^+ <= 3 and b2^- <= 3 whose
     class is characteristic for odd w; anything else is reported as
@@ -224,10 +197,7 @@ def kikuchi_eliminate(ledger: FourManifoldLedger) -> KikuchiResult:
             f"b2+={ledger.b2_plus}, b2-={ledger.b2_minus} exceed 3"))
     if not characteristic_check(ledger):
         return KikuchiResult(False, reason="class not characteristic for odd w")
-    c0, c1, c2 = ledger.xi_self_intersection
-    if (c1, c2) != (0, -1):
-        raise ValueError(f"ledger xi.xi = ({c0},{c1},{c2}) is not -w^2 + C")
-    need = c0 - ledger.sigma_m
+    need = ledger.xi_constant - ledger.sigma_m
     if need < 0:
         return KikuchiResult(True, omega_squared=need, admissible=())
     r = isqrt(need)
@@ -235,22 +205,21 @@ def kikuchi_eliminate(ledger: FourManifoldLedger) -> KikuchiResult:
     return KikuchiResult(True, omega_squared=need, admissible=admissible)
 
 
-def gilmer_viro_check(ledger, genus: int, d: int, sigma_d: int, omega: int) -> bool:
+def gilmer_viro_check(ledger: FourManifoldLedger, genus: int, d: int,
+                      sigma_d: int, omega: int) -> bool:
     """Exact rational evaluation of the bounded-genus obstruction
 
         | 2[d/2](d-[d/2])/d^2 * xi.xi - sigma(M) - sigma_d | <= dim H2 + 2g
 
-    for a class divisible by the prime d.  dim H2 is taken with Z_d
-    coefficients, which for these summands equals b2^+ + b2^-.
+    at w = omega, for a class divisible by the prime d.  The class
+    coefficients are omega (the leading move's) and those of the summands.
+    dim H2 is taken with Z_d coefficients, which for these summands equals
+    b2^+ + b2^-.  FourManifoldLedger(()) is the single (1, w)-move.
     """
-    if isinstance(ledger, Summand):
-        ledger = FourManifoldLedger((ledger,))
-    for _, coef in ledger.all_coefficients():
-        if coef.at(omega) % d != 0:
-            raise ValueError(
-                f"class coefficient {coef.at(omega)} is not divisible by d={d}")
-    c0, c1, c2 = ledger.xi_self_intersection
-    xi2 = c0 + c1 * omega + c2 * omega * omega
+    for c in (omega, *(c for s in ledger.summands for c in s.coeffs)):
+        if c % d != 0:
+            raise ValueError(f"class coefficient {c} is not divisible by d={d}")
+    xi2 = ledger.xi_constant - omega * omega
     a = d // 2
     lhs = abs(Fraction(2 * a * (d - a) * xi2, d * d) - ledger.sigma_m - sigma_d)
     dim_h2 = ledger.b2_plus + ledger.b2_minus
@@ -326,7 +295,9 @@ def parse_sequence(text: str) -> TwistSequence:
                                   lines[-1][0])
 
     seq = TwistSequence(start, tuple(steps))
-    for idx, msg in _step_errors(seq):
+    err = _first_step_error(seq)
+    if err:
+        idx, msg = err
         line = step_lines[idx] if idx < len(step_lines) else lines[-1][0]
         raise SequenceSemanticError(msg, line)
     return seq
@@ -377,8 +348,6 @@ def template_sequences(k: TorusKnotParams):
     So an admissible w is never even; classify checks this.  The chains
     are not validated here: ledger_from_sequence validates each one.
     """
-    from .core import is_exceptional
-
     if not k.is_normalized or k.is_trivial or is_exceptional(k):
         return []
     p, q = k.p, k.q

@@ -268,7 +268,7 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
             label=seq.label, sequence=serialize_sequence(seq),
             sigma_m=ledger.sigma_m, b2_plus=ledger.b2_plus,
             b2_minus=ledger.b2_minus,
-            xi_constant=ledger.xi_self_intersection[0],
+            xi_constant=ledger.xi_constant,
             applicable=res.applicable, omega_squared=res.omega_squared,
             admissible=res.admissible, note=res.reason))
         if not res.applicable:

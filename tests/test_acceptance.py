@@ -174,7 +174,7 @@ def test_criterion_09_sequence_dsl():
     seq = parse_sequence(text)
     ok = serialize_sequence(seq) == text
     led = ledger_from_sequence(seq)
-    ok = ok and led.sigma_m == 1 and led.xi_self_intersection == (42, 0, -1)
+    ok = ok and led.sigma_m == 1 and led.xi_constant == 42
     corrupted = text.replace("T(5,3)", "T(5,4)")
     try:
         parse_sequence(corrupted)

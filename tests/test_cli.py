@@ -192,10 +192,16 @@ def test_classify_golden_text(capsys):
     (["-p", "79", "-q", "119", "--format", "json"], "t79_119_certificate.json"),
     # the paper's survivor omega = 17
     (["-p", "15", "-q", "19"], "t15_19_certificate.txt"),
+    # a sequence ledger; the text form prints the path as given
+    (["-p", "5", "-q", "8", "--sequence", "demos/t58_untwist.seq"],
+     "t58_sequence_ledger.txt"),
+    (["-p", "5", "-q", "8", "--sequence", "demos/t58_untwist.seq",
+      "--format", "json"], "t58_sequence_ledger.json"),
 ])
-def test_classify_golden_bytes(capsys, argv, golden):
+def test_classify_golden_bytes(capsys, monkeypatch, argv, golden):
     # compared byte for byte, with no renderer or certificate_to_dict in
-    # between
+    # between; run from the repository root, where the paths above resolve
+    monkeypatch.chdir(ROOT)
     code, out, _ = run(capsys, "classify", *argv)
     assert code == 0
     assert out.encode() == (DATA / golden).read_bytes()

@@ -4,15 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from torustwist import (SequenceSemanticError, SequenceSyntaxError,
-                        TorusKnotParams, TwistMove, characteristic_check,
-                        gilmer_viro_check, kikuchi_eliminate,
-                        ledger_from_sequence, parse_sequence,
-                        serialize_sequence, template_sequences,
-                        tristram_sigma)
+from torustwist import (FourManifoldLedger, SequenceSemanticError,
+                        SequenceSyntaxError, TorusKnotParams, TwistMove,
+                        characteristic_check, gilmer_viro_check,
+                        kikuchi_eliminate, ledger_from_sequence,
+                        parse_sequence, serialize_sequence,
+                        template_sequences, tristram_sigma)
 from torustwist.fourmanifold import (MINUS_CP2, PLUS_CP2, S2XS2, IdentifyStep,
-                                     LinCoef, Summand, TwistSequence,
-                                     TwistStep, validate_sequence)
+                                     Summand, TwistSequence, TwistStep,
+                                     validate_sequence)
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,23 +36,25 @@ def test_ledger_even_gap_instance():
     led = ledger_from_sequence(seq)
     assert led.sigma_m == 0
     assert (led.b2_plus, led.b2_minus) == (2, 2)
-    assert led.xi_self_intersection == (81 + 2 * 1 * 16, 0, -1)  # -w^2 + p^2 + 2nr^2
+    assert led.xi_constant == 81 + 2 * 1 * 16  # xi.xi = -w^2 + p^2 + 2nr^2
 
 
 def test_ledger_t58():
     led = ledger_from_sequence(t58_sequence())
     assert led.sigma_m == 1
     assert (led.b2_plus, led.b2_minus) == (3, 2)
-    assert led.xi_self_intersection == (25 + 25 - 8, 0, -1)
+    assert led.xi_constant == 25 + 25 - 8
 
 
 def test_ledger_empty_sequence():
-    # only the hypothesized symbolic move: one -CP^2 carrying w
+    # only the hypothesized (1, w)-move: one -CP^2 carrying w, which the
+    # ledger adds without storing it
     seq = TwistSequence(K(1, 1), ())
     led = ledger_from_sequence(seq)
+    assert led.summands == ()
     assert led.sigma_m == -1
     assert (led.b2_plus, led.b2_minus) == (0, 1)
-    assert led.xi_self_intersection == (0, 0, -1)
+    assert led.xi_constant == 0
 
 
 def test_ledger_requires_closure():
@@ -72,15 +74,16 @@ def test_ledger_rejects_an_unsupported_move_by_validation():
 
 
 def test_ledger_additive_over_concatenation():
-    from torustwist import FourManifoldLedger
+    # the chains' summands add; the leading (1, w)-move, -1 to sigma(M) and
+    # +1 to b2^-, is counted once
     l1 = ledger_from_sequence(t58_sequence())
     l2 = ledger_from_sequence(template_sequences(K(9, 13))[0])
     both = FourManifoldLedger(l1.summands + l2.summands)
-    assert both.sigma_m == l1.sigma_m + l2.sigma_m
+    assert len(both.summands) == len(l1.summands) + len(l2.summands) == 5
+    assert both.sigma_m == l1.sigma_m + l2.sigma_m + 1
     assert both.b2_plus == l1.b2_plus + l2.b2_plus
-    assert both.b2_minus == l1.b2_minus + l2.b2_minus
-    assert both.xi_self_intersection == tuple(
-        a + b for a, b in zip(l1.xi_self_intersection, l2.xi_self_intersection))
+    assert both.b2_minus == l1.b2_minus + l2.b2_minus - 1
+    assert both.xi_constant == l1.xi_constant + l2.xi_constant
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +96,15 @@ def test_characteristic_parity():
     assert characteristic_check(led)
     t58 = ledger_from_sequence(t58_sequence())
     assert characteristic_check(t58)
-    # at odd w, m*w + c has the parity of m + c
-    from torustwist import FourManifoldLedger
-    for summand in (Summand(MINUS_CP2, (LinCoef(1, 1),)),
-                    Summand(PLUS_CP2, (LinCoef(0, 4),)),
-                    Summand(S2XS2, (LinCoef(0, 4), LinCoef(2, 1)))):
+    # odd on every CP^2, even on every S^2 x S^2; the leading move's odd w
+    # alone is characteristic
+    assert characteristic_check(FourManifoldLedger(()))
+    for summand in (Summand(MINUS_CP2, (2,)),
+                    Summand(PLUS_CP2, (4,)),
+                    Summand(S2XS2, (4, 3))):
         assert not characteristic_check(FourManifoldLedger((summand,)))
     assert characteristic_check(FourManifoldLedger(
-        (Summand(PLUS_CP2, (LinCoef(2, 1),)),
-         Summand(S2XS2, (LinCoef(1, 1), LinCoef(0, -6))))))
+        (Summand(PLUS_CP2, (3,)), Summand(S2XS2, (2, -6)))))
 
 
 def test_kikuchi_t58():
@@ -130,58 +133,66 @@ def test_kikuchi_gap4_family_never_squares():
 
 
 def test_every_template_forces_an_odd_omega_squared():
-    # the parity argument of template_sequences' docstring, on every
-    # applicable template of a box that holds all three families
+    # on every template of a box that holds all three families: the ledger
+    # matches the closed form of template_sequences' docstring, read from
+    # the chain's label alone, and forces an odd omega^2
     families = Counter()
     for p in range(5, 400):
         for q in range(p + 2, 2 * p + 3):
             if math.gcd(p, q) != 1:
                 continue
             for seq in template_sequences(K(p, q)):
-                res = kikuchi_eliminate(ledger_from_sequence(seq))
-                if res.applicable:
-                    assert res.omega_squared % 2 == 1, (p, q, seq.label)
-                    families[seq.label.split()[0]] += 1
+                family, *params = seq.label.split()
+                n = int(params[-1].removeprefix("n="))
+                if family == "even-gap":
+                    r = int(params[0].removeprefix("r="))
+                    want = (p * p + 2 * n * r * r, 0)
+                elif family == "gap4":
+                    want = (p * p + 32 * n + (p % 8) ** 2, 1)
+                else:
+                    want = (2 * p * p - 4 * n, 1)
+                led = ledger_from_sequence(seq)
+                assert (led.xi_constant, led.sigma_m) == want, (p, q, seq.label)
+                res = kikuchi_eliminate(led)
+                assert res.applicable, (p, q, seq.label)
+                assert res.omega_squared % 2 == 1, (p, q, seq.label)
+                families[family] += 1
     assert families == {"even-gap": 954, "double-step": 396, "gap4": 98}
 
 
 def test_kikuchi_inapplicable_when_b2_large():
-    summands = tuple(Summand(PLUS_CP2, (LinCoef(0, 1),)) for _ in range(4)) \
-        + (Summand(MINUS_CP2, (LinCoef(1, 0),)),)
-    from torustwist import FourManifoldLedger
+    summands = tuple(Summand(PLUS_CP2, (1,)) for _ in range(4))
     res = kikuchi_eliminate(FourManifoldLedger(summands))
     assert not res.applicable
     assert "b2" in res.reason
 
 
 def test_gilmer_viro_reduces_to_divisibility_condition():
-    # single -CP^2 with class w: the inequality is exactly the two-valued
-    # divisibility constraint
+    # the bare (1, w)-move, a single -CP^2 with class w: the inequality is
+    # exactly the two-valued divisibility constraint
     from torustwist import condition_iv_check
+    led = FourManifoldLedger(())
     for (p, q, w, d) in [(5, 8, 6, 2), (5, 7, 6, 2), (5, 7, 6, 3), (9, 13, 10, 2)]:
         s = tristram_sigma(K(p, q), d, method="counting")
-        led = Summand(MINUS_CP2, (LinCoef(0, w),))
         assert gilmer_viro_check(led, 0, d, s, w) == \
             condition_iv_check(p, q, w, d, sigma_value=s)
 
 
 def test_gilmer_viro_slice_disk_case():
     # zero class in punctured -CP^2, genus 0: |1 - (sd(K-) - sd(K+))| <= 1
-    led = Summand(MINUS_CP2, (LinCoef(0, 0),))
+    led = FourManifoldLedger(())
     for d in (2, 3, 5):
         diff = tristram_sigma(K(2, 3), d) - tristram_sigma(K(2, 5), d)
         assert gilmer_viro_check(led, 0, d, diff, 0)
 
 
 def test_gilmer_viro_large_genus_always_true():
-    led = Summand(MINUS_CP2, (LinCoef(0, 6),))
-    assert gilmer_viro_check(led, 100, 2, -20, 6)
+    assert gilmer_viro_check(FourManifoldLedger(()), 100, 2, -20, 6)
 
 
 def test_gilmer_viro_divisibility_guard():
-    led = Summand(MINUS_CP2, (LinCoef(0, 5),))
     with pytest.raises(ValueError):
-        gilmer_viro_check(led, 0, 2, -4, 5)
+        gilmer_viro_check(FourManifoldLedger(()), 0, 2, -4, 5)
 
 
 # ---------------------------------------------------------------------------
