@@ -15,11 +15,11 @@ from .core import (TorusKnotParams, TwistMove, apply_full_strand_twist,
 from .errors import (DomainError, InternalCheckError, InvalidKnotError,
                      NotAKnotError, SequenceSemanticError, SequenceSyntaxError,
                      UndecidedSignError, UnsupportedTwistError)
-from .fourmanifold import (FourManifoldLedger, KikuchiResult, Summand,
-                           TwistSequence, characteristic_check,
-                           gilmer_viro_check, kikuchi_eliminate,
-                           ledger_from_sequence, parse_sequence,
-                           serialize_sequence, template_sequences)
+from .fourmanifold import (FourManifoldLedger, KikuchiResult, TwistSequence,
+                           characteristic_check, gilmer_viro_check,
+                           kikuchi_eliminate, ledger_from_sequence,
+                           parse_sequence, serialize_sequence,
+                           template_sequences)
 from .lattice import (corollary_bound, sigma_2nr_closed, sigma_closed,
                       sigma_oracle, sigma_p_plus_4, sigma_p_plus_r)
 from .obstruction import (CandidateTwist, ObstructionCertificate,
@@ -43,7 +43,7 @@ __all__ = [
     "genus_from_form",
     "HermitianForm", "Inertia", "build_form", "inertia", "tristram_sigma",
     "sigma_d", "sigma_d_counting", "sigma_d_sweep", "prop35_bound_check",
-    "Summand", "FourManifoldLedger", "TwistSequence", "KikuchiResult",
+    "FourManifoldLedger", "TwistSequence", "KikuchiResult",
     "ledger_from_sequence", "characteristic_check", "kikuchi_eliminate",
     "gilmer_viro_check", "parse_sequence", "serialize_sequence",
     "template_sequences",

@@ -56,7 +56,9 @@ class TwistMove:
 
     @property
     def is_supported(self) -> bool:
-        # homological summand data exists only for |n| = 1 and even n
+        # -1/n surgery gives a summand, whose class has self-intersection
+        # -n*omega^2, only for n = 1 (-CP^2), n = -1 (+CP^2) and even n
+        # (S^2 x S^2, class (omega, -(n/2)omega))
         return abs(self.n) == 1 or self.n % 2 == 0
 
     def __str__(self):

@@ -2,19 +2,21 @@
 
 A sequence of twists starting and ending at the unknot glues, move by move,
 into a closed 4-manifold containing a sphere built from two disks and one
-annulus per move.  Each (+-1, w)-move contributes a punctured -(+-1)CP^2
-whose annulus carries homology class w times the generator; each (2n, w)-
-move contributes a punctured S^2 x S^2 with class (w, -n*w) against the
-standard hyperbolic generators.  The ledger accumulates the signature,
-b2^+, b2^-, and the self-intersection xi.xi = -w^2 + C of the total class,
-where the hypothesized first move's w enters only through -w^2 and the
-chain's own moves give the integer C.
+annulus per move.  An (n, v)-move is -1/n surgery on a disk met v times;
+it contributes a punctured -CP^2 (n = 1) or +CP^2 (n = -1) whose annulus
+carries v times the generator, or for even n a punctured S^2 x S^2 with
+class (v, -(n/2)v) against the standard hyperbolic generators.  One rule
+covers all three: the class has self-intersection -n*v^2.  The ledger
+accumulates the signature, b2^+, b2^-, and the self-intersection
+xi.xi = -w^2 + C of the total class, where the hypothesized first move's
+w enters only through -w^2 and the chain's own moves give the integer
+C = -sum(n*v^2).
 
-When b2^+ <= 3, b2^- <= 3 and the class is characteristic (all CP^2
-coefficients odd, all S^2 x S^2 coefficients even), a characteristic sphere
-forces xi.xi = sigma(M); solving that for w eliminates odd candidates
-wholesale.  The Gilmer-Viro inequality check is the open-manifold
-counterpart used for single moves.
+When b2^+ <= 3, b2^- <= 3 and the class is characteristic (odd v on every
+CP^2, even v on every S^2 x S^2), a characteristic sphere forces
+xi.xi = sigma(M); solving that for w eliminates odd candidates wholesale.
+The Gilmer-Viro inequality check is the open-manifold counterpart used for
+single moves.
 
 Sequences are exchanged in a line-oriented text format:
 
@@ -37,60 +39,44 @@ from .core import (TorusKnotParams, TwistMove, apply_full_strand_twist,
 from .errors import (InvalidKnotError, SequenceSemanticError,
                      SequenceSyntaxError, UnsupportedTwistError)
 
-MINUS_CP2 = "minusCP2"
-PLUS_CP2 = "plusCP2"
-S2XS2 = "S2xS2"
-
-
-@dataclass(frozen=True)
-class Summand:
-    kind: str
-    coeffs: tuple  # one int for +-CP^2, a pair for S^2 x S^2
-
-    @property
-    def sigma(self) -> int:
-        return {MINUS_CP2: -1, PLUS_CP2: 1, S2XS2: 0}[self.kind]
-
-    @property
-    def b2(self):
-        return {MINUS_CP2: (0, 1), PLUS_CP2: (1, 0), S2XS2: (1, 1)}[self.kind]
-
-    @property
-    def self_intersection(self) -> int:
-        """-a^2 on -CP^2, +a^2 on +CP^2, 2ab on S^2 x S^2."""
-        if self.kind == S2XS2:
-            a, b = self.coeffs
-            return 2 * a * b
-        a, = self.coeffs
-        return -a * a if self.kind == MINUS_CP2 else a * a
+_UNSUPPORTED = ("twist {}: odd twist counts beyond 1 carry no homological "
+                "summand")
 
 
 @dataclass(frozen=True)
 class FourManifoldLedger:
     """The closed 4-manifold of an untwisting chain led by the hypothesized
-    (1, w)-move from the unknot.  summands holds the chain's own moves only;
-    the leading move, a punctured -CP^2 carrying w, is not stored.  The
-    properties add it: -1 to sigma(M), +1 to b2^-, and -w^2 to xi.xi, so
-    xi.xi = -w^2 + xi_constant."""
+    (1, w)-move from the unknot.  moves holds the chain's own TwistMoves,
+    each supported; the leading move, a punctured -CP^2 carrying w, is not
+    stored.  The properties add it: -1 to sigma(M), +1 to b2^-, and -w^2 to
+    xi.xi, so xi.xi = -w^2 + xi_constant."""
 
-    summands: tuple
+    moves: tuple
+
+    def __post_init__(self):
+        for move in self.moves:
+            if not move.is_supported:
+                raise UnsupportedTwistError(_UNSUPPORTED.format(move))
 
     @property
     def sigma_m(self) -> int:
-        return sum(s.sigma for s in self.summands) - 1
+        """-1 per -CP^2 (n = 1), +1 per +CP^2 (n = -1), 0 per S^2 x S^2."""
+        return -1 - sum(m.n for m in self.moves if abs(m.n) == 1)
 
     @property
     def b2_plus(self) -> int:
-        return sum(s.b2[0] for s in self.summands)
+        """1 per +CP^2 and per S^2 x S^2."""
+        return sum(m.n != 1 for m in self.moves)
 
     @property
     def b2_minus(self) -> int:
-        return sum(s.b2[1] for s in self.summands) + 1
+        """1 per -CP^2, the leading move's too, and per S^2 x S^2."""
+        return 1 + sum(m.n != -1 for m in self.moves)
 
     @property
     def xi_constant(self) -> int:
-        """C in xi.xi = -w^2 + C."""
-        return sum(s.self_intersection for s in self.summands)
+        """C in xi.xi = -w^2 + C: each (n, v)-move adds -n*v^2."""
+        return -sum(m.n * m.omega * m.omega for m in self.moves)
 
 
 @dataclass(frozen=True)
@@ -122,8 +108,7 @@ def _first_step_error(seq: TwistSequence):
         if isinstance(step, TwistStep):
             move = step.move
             if not move.is_supported:
-                return idx, (f"twist {move}: odd twist counts beyond 1 carry "
-                             "no homological summand")
+                return idx, _UNSUPPORTED.format(move)
             if move.omega != abs(cur.p):
                 return idx, (f"twist {move} on {cur}: only full-strand steps "
                              f"(w = {abs(cur.p)}) can be validated")
@@ -154,26 +139,18 @@ def validate_sequence(seq: TwistSequence):
 
 
 def ledger_from_sequence(seq: TwistSequence) -> FourManifoldLedger:
-    """Validate seq and accumulate the 4-manifold ledger of its moves, led
-    by the hypothesized (1, w)-move from the unknot to seq.start."""
+    """Validate seq and take the 4-manifold ledger of its moves, led by the
+    hypothesized (1, w)-move from the unknot to seq.start."""
     validate_sequence(seq)
-    summands = []
-    for move in seq.moves:
-        if abs(move.n) == 1:
-            kind = MINUS_CP2 if move.n == 1 else PLUS_CP2
-            summands.append(Summand(kind, (move.omega,)))
-        else:
-            summands.append(Summand(S2XS2, (move.omega,
-                                            -(move.n // 2) * move.omega)))
-    return FourManifoldLedger(tuple(summands))
+    return FourManifoldLedger(seq.moves)
 
 
 def characteristic_check(ledger: FourManifoldLedger) -> bool:
-    """Characteristic condition for the accumulated class at odd w: odd
-    coefficients on every +-CP^2 generator, even pairs on every S^2 x S^2.
-    The leading move's coefficient is w itself, odd by hypothesis."""
-    return all(c % 2 == (s.kind != S2XS2)
-               for s in ledger.summands for c in s.coeffs)
+    """Characteristic condition for the accumulated class at odd w: odd v
+    on every +-CP^2 (n, v)-move, even v on every S^2 x S^2 move, whose
+    class (v, -(n/2)v) is even exactly when v is.  The leading move's
+    coefficient is w itself, odd by hypothesis."""
+    return all(m.omega % 2 == (abs(m.n) == 1) for m in ledger.moves)
 
 
 @dataclass(frozen=True)
@@ -211,12 +188,13 @@ def gilmer_viro_check(ledger: FourManifoldLedger, genus: int, d: int,
 
         | 2[d/2](d-[d/2])/d^2 * xi.xi - sigma(M) - sigma_d | <= dim H2 + 2g
 
-    at w = omega, for a class divisible by the prime d.  The class
-    coefficients are omega (the leading move's) and those of the summands.
-    dim H2 is taken with Z_d coefficients, which for these summands equals
-    b2^+ + b2^-.  FourManifoldLedger(()) is the single (1, w)-move.
+    at w = omega, for a class divisible by the prime d: d must divide
+    omega (the leading move's coefficient) and each (n, v)-move's v, since
+    d | v implies d | (n/2)v.  dim H2 is taken with Z_d coefficients,
+    which for these summands equals b2^+ + b2^-.  FourManifoldLedger(())
+    is the single (1, w)-move.
     """
-    for c in (omega, *(c for s in ledger.summands for c in s.coeffs)):
+    for c in (omega, *(m.omega for m in ledger.moves)):
         if c % d != 0:
             raise ValueError(f"class coefficient {c} is not divisible by d={d}")
     xi2 = ledger.xi_constant - omega * omega

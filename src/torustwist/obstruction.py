@@ -271,8 +271,13 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
             xi_constant=ledger.xi_constant,
             applicable=res.applicable, omega_squared=res.omega_squared,
             admissible=res.admissible, note=res.reason))
+        # Every built-in chain is applicable and forces an odd omega^2 (see
+        # template_sequences): b2^+ <= 3 and b2^- = 2 in all three
+        # families, every +-CP^2 move has odd v (p or t), and every even
+        # move has even v (r, 4 or 2).
         if not res.applicable:
-            continue
+            raise InternalCheckError(
+                f"template {seq.label} for {nk} is inapplicable: {res.reason}")
         if res.omega_squared % 2 == 0:
             raise InternalCheckError(
                 f"template {seq.label} for {nk} forces an even "

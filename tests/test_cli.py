@@ -4,6 +4,7 @@ import resource
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,17 @@ def test_scan_work_bound_sums_the_normalized_nontrivial_cutoffs(monkeypatch):
     monkeypatch.setattr(cli, "classify", classify_nothing)
     with pytest.raises(DomainError, match="MAX_TABLE_OMEGAS"):
         scan_rows(*box)
+
+
+def test_every_undecided_row_of_the_small_box_survives_only_at_the_cutoff():
+    # p <= 60, q <= 120: every Undecided knot keeps exactly one candidate,
+    # the largest w the genus bound allows
+    rows = scan_rows((2, 60), (3, 120))
+    for r in rows:
+        if r["verdict"] == "Undecided":
+            assert r["survivors"] == [[1, genus_cutoff(r["p"], r["q"])]], r
+    assert Counter(r["verdict"] for r in rows) == {
+        "NotInT": 2288, "TrivialOrExceptional": 713, "Undecided": 174}
 
 
 def test_max_scan_cells_is_the_largest_accepted_box():

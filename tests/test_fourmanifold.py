@@ -6,12 +6,12 @@ import pytest
 
 from torustwist import (FourManifoldLedger, SequenceSemanticError,
                         SequenceSyntaxError, TorusKnotParams, TwistMove,
-                        characteristic_check, gilmer_viro_check,
-                        kikuchi_eliminate, ledger_from_sequence,
-                        parse_sequence, serialize_sequence,
-                        template_sequences, tristram_sigma)
-from torustwist.fourmanifold import (MINUS_CP2, PLUS_CP2, S2XS2, IdentifyStep,
-                                     Summand, TwistSequence, TwistStep,
+                        UnsupportedTwistError, characteristic_check,
+                        gilmer_viro_check, kikuchi_eliminate,
+                        ledger_from_sequence, parse_sequence,
+                        serialize_sequence, template_sequences,
+                        tristram_sigma)
+from torustwist.fourmanifold import (IdentifyStep, TwistSequence, TwistStep,
                                      validate_sequence)
 
 DATA = Path(__file__).parent / "data"
@@ -51,10 +51,49 @@ def test_ledger_empty_sequence():
     # ledger adds without storing it
     seq = TwistSequence(K(1, 1), ())
     led = ledger_from_sequence(seq)
-    assert led.summands == ()
+    assert led.moves == ()
     assert led.sigma_m == -1
     assert (led.b2_plus, led.b2_minus) == (0, 1)
     assert led.xi_constant == 0
+
+
+def _summand_oracle(move):
+    """sigma, (b2^+, b2^-) and self-intersection of move's summand, read
+    from the per-kind table: -CP^2 (n = 1) carries v, +CP^2 (n = -1)
+    carries v, S^2 x S^2 (even n) carries (v, -(n/2)v)."""
+    v = move.omega
+    if move.n == 1:
+        return -1, (0, 1), -v * v
+    if move.n == -1:
+        return 1, (1, 0), v * v
+    a, b = v, -(move.n // 2) * v
+    return 0, (1, 1), 2 * a * b
+
+
+def test_ledger_one_rule_matches_the_per_kind_table():
+    # each supported (n, v)-move alone, and all of them in one ledger,
+    # against the table; the ledger adds the leading (1, w)-move: -1 to
+    # sigma(M), +1 to b2^- and nothing to C
+    moves = [TwistMove(n, v) for n in range(-8, 9) for v in range(21)
+             if n != 0 and TwistMove(n, v).is_supported]
+    assert len(moves) == 10 * 21
+    total = [-1, 0, 1, 0]
+    for move in moves:
+        sigma, (plus, minus), xi = _summand_oracle(move)
+        led = FourManifoldLedger((move,))
+        assert (led.sigma_m, led.b2_plus, led.b2_minus, led.xi_constant) \
+            == (sigma - 1, plus, minus + 1, xi), move
+        for i, x in enumerate((sigma, plus, minus, xi)):
+            total[i] += x
+    led = FourManifoldLedger(tuple(moves))
+    assert [led.sigma_m, led.b2_plus, led.b2_minus, led.xi_constant] == total
+
+
+def test_ledger_rejects_an_unsupported_move():
+    with pytest.raises(UnsupportedTwistError, match="no homological summand"):
+        FourManifoldLedger((TwistMove(3, 5),))
+    with pytest.raises(UnsupportedTwistError):
+        FourManifoldLedger((TwistMove(-1, 5), TwistMove(-5, 1)))
 
 
 def test_ledger_requires_closure():
@@ -64,8 +103,8 @@ def test_ledger_requires_closure():
 
 
 def test_ledger_rejects_an_unsupported_move_by_validation():
-    # an odd twist count beyond 1 has no summand; validation rejects it
-    # before the ledger loop reaches it
+    # an odd twist count beyond 1 has no summand; validation rejects it,
+    # with its message, before the ledger is built
     move = TwistMove(3, 5)
     assert not move.is_supported
     seq = TwistSequence(K(5, 8), (TwistStep(move, K(5, 83)),))
@@ -74,12 +113,12 @@ def test_ledger_rejects_an_unsupported_move_by_validation():
 
 
 def test_ledger_additive_over_concatenation():
-    # the chains' summands add; the leading (1, w)-move, -1 to sigma(M) and
+    # the chains' moves add; the leading (1, w)-move, -1 to sigma(M) and
     # +1 to b2^-, is counted once
     l1 = ledger_from_sequence(t58_sequence())
     l2 = ledger_from_sequence(template_sequences(K(9, 13))[0])
-    both = FourManifoldLedger(l1.summands + l2.summands)
-    assert len(both.summands) == len(l1.summands) + len(l2.summands) == 5
+    both = FourManifoldLedger(l1.moves + l2.moves)
+    assert len(both.moves) == len(l1.moves) + len(l2.moves) == 5
     assert both.sigma_m == l1.sigma_m + l2.sigma_m + 1
     assert both.b2_plus == l1.b2_plus + l2.b2_plus
     assert both.b2_minus == l1.b2_minus + l2.b2_minus - 1
@@ -96,15 +135,15 @@ def test_characteristic_parity():
     assert characteristic_check(led)
     t58 = ledger_from_sequence(t58_sequence())
     assert characteristic_check(t58)
-    # odd on every CP^2, even on every S^2 x S^2; the leading move's odd w
-    # alone is characteristic
+    # odd v on every CP^2, even v on every S^2 x S^2; the leading move's
+    # odd w alone is characteristic
     assert characteristic_check(FourManifoldLedger(()))
-    for summand in (Summand(MINUS_CP2, (2,)),
-                    Summand(PLUS_CP2, (4,)),
-                    Summand(S2XS2, (4, 3))):
-        assert not characteristic_check(FourManifoldLedger((summand,)))
+    # -CP^2 with v = 2, +CP^2 with v = 4, S^2 x S^2 with odd v = 3
+    for move in (TwistMove(1, 2), TwistMove(-1, 4), TwistMove(2, 3)):
+        assert not characteristic_check(FourManifoldLedger((move,)))
+    # +CP^2 with v = 3, S^2 x S^2 with class (2, -6)
     assert characteristic_check(FourManifoldLedger(
-        (Summand(PLUS_CP2, (3,)), Summand(S2XS2, (2, -6)))))
+        (TwistMove(-1, 3), TwistMove(6, 2))))
 
 
 def test_kikuchi_t58():
@@ -161,8 +200,8 @@ def test_every_template_forces_an_odd_omega_squared():
 
 
 def test_kikuchi_inapplicable_when_b2_large():
-    summands = tuple(Summand(PLUS_CP2, (1,)) for _ in range(4))
-    res = kikuchi_eliminate(FourManifoldLedger(summands))
+    moves = tuple(TwistMove(-1, 1) for _ in range(4))  # four +CP^2
+    res = kikuchi_eliminate(FourManifoldLedger(moves))
     assert not res.applicable
     assert "b2" in res.reason
 

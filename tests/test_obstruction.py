@@ -352,6 +352,20 @@ def test_an_even_template_root_is_an_internal_check_error(monkeypatch):
         classify(K(5, 8))
 
 
+def test_an_inapplicable_template_is_an_internal_check_error(monkeypatch,
+                                                              capsys):
+    # every built-in template is applicable by construction, so classify
+    # treats an inapplicable one as a broken invariant, and the CLI exits 3
+    from torustwist import cli
+    monkeypatch.setattr(obstruction, "kikuchi_eliminate", lambda ledger:
+                        KikuchiResult(False, reason="x"))
+    with pytest.raises(InternalCheckError, match="inapplicable"):
+        classify(K(5, 8))
+    assert cli.main(["classify", "-p", "5", "-q", "8"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "inapplicable" in out.err
+
+
 def test_classify_deterministic():
     a = certificate_to_dict(classify(K(9, 13)))
     b = certificate_to_dict(classify(K(9, 13)))

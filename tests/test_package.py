@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import torustwist
 
@@ -12,3 +14,14 @@ def test_all_lists_each_public_name_once_and_only_those():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert set(names) == public
+
+
+def test_the_package_has_no_assert_statement():
+    # invariant checks must hold under python -O, so they raise instead
+    modules = sorted(Path(torustwist.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert asserts == [], (path.name, asserts)
