@@ -17,12 +17,23 @@ v* M v > 0), so H is positive definite on the k-dimensional QV.  Hence
 a <= n+(M) <= n+(H) and b <= n-(M) <= n-(H), while
 a + b = n - z = n+(H) + n-(H); so a = n+(H) and b = n-(H).
 
-The ladder has two kinds of rung.  The double rung runs LAPACK eigh (in
-real arithmetic when H is real) and encloses M by midpoint-radius
-interval arithmetic under the standard model: entrywise
-|fl(A @ B) - A @ B| <= gamma_k * |A| @ |B| with gamma_k = k*u/(1 - k*u),
-u = 2^-53, with generous slack factors; radius overestimation only costs an
-occasional escalation, never soundness.  If it cannot separate the
+The ladder has two kinds of rung.  The double rung runs LAPACK eigh on
+the midpoint of H's enclosure H_mid +- rad_H (in real arithmetic when H is
+real) and forms hq = fl(H_mid Q) and m = fl(Q* hq), its only n^3
+products.  Under the standard model |fl(A @ B) - A @ B| <= g |A| |B|
+entrywise, with g = `_gamma(n)` >= 2 (n+8)u/(1 - (n+8)u), u = 2^-53,
+enough for complex products,
+
+    |M - m| <= |Q|^T (g |H_mid| + rad_H) |Q| + g |Q|^T |hq|.
+
+Gershgorin reads only this bound's row sums, so they are formed by
+matrix-vector products in O(n^2): c = |Q| 1, v = (g |H_mid| + rad_H) c and
+r = |Q|^T (g |hq| 1 + v), each stage rounded up by (1 + 4g) and an
+underflow allowance.  Row i's interval is centred at Re m_ii with
+half-width (sum_{j != i} |m_ij| (1 + 8u) + |Im m_ii| + r_i)(1 + g), the
+diagonal left out of the sum rather than subtracted from it, which could
+cancel the off-diagonal part.  Overestimating r only costs an occasional
+escalation, never soundness.  If it cannot separate the
 intervals, the mpmath rungs follow at 128, 256, ... bits up to a cap:
 mp.eighe at that precision, then an exact integer congruence (see
 `inertia_mp`) with no rounding model at all.  Each rung takes H from its
@@ -63,16 +74,6 @@ class MRMatrix:
     mid: np.ndarray
     rad: np.ndarray
 
-    @staticmethod
-    def exact(m) -> "MRMatrix":
-        """Zero-radius enclosure; keeps a real (float64) dtype real."""
-        m = np.asarray(m)
-        m = m.astype(np.result_type(m.dtype, np.float64), copy=False)
-        return MRMatrix(m, np.zeros(m.shape, dtype=np.float64))
-
-    def dagger(self) -> "MRMatrix":
-        return MRMatrix(self.mid.conj().T.copy(), self.rad.T.copy())
-
 
 def _gamma(k: int) -> float:
     t = (k + 8) * _U
@@ -82,24 +83,9 @@ def _gamma(k: int) -> float:
     return 2.0 * t / (1.0 - t)
 
 
-def mr_matmul(a: MRMatrix, b: MRMatrix) -> MRMatrix:
-    k = a.mid.shape[1]
-    g = _gamma(k)
-    mid = a.mid @ b.mid
-    am, bm = np.abs(a.mid), np.abs(b.mid)
-    rad = g * (am @ bm)
-    # an exact factor (Q in the congruence) has radius identically zero
-    if b.rad.any():
-        rad += am @ b.rad
-    if a.rad.any():
-        rad += a.rad @ (bm + b.rad)
-    rad = rad * (1.0 + 4.0 * g) + 16.0 * _TINY
-    return MRMatrix(mid, rad)
-
-
-def sup_abs(a: MRMatrix) -> np.ndarray:
-    """Entrywise upper bound on |entry| over the enclosure."""
-    return np.abs(a.mid) * (1.0 + 8.0 * _U) + a.rad
+def _up(x, g):
+    """x, a float evaluation of sums of nonnegative products, rounded up."""
+    return x * (1.0 + 4.0 * g) + 16.0 * _TINY
 
 
 def _merge_and_count(lows, highs, nullity):
@@ -135,16 +121,27 @@ def _merge_and_count(lows, highs, nullity):
     return Inertia(n_plus, nullity, n_minus)
 
 
-def _gershgorin_inertia(m: MRMatrix, nullity):
-    n = m.mid.shape[0]
-    a = sup_abs(m)
-    off = a.sum(axis=1) - a.diagonal()
-    centers = m.mid.diagonal().real
-    # the true diagonal is real (M is exactly Hermitian); its enclosure slop
-    # is the disk radius, and the row sum itself gets an accumulation bound
-    spread = (off + np.abs(m.mid.diagonal().imag)) * (1.0 + _gamma(n)) \
-        + m.rad.diagonal() + 16.0 * _TINY
-    return _merge_and_count(list(centers - spread), list(centers + spread), nullity)
+def _congruence(h: MRMatrix, q):
+    """m = fl(Q* fl(H_mid Q)) and r with sum_j |Q* H Q - m|_ij <= r_i for
+    every H in the enclosure h, by the chain in the module docstring."""
+    g = _gamma(q.shape[0])
+    hq = h.mid @ q
+    m = q.conj().T @ hq
+    q_abs = np.abs(q)
+    c = _up(q_abs.sum(axis=1), g)
+    v = _up(g * (np.abs(h.mid) @ c) + h.rad @ c, g)
+    w = _up(g * np.abs(hq).sum(axis=1) + v, g)
+    return m, _up(w @ q_abs, g)
+
+
+def _gershgorin_spread(m, r):
+    """Half-widths of real Gershgorin intervals centred at Re m_ii that hold
+    the rows of every Hermitian M with sum_j |M_ij - m_ij| <= r_i."""
+    off = np.abs(m)
+    np.fill_diagonal(off, 0.0)
+    # 1 + 8u covers each computed modulus, 1 + g the floating row sums
+    return (off.sum(axis=1) * (1.0 + 8.0 * _U) + np.abs(m.diagonal().imag)
+            + r) * (1.0 + _gamma(len(r)))
 
 
 def inertia_via_congruence(h: MRMatrix, nullity: int):
@@ -156,9 +153,10 @@ def inertia_via_congruence(h: MRMatrix, nullity: int):
         _, q = np.linalg.eigh(h.mid)
     except np.linalg.LinAlgError:
         return None
-    qm = MRMatrix.exact(q)
-    m = mr_matmul(qm.dagger(), mr_matmul(h, qm))
-    return _gershgorin_inertia(m, nullity)
+    m, r = _congruence(h, q)
+    centers = m.diagonal().real
+    spread = _gershgorin_spread(m, r)
+    return _merge_and_count(list(centers - spread), list(centers + spread), nullity)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +173,13 @@ def inertia_mp(enclosure_fn, n, prec, nullity):
     eigenvector matrix, scaled by 2^prec and rounded, is an integer matrix
     G.  With C = cr + i ci and R = rad, M = G* (2^prec H) G lies entrywise
     within G* C G +- |G|^T R |G|, where |G| is bounded by |Re G| + |Im G|.
-    Both products are integer matmuls over Python ints, so the Gershgorin
-    intervals of M are exact integers (an off-diagonal modulus is bounded
-    by isqrt(re^2 + im^2) + 1) and no rounding model is involved.  Any
-    integer G is allowed: G is the congruence itself, and by the argument
-    in the module docstring it needs no invertibility check.  Returns None
-    if unresolved.
+    G* C G is an integer matmul over Python ints; of the radius Gershgorin
+    reads only the row sums |G|^T (R (|G| 1)), two integer matrix-vector
+    products.  So the Gershgorin intervals of M are exact integers (an
+    off-diagonal modulus is bounded by isqrt(re^2 + im^2) + 1) and no
+    rounding model is involved.  Any integer G is allowed: G is the
+    congruence itself, and by the argument in the module docstring it
+    needs no invertibility check.  Returns None if unresolved.
     """
     from mpmath import mp
     from mpmath.libmp import mpf_shift, to_int
@@ -212,13 +211,12 @@ def inertia_mp(enclosure_fn, n, prec, nullity):
     pr = gr.T @ wr + gi.T @ wi
     pi = gr.T @ wi - gi.T @ wr
     g_abs = np.abs(gr) + np.abs(gi)
-    b = g_abs.T @ (rad @ g_abs)
+    b = g_abs.T @ (rad @ g_abs.sum(axis=1))
 
     lows, highs = [], []
     for i in range(n):
-        off = sum(isqrt(pr[i, j] ** 2 + pi[i, j] ** 2) + 1 + b[i, j]
-                  for j in range(n) if j != i)
-        spread = off + b[i, i]
+        spread = b[i] + sum(isqrt(pr[i, j] ** 2 + pi[i, j] ** 2) + 1
+                            for j in range(n) if j != i)
         lows.append(pr[i, i] - spread)
         highs.append(pr[i, i] + spread)
     return _merge_and_count(lows, highs, nullity)

@@ -39,7 +39,7 @@ SCAN_COLUMNS = ("p", "q", "exceptional", "verdict", "survivors", "sigma",
 MAX_SCAN_CELLS = 2 ** 20
 # sigma's oracle enumerates the (p-1)(q-1) lattice points and its seifert
 # route diagonalizes a dense matrix of that dimension.  At T(2, 2049), which
-# is this bound, the seifert route took 5.0 s and 524 MB peak RSS (one run,
+# is this bound, the seifert route took 3.0 s and 360 MB peak RSS (two runs,
 # 2-vCPU Intel Xeon, one BLAS thread).  A larger knot is rejected on those
 # routes with DomainError (exit 2) before any work.
 MAX_SIGMA_DIM = 2 ** 11

@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -371,35 +373,146 @@ def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
     assert (res.n_plus, res.n_zero, res.n_minus) == (3, 0, 0)
 
 
-def test_mr_matmul_skips_only_zero_radius_products():
-    rng = np.random.default_rng(3)
-
-    def enclosure(exact):
-        mid = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        rad = np.zeros((6, 6)) if exact else rng.random((6, 6)) * 1e-9
-        return certify.MRMatrix(mid, rad)
-
-    for a_exact in (False, True):
-        for b_exact in (False, True):
-            a, b = enclosure(a_exact), enclosure(b_exact)
-            g = certify._gamma(6)
-            am, bm = np.abs(a.mid), np.abs(b.mid)
-            full = am @ b.rad + a.rad @ (bm + b.rad) + g * (am @ bm)
-            full = full * (1.0 + 4.0 * g) + 16.0 * certify._TINY
-            got = certify.mr_matmul(a, b)
-            assert np.array_equal(got.mid, a.mid @ b.mid)
-            assert np.allclose(got.rad, full, rtol=1e-14, atol=0)
-
-
 def test_double_rung_stays_real_at_d2():
     form = build_form(seifert_matrix(torus_braid(5, 8)), 2, source=(5, 8))
     enc = tristram._float_enclosure(form)
     assert enc.mid.dtype == np.float64
-    assert certify.MRMatrix.exact(np.eye(3)).mid.dtype == np.float64
     res = certify.inertia_via_congruence(enc, 0)
     assert res.signature == sigma_d_counting(5, 8, 2)
     form3 = build_form(seifert_matrix(torus_braid(5, 8)), 3, source=(5, 8))
     assert tristram._float_enclosure(form3).mid.dtype == np.complex128
+
+
+def test_double_rung_resolves_every_small_torus_form():
+    # p < q <= 15 at every prime d <= 13: the double rung alone certifies
+    # each form's inertia (the fixtures above are where it stops)
+    for p, q in coprime_range(14, 15):
+        f = seifert_matrix(torus_braid(p, q))
+        for d in (2, 3, 5, 7, 11, 13):
+            h = build_form(f, d, source=(p, q))
+            res = certify.inertia_via_congruence(tristram._float_enclosure(h),
+                                                 0)
+            n, sig = f.dimension, sigma_d_counting(p, q, d)
+            assert res == certify.Inertia((n + sig) // 2, 0, (n - sig) // 2), \
+                (p, q, d)
+
+
+def test_double_rung_honours_the_entry_radius():
+    def off_diagonal_in(lo, hi):
+        # [[1, x], [x, 1]] for every x in [lo, hi]
+        x, r = (lo + hi) / 2, (hi - lo) / 2
+        return certify.MRMatrix(np.array([[1.0, x], [x, 1.0]]),
+                                np.array([[0.0, r], [r, 0.0]]))
+
+    res = certify.inertia_via_congruence(off_diagonal_in(0.2, 0.6), 0)
+    assert (res.n_plus, res.n_zero, res.n_minus) == (2, 0, 0)
+    # the midpoint 0.8 is positive definite, x = 1.4 is not
+    assert certify.inertia_via_congruence(off_diagonal_in(0.2, 1.4), 0) is None
+
+
+def test_gershgorin_spread_covers_the_exact_off_diagonal_sum():
+    # with diagonal 1 and off-diagonals 1e-17 a row sums to 1 in doubles,
+    # so the row sum minus the diagonal would read 0, not 7e-17
+    tiny = np.full((8, 8), 1e-17)
+    np.fill_diagonal(tiny, 1.0)
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal((30, 30)) * 10.0 ** rng.integers(-20, 20,
+                                                                (30, 30))
+    for m in (tiny, wide + wide.T):
+        spread = certify._gershgorin_spread(m, np.zeros(len(m)))
+        for i, row in enumerate(m):
+            exact = sum(Fraction(abs(x)) for j, x in enumerate(row) if j != i)
+            assert Fraction(spread[i]) >= exact, i
+
+
+def test_row_radius_is_the_documented_chain():
+    # With small nonnegative integers every product and sum below is exact
+    # in doubles, so m is exact and r is the chain
+    # (1+4g)^2 g |Q|^T |hq| 1 + (1+4g)^4 |Q|^T (g |H_mid| + rad_H) |Q| 1
+    # up to the roundings of its few multiplications by g and 1 + 4g.
+    rng = np.random.default_rng(5)
+    n = 6
+    q, mid, rad = (rng.integers(0, 10, (n, n)) for _ in range(3))
+    g = Fraction(certify._gamma(n))
+    up = 1 + 4 * g
+    for rad_h in (rad, 0 * rad):
+        m, r = certify._congruence(
+            certify.MRMatrix(mid.astype(float), rad_h.astype(float)),
+            q.astype(float))
+        qo, ho, ro = (a.astype(object) for a in (q, mid, rad_h))
+        assert np.array_equal(m, qo.T @ ho @ qo)
+        c = qo.sum(axis=1)
+        chain = qo.T @ (up ** 2 * g * (ho @ c) + up ** 4 * (g * (ho @ c)
+                                                            + ro @ c))
+        for got, want in zip(r, chain):
+            assert abs(Fraction(got) - want) <= 8 * Fraction(2) ** -53 * want
+
+
+def _dyadic(a):
+    """(ar, ai, s): integer object arrays with a = (ar + i ai) / s exactly,
+    s the least power of two that makes every part an integer."""
+    parts = [[x.as_integer_ratio() for x in part.ravel().tolist()]
+             for part in (np.real(a), np.imag(a))]
+    s = max(den for part in parts for _, den in part)
+    return (*(np.array([num * (s // den) for num, den in part],
+                       dtype=object).reshape(a.shape) for part in parts), s)
+
+
+def _row_errors(q, m, cr, ci, rad, prec):
+    """Upper bounds on sum_j |Q* H Q - m|_ij, one per row, over every H with
+    |2^prec H - (cr + i ci)| <= rad entrywise, with Q and m taken as exact;
+    exact where the rows are real."""
+    zr, zi, dq = _dyadic(q)
+    mr, mi, dm = _dyadic(m)
+    # P = Z* C Z with Z = dq Q, as in inertia_mp
+    wr, wi = cr @ zr - ci @ zi, cr @ zi + ci @ zr
+    pr, pi = zr.T @ wr + zi.T @ wi, zr.T @ wi - zi.T @ wr
+    z_abs = np.abs(zr) + np.abs(zi)
+    b = z_abs.T @ (rad @ z_abs.sum(axis=1))
+    # unit (Q* H Q - m) lies within x + i y +- dm b
+    unit = dq * dq << prec
+    x, y = pr * dm - mr * unit, pi * dm - mi * unit
+    sq_moduli = x * x + y * y
+    return [Fraction(sum(math.isqrt(s - 1) + 1 for s in row if s) + dm * bi,
+                     unit * dm) for row, bi in zip(sq_moduli, b)]
+
+
+def test_row_radius_contains_the_exact_congruence():
+    # a soundness check, not a tightness one: the true row errors here are
+    # at most 0.2% of r, since the model bounds every rounding at its worst
+    forms = [build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
+             for p, q in coprime_range(40, 41) if (p - 1) * (q - 1) <= 40
+             for d in (2, 3, 5)]
+    forms += [_fixture(k, seed=k) for k in (1, 2, 3)]
+    for h in forms:
+        enc = tristram._float_enclosure(h)
+        _, q = np.linalg.eigh(enc.mid)
+        m, r = certify._congruence(enc, q)
+        if h.d == 2:
+            # H is an integer matrix at z = -1
+            exact = h.coeffs @ np.array([1, -1, -1])[:h.coeffs.shape[2]]
+            zero = np.zeros(exact.shape, dtype=object)
+            enclosure = (exact.astype(object), zero, zero, 0)
+        else:
+            enclosure = (*tristram._mp_enclosure(h, 320), 320)
+        errors = _row_errors(q, m, *enclosure)
+        assert all(e <= Fraction(x) for e, x in zip(errors, r)), \
+            (h.source, h.d)
+
+
+def test_double_rung_peak_memory():
+    # one attempt on T(21, 26), n = 500, holds a few n x n arrays at once:
+    # below 6 n^2 doubles in real arithmetic (d = 2), 9 n^2 in complex
+    f = seifert_matrix(torus_braid(21, 26))
+    for d, limit in ((2, 6), (3, 9)):
+        enc = tristram._float_enclosure(build_form(f, d, source=(21, 26)))
+        tracemalloc.start()
+        try:
+            certify.inertia_via_congruence(enc, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * 8 * f.dimension ** 2, (d, peak)
 
 
 def test_counting_matches_hermitian_on_range():
