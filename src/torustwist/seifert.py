@@ -18,6 +18,14 @@ disjoint pairs).  The sign conventions are pinned by requiring the closure
 of s1^3 (the positive trefoil, T(2,3)) to yield exactly [[-1, 1], [0, -1]],
 so that positive torus knots get negative signatures; the test suite
 cross-checks signatures against lattice counts and Alexander determinants.
+
+When reading the word backwards with each s_g replaced by s_{k-g} gives the
+word back, as it does for the torus braid (s1 ... s_{k-1})^q, the same
+substitution on positions, pos -> L-1-pos for a word of length L, maps the
+basis to itself: (g, a, b) -> (k-g, L-1-b, L-1-a).  It reverses "next
+pair" and swaps the two interleaving patterns together with the roles of
+g and g+1, so each rule above holds with e and f exchanged: the induced
+permutation P satisfies P V P^T = V^T.
 """
 
 from dataclasses import dataclass
@@ -70,6 +78,9 @@ def closure_components(b: BraidWord) -> int:
 @dataclass(frozen=True, eq=False)
 class SeifertForm:
     matrix: np.ndarray  # integer Seifert matrix V
+    # the reversal involution as an index array, P e_i = e_involution[i],
+    # with P V P^T = V^T; None when the word is not its own flipped reverse
+    involution: np.ndarray = None
 
     @property
     def dimension(self) -> int:
@@ -112,7 +123,12 @@ def seifert_matrix(b: BraidWord) -> SeifertForm:
                 V[e, f] = 1
             elif c < a < d < bb:
                 V[f, e] = -1
-    return SeifertForm(V)
+    involution = None
+    last = len(b.letters) - 1
+    if tuple(b.strands - g for g in reversed(b.letters)) == b.letters:
+        involution = np.array([start[b.strands - g, last - bb]
+                               for g, _, bb in basis])
+    return SeifertForm(V, involution)
 
 
 def genus_from_form(f: SeifertForm) -> int:

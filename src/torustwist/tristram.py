@@ -14,11 +14,20 @@ d.  That arithmetic fact certifies the nullity; a form without a torus
 knot source gets its nullity from one exact rational rank (`cyclotomic`).
 The remaining eigenvalue signs are certified by `certify`: interval
 arithmetic in doubles, then exact integer congruences at rising mpmath
-precision until every sign resolves or a cap is hit.  z is evaluated only
-in `_root_bounds`, as integer bounds on 2^bits cos(t) and 2^bits sin(t),
-t = 2*pi*a/d: the double rung rounds the 80-bit bounds outward, and each
-precision rung encloses 2^prec H entrywise by integers, from
-H = C0 + cos(t) (C1 + C2) + i sin(t) (C1 - C2).
+precision until every sign resolves or a cap is hit.  Torus forms are
+certified in real arithmetic at every d: the Seifert basis of the torus
+braid carries a reversal involution P with P V P^T = V^T (`seifert`), so
+P H P^T = conj(H), and H is congruent to a real symmetric matrix K of the
+same size, whose integer slices are O(n^2) gathers of H's (`_real_slices`,
+after A. Lee, "Centrohermitian and skew-centrohermitian matrices", Linear
+Algebra Appl. 29, 1980).  A form without an involution, such as a
+sourceless one built from its slices, stays complex at d > 2.  z is
+evaluated only in `_root_bounds`, as integer bounds on 2^bits cos(t) and
+2^bits sin(t), t = 2*pi*a/d: the double rung rounds the 80-bit bounds
+outward, and each precision rung encloses 2^prec H entrywise by integers,
+from
+H = C0 + cos(t) (C1 + C2) + i sin(t) (C1 - C2), or 2^prec K from
+K = R0 + cos(t) R1 + sin(t) R2.
 
 For torus knots there is also an exact integer fast path (Litherland,
 "Signatures of iterated torus knots", LNM 722, 1979): writing
@@ -120,15 +129,22 @@ class HermitianForm:
 
     coeffs has shape (dimension, dimension, k), 1 <= k <= 3, and
     coeffs[:, :, s] is the integer slice C_s; missing slices are zero.  H is
-    Hermitian when C0 is symmetric and C2 = C1^T, as `build_form` makes it.
-    `source` carries (p, q) when the form came from a torus knot, enabling
-    the arithmetic nullity certificate.
+    Hermitian when C0 is symmetric and C2 = C1^T, as `build_form` makes it;
+    `inertia` rejects any other form.  `source` carries (p, q) when the form
+    came from a torus knot, enabling the arithmetic nullity certificate.
+    `involution`, an index array P with P P = id, P C0 P^T = C0 and
+    P C1 P^T = C2, makes P H P^T = conj(H), so that `inertia` certifies a
+    congruent real symmetric matrix instead of H (see `_real_slices`).
+    `build_form` passes on the Seifert form's reversal involution, so torus
+    forms are certified in real arithmetic at every d; a form without one,
+    such as a sourceless form built from its slices, stays complex at d > 2.
     """
 
     d: int
     dimension: int
     coeffs: np.ndarray
     source: tuple = None
+    involution: np.ndarray = None
 
     def __post_init__(self):
         _require_prime(self.d)
@@ -145,10 +161,11 @@ class HermitianForm:
 
 def build_form(f: SeifertForm, d: int, source=None) -> HermitianForm:
     """H = (1-z)V + (1-conj(z))V^T at z = exp(2*pi*i*[d/2]/d), exactly, as
-    the slices (V + V^T, -V, -V^T); at d = 2 it evaluates to 2(V + V^T)."""
+    the slices (V + V^T, -V, -V^T); at d = 2 it evaluates to 2(V + V^T).
+    The form keeps f's reversal involution, under which it is symmetric."""
     v = f.matrix
     return HermitianForm(d, f.dimension, np.stack([v + v.T, -v, -v.T], axis=-1),
-                         source)
+                         source, f.involution)
 
 
 @lru_cache(maxsize=None)
@@ -171,55 +188,153 @@ def _root_bounds(d: int, bits: int):
 
 
 @lru_cache(maxsize=None)
+def _trig_enclosures(d: int):
+    """Outward double enclosures of 1, cos(t) and sin(t), as (midpoints,
+    radii), from the 80-bit `_root_bounds`."""
+    mid, rad = [1.0], [0.0]
+    for lo, hi in _root_bounds(d, 80):
+        lo = nextafter(lo * 2.0 ** -80, -inf)
+        hi = nextafter(hi * 2.0 ** -80, inf)
+        mid.append(0.5 * (lo + hi))
+        rad.append(max(hi - mid[-1], mid[-1] - lo) * (1 + 2 ** -50))
+    return np.array(mid), np.array(rad)
+
+
+@lru_cache(maxsize=None)
 def _root_enclosures(d: int):
     """Outward double enclosures of 1, z and conj(z), as (midpoints,
     radii).  The midpoints are real at d = 2, where z = conj(z) = -1
     exactly, so forms at d = 2 stay in real arithmetic."""
     if d == 2:
         return np.array([1.0, -1.0, -1.0]), np.zeros(3)
-    parts = []
-    for lo, hi in _root_bounds(d, 80):
-        lo = nextafter(lo * 2.0 ** -80, -inf)
-        hi = nextafter(hi * 2.0 ** -80, inf)
-        mid = 0.5 * (lo + hi)
-        parts.append((mid, max(hi - mid, mid - lo) * (1 + 2 ** -50)))
-    (cos_mid, cos_rad), (sin_mid, sin_rad) = parts
+    (_, cos_mid, sin_mid), (_, cos_rad, sin_rad) = _trig_enclosures(d)
     mid = np.array([1, complex(cos_mid, sin_mid), complex(cos_mid, -sin_mid)])
     rad = np.array([0.0, cos_rad + sin_rad, cos_rad + sin_rad])
     return mid, rad
 
 
-def _float_enclosure(h: HermitianForm) -> MRMatrix:
-    k = h.coeffs.shape[2]
-    mid, rad = (x[:k] for x in _root_enclosures(h.d))
+def _float_enclosure(slices, mid, rad) -> MRMatrix:
+    """Double enclosure of sum_s S_s w_s, S_s = slices[:, :, s] integer,
+    over every w_s with |w_s - mid_s| <= rad_s: H from (C0, C1, C2) and
+    `_root_enclosures`, or the reduced K from its slices and
+    `_trig_enclosures`."""
+    k = slices.shape[2]
+    mid, rad = mid[:k], rad[:k]
     # einsum casts the int64 slices in buffered chunks, and the radius is
-    # summed one |C_s| at a time: no copy of the (n, n, k) array is made.
-    # The order C0, C2, C1 is that of einsum("ijk,k->ij")'s two-lane
+    # summed one |S_s| at a time: no copy of the (n, n, k) array is made.
+    # The order S0, S2, S1 is that of einsum("ijk,k->ij")'s two-lane
     # reduction over k on x86-64, so the radius is bit-identical to it there
     weights = rad + 8 * 2.0 ** -53 * np.abs(mid)
-    radius = np.zeros(h.coeffs.shape[:2])
+    radius = np.zeros(slices.shape[:2])
     for s in [s for s in (0, 2, 1) if s < k]:
-        term = np.abs(h.coeffs[:, :, s], dtype=np.float64)
+        term = np.abs(slices[:, :, s], dtype=np.float64)
         term *= weights[s]
         radius += term
     radius += 1e-300
-    return MRMatrix(np.einsum("ijk,k->ij", h.coeffs, mid), radius)
+    return MRMatrix(np.einsum("ijk,k->ij", slices, mid), radius)
 
 
-def _mp_enclosure(h: HermitianForm, prec: int):
-    """(cr, ci, rad), object arrays of Python ints with
-    |2^prec H - (cr + i ci)| <= rad entrywise, from
-    H = C0 + cos(t) (C1 + C2) + i sin(t) (C1 - C2) and `_root_bounds`."""
-    n, _, k = h.coeffs.shape
+def _trig_slices(coeffs):
+    """(C0, C1 + C2, C1 - C2) as an object array stacked like coeffs:
+    H = C0 + cos(t) (C1 + C2) + i sin(t) (C1 - C2)."""
+    n, _, k = coeffs.shape
     c = np.zeros((n, n, 3), dtype=object)
-    c[:, :, :k] = h.coeffs
-    re, im = c[:, :, 1] + c[:, :, 2], c[:, :, 1] - c[:, :, 2]
-    (c_lo, c_hi), (s_lo, s_hi) = _root_bounds(h.d, prec)
+    c[:, :, :k] = coeffs
+    return np.stack([c[:, :, 0], c[:, :, 1] + c[:, :, 2],
+                     c[:, :, 1] - c[:, :, 2]], axis=-1)
+
+
+def _mp_enclosure(slices, d: int, prec: int, real: bool):
+    """(cr, ci, rad), object arrays of Python ints with
+    |2^prec F - (cr + i ci)| <= rad entrywise for F = T0 + cos(t) T1 +
+    j sin(t) T2, T_s = slices[:, :, s], j = 1 when real and i otherwise:
+    H from `_trig_slices`, or the reduced K from its slices.  cos(t) and
+    sin(t) come from `_root_bounds`."""
+    t0, t1, t2 = np.moveaxis(slices.astype(object), -1, 0)
+    (c_lo, c_hi), (s_lo, s_hi) = _root_bounds(d, prec)
     c_mid, s_mid = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
-    cr = (c[:, :, 0] << prec) + re * c_mid
-    ci = im * s_mid
-    rad = np.abs(re) * (c_hi - c_mid) + np.abs(im) * (s_hi - s_mid)
+    cr = (t0 << prec) + t1 * c_mid
+    ci = t2 * s_mid
+    if real:
+        cr, ci = cr + ci, 0 * ci
+    rad = np.abs(t1) * (c_hi - c_mid) + np.abs(t2) * (s_hi - s_mid)
     return cr, ci, rad
+
+
+def _checked_involution(h: HermitianForm):
+    """h's involution P as an index array, or None if it has none.  Raises
+    DomainError unless H is Hermitian (C0 = C0^T and C2 = C1^T, missing
+    slices zero) and P is a symmetry of it (P P = id, P C0 P^T = C0 and
+    P C1 P^T = C2).  The comparisons are exact, on the integer slices."""
+    n, _, k = h.coeffs.shape
+    c0, c1, c2 = (h.coeffs[:, :, s] if s < k else np.zeros((n, n), dtype=int)
+                  for s in range(3))
+    if not (np.array_equal(c0, c0.T) and np.array_equal(c2, c1.T)):
+        raise DomainError(f"the form at d={h.d} is not Hermitian: need "
+                          f"C0 = C0^T and C2 = C1^T")
+    if h.involution is None:
+        return None
+    p = np.asarray(h.involution)
+    if not (p.shape == (n,) and p.dtype.kind in "iu"
+            and np.all((p >= 0) & (p < n))
+            and np.array_equal(p[p], np.arange(n))
+            and np.array_equal(c0[p][:, p], c0)
+            and np.array_equal(c1[p][:, p], c2)):
+        raise DomainError("the involution is not a symmetry of the form: "
+                          "need P P = id, P C0 P^T = C0 and P C1 P^T = C2")
+    return p
+
+
+def _real_slices(coeffs, p):
+    """Slices (R0, R1, R2), stacked like coeffs, of the real symmetric
+    K = R0 + cos(t) R1 + sin(t) R2 = W* H W / 2, for an involution p
+    verified by `_checked_involution`.
+
+    P H P^T = conj(H), that is H[p[a], p[b]] = conj(H[a, b]).  W has the
+    columns u_a = e_a + e_p[a] for a <= p[a] (2 e_a at a fixed point), then
+    v_a = i (e_a - e_p[a]) for a < p[a]; its 2 x 2 blocks on each pair
+    {a, p[a]} are invertible, so by Sylvester's law K has H's inertia.  With
+    X^+ = X[a, b] + X[a, p[b]] and X^- = X[a, b] - X[a, p[b]],
+    u* H u / 2 = (Re H)^+, v* H v / 2 = (Re H)^-, u* H v / 2 = -(Im H)^-
+    and v* H u / 2 = (Im H)^+, where Re H = C0 + cos(t) (C1 + C2) and
+    Im H = sin(t) (C1 - C2).  The basis is first reordered as the f fixed
+    points, the a < p[a], then their partners p[a], so that X^+ and X^-
+    are sums of column blocks; only the rows a <= p[a] are read.  O(n^2)
+    work on integer slices."""
+    n, _, k = coeffs.shape
+    idx = np.arange(n)
+    pairs = idx[idx < p]
+    f, m = n - 2 * len(pairs), n - len(pairs)
+    order = np.concatenate([idx[idx == p], pairs, p[pairs]])
+    y = [coeffs[:, :, s][order[:m]][:, order] if s < k
+         else np.zeros((m, n), dtype=np.int64) for s in range(3)]
+    out = np.zeros((n, n, 3), dtype=np.int64)
+    for s, x in enumerate((y[0], y[1] + y[2], y[1] - y[2])):
+        plus = x[:, :m] + np.concatenate([x[:, :f], x[:, m:]], axis=1)
+        minus = x[:, f:m] - x[:, m:]
+        if s < 2:
+            out[:m, :m, s] = plus
+            out[m:, m:, s] = minus[f:]
+        else:
+            out[:m, m:, s] = -minus
+            out[m:, :m, s] = plus[f:]
+    return out
+
+
+def _enclosures(h: HermitianForm):
+    """(double, mp) enclosure builders of the matrix that `inertia`
+    certifies for h: the real K of `_real_slices` when h carries an
+    involution, d > 2 and every entry is below 2^60 (so the int64 gathers
+    cannot overflow), else H itself.  Checks h first (`_checked_involution`)."""
+    p = _checked_involution(h)
+    c = h.coeffs
+    if p is None or h.d == 2 or (
+            c.size and max(int(c.max()), -int(c.min())) >= 2 ** 60):
+        return (lambda: _float_enclosure(c, *_root_enclosures(h.d)),
+                lambda prec: _mp_enclosure(_trig_slices(c), h.d, prec, False))
+    r = _real_slices(c, p)
+    return (lambda: _float_enclosure(r, *_trig_enclosures(h.d)),
+            lambda prec: _mp_enclosure(r, h.d, prec, True))
 
 
 def _nullity(h: HermitianForm) -> int:
@@ -237,11 +352,11 @@ def _nullity(h: HermitianForm) -> int:
 
 
 def inertia(h: HermitianForm) -> Inertia:
-    """Certified inertia (n_plus, n_zero, n_minus) of the form."""
-    z = _nullity(h)
-    return certified_inertia(lambda: _float_enclosure(h),
-                             lambda prec: _mp_enclosure(h, prec),
-                             h.dimension, z)
+    """Certified inertia (n_plus, n_zero, n_minus) of the form; DomainError,
+    before any rung runs, unless it is Hermitian and its involution, if
+    any, is a symmetry of it."""
+    float_fn, mp_fn = _enclosures(h)
+    return certified_inertia(float_fn, mp_fn, h.dimension, _nullity(h))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from torustwist import (BraidWord, DomainError, NotAKnotError, TorusKnotParams,
-                        genus_from_form, seifert_matrix, sigma_oracle,
-                        torus_braid, tristram_sigma)
+                        build_form, genus_from_form, inertia, seifert_matrix,
+                        sigma_oracle, torus_braid, tristram_sigma)
+from torustwist import tristram
 from torustwist.seifert import closure_components, format_matrix
 
 
@@ -143,3 +144,26 @@ def test_seifert_matrix_matches_the_all_pairs_loop():
     for b in braids:
         assert seifert_matrix(b).matrix.tolist() == \
             _seifert_all_pairs(b).tolist(), b
+
+
+def test_torus_braids_carry_the_reversal_involution():
+    # (g, a, b) -> (p - g, L-1-b, L-1-a) permutes the basis, and
+    # P V P^T = V^T, that is V[P i, P j] = V[j, i]
+    for p, q in coprime_range(40, 40):
+        f = seifert_matrix(torus_braid(p, q))
+        inv, n = f.involution, f.dimension
+        assert sorted(inv.tolist()) == list(range(n)), (p, q)
+        assert np.array_equal(inv[inv], np.arange(n)), (p, q)
+        assert np.array_equal(f.matrix[inv][:, inv], f.matrix.T), (p, q)
+
+
+def test_a_braid_without_the_symmetry_has_no_involution():
+    # s1^3 s2 on 3 strands closes to the trefoil; read backwards with
+    # s_g -> s_{3-g} it is s2 s1^3, another word
+    f = seifert_matrix(BraidWord(3, (1, 1, 1, 2)))
+    assert f.involution is None
+    h = build_form(f, 3)
+    assert h.involution is None
+    assert tristram._enclosures(h)[0]().mid.dtype == np.complex128
+    # sigma_3 of the trefoil, with the nullity from exact elimination
+    assert inertia(h).signature == -2

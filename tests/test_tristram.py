@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,7 +104,8 @@ def test_float_enclosure_contains_every_exact_entry():
         f = seifert_matrix(torus_braid(p, q))
         for d in (2, 3, 5, 7, 43):
             h = build_form(f, d, source=(p, q))
-            enc = tristram._float_enclosure(h)
+            enc = tristram._float_enclosure(h.coeffs,
+                                            *tristram._root_enclosures(d))
             with mp.workprec(200):
                 z = mp.expj(2 * mp.pi * h.a / d)
                 roots = (1, z, mp.conj(z))
@@ -143,7 +145,8 @@ def test_mp_enclosure_contains_every_exact_entry(k):
             coeffs = build_form(f, d).coeffs[:, :, :k]
             h = HermitianForm(d, f.dimension, coeffs, source=(p, q))
             for prec in (53, 128, 256):
-                cr, ci, rad = tristram._mp_enclosure(h, prec)
+                cr, ci, rad = tristram._mp_enclosure(
+                    tristram._trig_slices(coeffs), d, prec, False)
                 with mp.workprec(prec + 200):
                     z = mp.expj(2 * mp.pi * h.a / d)
                     roots = (1, z, mp.conj(z))
@@ -154,6 +157,140 @@ def test_mp_enclosure_contains_every_exact_entry(k):
                             gap = abs(exact * 2 ** prec
                                       - mp.mpc(cr[i, j], ci[i, j]))
                             assert gap <= rad[i, j], (p, q, d, prec, i, j)
+
+
+def _exact_reduced(h):
+    """The real K = W* H W / 2 of `tristram._real_slices`, exactly at the
+    current mpmath precision, from its definition: W has the columns
+    e_a + e_p[a] over the fixed points a = p[a], then over a < p[a], then
+    i (e_a - e_p[a]) over a < p[a]."""
+    from mpmath import mp
+
+    p, n = h.involution, h.dimension
+    z = mp.expj(2 * mp.pi * h.a / h.d)
+    roots = (1, z, mp.conj(z))
+    hm = mp.matrix([[sum(int(c) * r for c, r in zip(h.coeffs[i, j], roots))
+                     for j in range(n)] for i in range(n)])
+    fixed = [a for a in range(n) if p[a] == a]
+    pairs = [a for a in range(n) if a < p[a]]
+    w = mp.matrix(n, n)
+    for col, a in enumerate(fixed + pairs):
+        w[a, col] += 1
+        w[p[a], col] += 1
+    for col, a in enumerate(pairs, start=len(fixed) + len(pairs)):
+        w[a, col] += 1j
+        w[p[a], col] -= 1j
+    return w.H * hm * w / 2
+
+
+def _reduced_cases():
+    for p, q in [(2, 5), (3, 7), (4, 5)]:
+        f = seifert_matrix(torus_braid(p, q))
+        for d in (3, 5, 7, 43):
+            yield build_form(f, d, source=(p, q))
+
+
+def test_reduced_float_enclosure_contains_every_exact_entry():
+    from mpmath import mp
+
+    for h in _reduced_cases():
+        enc = tristram._enclosures(h)[0]()
+        assert enc.mid.dtype == np.float64
+        with mp.workprec(200):
+            k = _exact_reduced(h)
+            for i in range(h.dimension):
+                for j in range(h.dimension):
+                    gap = abs(k[i, j] - mp.mpf(float(enc.mid[i, j])))
+                    assert gap <= enc.rad[i, j], (h.source, h.d, i, j)
+
+
+def test_reduced_mp_enclosure_contains_every_exact_entry():
+    from mpmath import mp
+
+    for h in _reduced_cases():
+        mp_fn = tristram._enclosures(h)[1]
+        for prec in (53, 128, 256):
+            cr, ci, rad = mp_fn(prec)
+            assert not ci.any()
+            with mp.workprec(prec + 200):
+                k = _exact_reduced(h)
+                for i in range(h.dimension):
+                    for j in range(h.dimension):
+                        gap = abs(k[i, j] * 2 ** prec - cr[i, j])
+                        assert gap <= rad[i, j], (h.source, h.d, prec, i, j)
+
+
+def _run_O(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_inertia_rejects_a_non_hermitian_form_also_under_O():
+    # C0 = [[1, 5], [0, 1]] used to climb the mp ladder to its cap and raise
+    # UndecidedSignError; C2 != C1^T is the other way to fail, and a missing
+    # C2 counts as zero
+    bad = []
+    c = np.zeros((2, 2, 1), dtype=np.int64)
+    c[:, :, 0] = [[1, 5], [0, 1]]
+    bad.append(HermitianForm(2, 2, c))
+    c = np.zeros((2, 2, 3), dtype=np.int64)
+    c[:, :, 0] = np.eye(2, dtype=np.int64)
+    c[:, :, 1] = [[0, 1], [0, 0]]
+    c[:, :, 2] = [[0, 1], [0, 0]]
+    bad.append(HermitianForm(3, 2, c))
+    bad.append(HermitianForm(3, 2, c[:, :, :2]))
+    for h in bad:
+        with pytest.raises(DomainError):
+            inertia(h)
+    res = _run_O(
+        "import numpy as np\n"
+        "from torustwist import DomainError, HermitianForm, inertia\n"
+        "c = np.array([[1, 5], [0, 1]]).reshape(2, 2, 1)\n"
+        "try:\n"
+        "    inertia(HermitianForm(2, 2, c))\n"
+        "except DomainError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    assert res.returncode == 0, res.stderr
+
+
+def test_inertia_rejects_an_involution_that_is_not_a_symmetry_also_under_O():
+    form = build_form(seifert_matrix(torus_braid(3, 5)), 3, source=(3, 5))
+    p, n = form.involution, form.dimension
+    assert inertia(form).signature == sigma_d_counting(3, 5, 3)
+    # one corrupted entry of C1, with C2 = C1^T kept, so H stays Hermitian
+    # but P C1 P^T != C2
+    i, j = next((i, j) for i in range(n) for j in range(n)
+                if form.coeffs[i, j, 1] == 0
+                and form.coeffs[p[i], p[j], 1] == 0 and i != p[j])
+    corrupt = form.coeffs.copy()
+    corrupt[i, j, 1] = corrupt[j, i, 2] = 1
+    bad = [replace(form, coeffs=corrupt),
+           replace(form, involution=np.roll(np.arange(n), 1)),  # P P != id
+           replace(form, involution=np.arange(n)),  # not a symmetry of C1
+           replace(form, involution=p[:-1]),
+           replace(form, involution=np.where(p == 0, n, p)),
+           replace(form, involution=p.astype(float))]
+    for h in bad:
+        with pytest.raises(DomainError):
+            inertia(h)
+    # the corrupted form is a valid Hermitian form without the involution
+    inertia(replace(form, coeffs=corrupt, source=None, involution=None))
+    res = _run_O(
+        "import numpy as np\n"
+        "from dataclasses import replace\n"
+        "from torustwist import (DomainError, build_form, inertia,\n"
+        "                        seifert_matrix, torus_braid)\n"
+        "f = build_form(seifert_matrix(torus_braid(3, 5)), 3, source=(3, 5))\n"
+        "try:\n"
+        "    inertia(replace(f, involution=np.arange(f.dimension)))\n"
+        "except DomainError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    assert res.returncode == 0, res.stderr
 
 
 # torus form slices do not depend on d, and every torus form is
@@ -274,8 +411,8 @@ def _fixture(k, seed=5):
 
 
 def _mp_rung(h, prec, nullity=0):
-    return certify.inertia_mp(lambda bits: tristram._mp_enclosure(h, bits),
-                              h.dimension, prec, nullity)
+    return certify.inertia_mp(tristram._enclosures(h)[1], h.dimension, prec,
+                              nullity)
 
 
 def _integer_enclosure(cr, ci=None, rad=None):
@@ -292,17 +429,19 @@ def test_mp_rung_resolves_fixtures_at_128_bits():
     for k in range(1, 13):
         h = _fixture(k, seed=k)
         assert certify.inertia_via_congruence(
-            tristram._float_enclosure(h), 0) is None
+            tristram._enclosures(h)[0](), 0) is None
         res = _mp_rung(h, 128)
         assert (res.n_plus, res.n_zero, res.n_minus) == (k, 0, k), k
 
 
 def test_mp_rung_matches_counting_on_torus_forms():
+    # on the reduced real form, and on H itself without the involution
     for p, q, d in [(3, 7, 5), (4, 9, 7), (5, 8, 3)]:
         form = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
-        res = _mp_rung(form, 128)
-        assert res.n_zero == 0
-        assert res.signature == sigma_d_counting(p, q, d), (p, q, d)
+        for h in (form, replace(form, involution=None)):
+            res = _mp_rung(h, 128)
+            assert res.n_zero == 0
+            assert res.signature == sigma_d_counting(p, q, d), (p, q, d)
 
 
 def test_mp_rung_counts_an_exact_nullity():
@@ -375,26 +514,32 @@ def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
 
 def test_double_rung_stays_real_at_d2():
     form = build_form(seifert_matrix(torus_braid(5, 8)), 2, source=(5, 8))
-    enc = tristram._float_enclosure(form)
+    enc = tristram._enclosures(form)[0]()
     assert enc.mid.dtype == np.float64
     res = certify.inertia_via_congruence(enc, 0)
     assert res.signature == sigma_d_counting(5, 8, 2)
+    # at d = 3 the torus form is reduced to a real one; without its
+    # involution it stays complex
     form3 = build_form(seifert_matrix(torus_braid(5, 8)), 3, source=(5, 8))
-    assert tristram._float_enclosure(form3).mid.dtype == np.complex128
+    assert tristram._enclosures(form3)[0]().mid.dtype == np.float64
+    assert tristram._enclosures(replace(form3, involution=None))[0]() \
+        .mid.dtype == np.complex128
 
 
 def test_double_rung_resolves_every_small_torus_form():
-    # p < q <= 15 at every prime d <= 13: the double rung alone certifies
-    # each form's inertia (the fixtures above are where it stops)
-    for p, q in coprime_range(14, 15):
-        f = seifert_matrix(torus_braid(p, q))
-        for d in (2, 3, 5, 7, 11, 13):
-            h = build_form(f, d, source=(p, q))
-            res = certify.inertia_via_congruence(tristram._float_enclosure(h),
-                                                 0)
-            n, sig = f.dimension, sigma_d_counting(p, q, d)
-            assert res == certify.Inertia((n + sig) // 2, 0, (n - sig) // 2), \
-                (p, q, d)
+    # p < q <= 15 at every prime d <= 13, and T(31,37) at d = 5: the double
+    # rung alone certifies each form's inertia, on the real reduced form at
+    # d > 2 (the fixtures above are where it stops)
+    cases = [(p, q, d) for p, q in coprime_range(14, 15)
+             for d in (2, 3, 5, 7, 11, 13)] + [(31, 37, 5)]
+    for p, q, d in cases:
+        h = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
+        enc = tristram._enclosures(h)[0]()
+        assert enc.mid.dtype == np.float64
+        res = certify.inertia_via_congruence(enc, 0)
+        n, sig = h.dimension, sigma_d_counting(p, q, d)
+        assert res == certify.Inertia((n + sig) // 2, 0, (n - sig) // 2), \
+            (p, q, d)
 
 
 def test_double_rung_honours_the_entry_radius():
@@ -480,12 +625,15 @@ def _row_errors(q, m, cr, ci, rad, prec):
 def test_row_radius_contains_the_exact_congruence():
     # a soundness check, not a tightness one: the true row errors here are
     # at most 0.2% of r, since the model bounds every rounding at its worst
+    # torus forms at d > 2 with their involution (real K) and without (H)
     forms = [build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
              for p, q in coprime_range(40, 41) if (p - 1) * (q - 1) <= 40
              for d in (2, 3, 5)]
+    forms += [replace(h, involution=None) for h in forms if h.d > 2]
     forms += [_fixture(k, seed=k) for k in (1, 2, 3)]
     for h in forms:
-        enc = tristram._float_enclosure(h)
+        float_fn, mp_fn = tristram._enclosures(h)
+        enc = float_fn()
         _, q = np.linalg.eigh(enc.mid)
         m, r = certify._congruence(enc, q)
         if h.d == 2:
@@ -494,7 +642,7 @@ def test_row_radius_contains_the_exact_congruence():
             zero = np.zeros(exact.shape, dtype=object)
             enclosure = (exact.astype(object), zero, zero, 0)
         else:
-            enclosure = (*tristram._mp_enclosure(h, 320), 320)
+            enclosure = (*mp_fn(320), 320)
         errors = _row_errors(q, m, *enclosure)
         assert all(e <= Fraction(x) for e, x in zip(errors, r)), \
             (h.source, h.d)
@@ -502,10 +650,13 @@ def test_row_radius_contains_the_exact_congruence():
 
 def test_double_rung_peak_memory():
     # one attempt on T(21, 26), n = 500, holds a few n x n arrays at once:
-    # below 6 n^2 doubles in real arithmetic (d = 2), 9 n^2 in complex
+    # below 6 n^2 doubles in real arithmetic (d = 2, and the reduced form at
+    # d = 3), 9 n^2 in complex (d = 3 without the involution)
     f = seifert_matrix(torus_braid(21, 26))
-    for d, limit in ((2, 6), (3, 9)):
-        enc = tristram._float_enclosure(build_form(f, d, source=(21, 26)))
+    for d, limit, involution in ((2, 6, f.involution), (3, 6, f.involution),
+                                 (3, 9, None)):
+        h = replace(build_form(f, d, source=(21, 26)), involution=involution)
+        enc = tristram._enclosures(h)[0]()
         tracemalloc.start()
         try:
             certify.inertia_via_congruence(enc, 0)
