@@ -1,49 +1,47 @@
-"""Verified numeric linear algebra for certified inertia of Hermitian forms.
+"""Verified numeric linear algebra for certified inertia of real symmetric
+forms.
 
 Strategy: diagonalize H approximately, take the computed eigenvector
 matrix Q as an exact matrix, and bound the exactly congruated matrix
-M = Q* H Q.  M is Hermitian, so each Gershgorin row interval
-[M_ii - r_i, M_ii + r_i] is real, and a connected component of k of them
-holds exactly k eigenvalues of M.  Components strictly right of zero give
+M = Q^T H Q.  M is symmetric, so a connected component of k of its
+Gershgorin row intervals [M_ii - r_i, M_ii + r_i] holds exactly k
+eigenvalues of M.  Components strictly right of zero give
 a eigenvalues certified positive, those strictly left give b certified
 negative, and the components meeting zero must hold exactly the nullity z
 of H, which is known exactly by other means; otherwise the attempt is
 unresolved.
 
 No invertibility check on Q is needed.  For any square Q,
-n+(Q* H Q) <= n+(H) and n-(Q* H Q) <= n-(H): if M is positive definite on
-a k-dimensional subspace V, then Qv != 0 for every nonzero v in V (since
-v* M v > 0), so H is positive definite on the k-dimensional QV.  Hence
-a <= n+(M) <= n+(H) and b <= n-(M) <= n-(H), while
+n+(Q^T H Q) <= n+(H) and n-(Q^T H Q) <= n-(H): if M is positive definite
+on a k-dimensional subspace V, then Qv != 0 for every nonzero v in V
+(since v^T M v > 0), so H is positive definite on the k-dimensional QV.
+Hence a <= n+(M) <= n+(H) and b <= n-(M) <= n-(H), while
 a + b = n - z = n+(H) + n-(H); so a = n+(H) and b = n-(H).
 
 The ladder has two kinds of rung.  The double rung runs LAPACK eigh on
-the midpoint of H's enclosure H_mid +- rad_H (in real arithmetic when H is
-real) and forms hq = fl(H_mid Q) and m = fl(Q* hq), its only n^3
-products.  Under the standard model |fl(A @ B) - A @ B| <= g |A| |B|
-entrywise, with g = `_gamma(n)` >= 2 (n+8)u/(1 - (n+8)u), u = 2^-53,
-enough for complex products,
+the midpoint of H's enclosure H_mid +- rad_H and forms hq = fl(H_mid Q)
+and m = fl(Q^T hq), its only n^3 products.  Under the standard model
+|fl(A @ B) - A @ B| <= g |A| |B| entrywise, with g = `_gamma(n)` >=
+2 (n+8)u/(1 - (n+8)u), u = 2^-53,
 
     |M - m| <= |Q|^T (g |H_mid| + rad_H) |Q| + g |Q|^T |hq|.
 
 Gershgorin reads only this bound's row sums, so they are formed by
 matrix-vector products in O(n^2): c = |Q| 1, v = (g |H_mid| + rad_H) c and
 r = |Q|^T (g |hq| 1 + v), each stage rounded up by (1 + 4g) and an
-underflow allowance.  Row i's interval is centred at Re m_ii with
-half-width (sum_{j != i} |m_ij| (1 + 8u) + |Im m_ii| + r_i)(1 + g), the
-diagonal left out of the sum rather than subtracted from it, which could
-cancel the off-diagonal part.  Overestimating r only costs an occasional
-escalation, never soundness.  If it cannot separate the
-intervals, the mpmath rungs follow at 128, 256, ... bits up to a cap:
-mp.eighe at that precision, then an exact integer congruence (see
-`inertia_mp`) with no rounding model at all.  Each rung takes H from its
-caller as an enclosure: an MRMatrix in doubles, and at `prec` bits integer
-matrices cr, ci, rad with |2^prec H - (cr + i ci)| <= rad entrywise, built
-only when that rung runs.  Exhausting the cap raises, never guesses.
+underflow allowance.  Row i's interval is centred at m_ii with half-width
+(sum_{j != i} |m_ij| + r_i)(1 + g), the diagonal left out of the sum
+rather than subtracted from it, which could cancel the off-diagonal part.
+Overestimating r only costs an occasional escalation, never soundness.
+If it cannot separate the intervals, the mpmath rungs follow at 128, 256,
+... bits up to a cap: mp.eigsy at that precision, then an exact integer
+congruence (see `inertia_mp`) with no rounding model at all.  Each rung
+takes H from its caller as an enclosure: an MRMatrix in doubles, and at
+`prec` bits integer matrices c, rad with |2^prec H - c| <= rad entrywise,
+built only when that rung runs.  Exhausting the cap raises, never guesses.
 """
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -69,7 +67,8 @@ class Inertia:
 
 @dataclass
 class MRMatrix:
-    """Complex interval matrix: entry (i,j) is the disk |z - mid_ij| <= rad_ij."""
+    """Real symmetric interval matrix: entry (i,j) is the interval
+    |x - mid_ij| <= rad_ij."""
 
     mid: np.ndarray
     rad: np.ndarray
@@ -122,11 +121,11 @@ def _merge_and_count(lows, highs, nullity):
 
 
 def _congruence(h: MRMatrix, q):
-    """m = fl(Q* fl(H_mid Q)) and r with sum_j |Q* H Q - m|_ij <= r_i for
+    """m = fl(Q^T fl(H_mid Q)) and r with sum_j |Q^T H Q - m|_ij <= r_i for
     every H in the enclosure h, by the chain in the module docstring."""
     g = _gamma(q.shape[0])
     hq = h.mid @ q
-    m = q.conj().T @ hq
+    m = q.T @ hq
     q_abs = np.abs(q)
     c = _up(q_abs.sum(axis=1), g)
     v = _up(g * (np.abs(h.mid) @ c) + h.rad @ c, g)
@@ -135,13 +134,12 @@ def _congruence(h: MRMatrix, q):
 
 
 def _gershgorin_spread(m, r):
-    """Half-widths of real Gershgorin intervals centred at Re m_ii that hold
-    the rows of every Hermitian M with sum_j |M_ij - m_ij| <= r_i."""
+    """Half-widths of Gershgorin intervals centred at m_ii that hold the
+    rows of every symmetric M with sum_j |M_ij - m_ij| <= r_i."""
     off = np.abs(m)
     np.fill_diagonal(off, 0.0)
-    # 1 + 8u covers each computed modulus, 1 + g the floating row sums
-    return (off.sum(axis=1) * (1.0 + 8.0 * _U) + np.abs(m.diagonal().imag)
-            + r) * (1.0 + _gamma(len(r)))
+    # 1 + g covers the floating row sums
+    return (off.sum(axis=1) + r) * (1.0 + _gamma(len(r)))
 
 
 def inertia_via_congruence(h: MRMatrix, nullity: int):
@@ -154,7 +152,7 @@ def inertia_via_congruence(h: MRMatrix, nullity: int):
     except np.linalg.LinAlgError:
         return None
     m, r = _congruence(h, q)
-    centers = m.diagonal().real
+    centers = m.diagonal()
     spread = _gershgorin_spread(m, r)
     return _merge_and_count(list(centers - spread), list(centers + spread), nullity)
 
@@ -167,16 +165,14 @@ def inertia_via_congruence(h: MRMatrix, nullity: int):
 def inertia_mp(enclosure_fn, n, prec, nullity):
     """Certification at `prec` bits: an mpmath eigenbasis, checked exactly.
 
-    enclosure_fn(prec) must return n x n object arrays (cr, ci, rad) of
-    Python ints with |2^prec H - (cr + i ci)| <= rad entrywise.  mp.eighe
-    diagonalizes the midpoint 2^-prec (cr + i ci) at `prec` bits; its
-    eigenvector matrix, scaled by 2^prec and rounded, is an integer matrix
-    G.  With C = cr + i ci and R = rad, M = G* (2^prec H) G lies entrywise
-    within G* C G +- |G|^T R |G|, where |G| is bounded by |Re G| + |Im G|.
-    G* C G is an integer matmul over Python ints; of the radius Gershgorin
+    enclosure_fn(prec) must return n x n object arrays (c, rad) of Python
+    ints with |2^prec H - c| <= rad entrywise.  mp.eigsy diagonalizes the
+    midpoint 2^-prec c at `prec` bits; its eigenvector matrix, scaled by
+    2^prec and rounded, is an integer matrix G.  With R = rad,
+    M = G^T (2^prec H) G lies entrywise within G^T c G +- |G|^T R |G|.
+    G^T c G is an integer matmul over Python ints; of the radius Gershgorin
     reads only the row sums |G|^T (R (|G| 1)), two integer matrix-vector
-    products.  So the Gershgorin intervals of M are exact integers (an
-    off-diagonal modulus is bounded by isqrt(re^2 + im^2) + 1) and no
+    products.  So the Gershgorin intervals of M are exact integers and no
     rounding model is involved.  Any integer G is allowed: G is the
     congruence itself, and by the argument in the module docstring it
     needs no invertibility check.  Returns None if unresolved.
@@ -184,41 +180,30 @@ def inertia_mp(enclosure_fn, n, prec, nullity):
     from mpmath import mp
     from mpmath.libmp import mpf_shift, to_int
 
-    cr, ci, rad = enclosure_fn(prec)
+    c, rad = enclosure_fn(prec)
     with mp.workprec(prec):
         Hmid = mp.matrix(n, n)
         for i in range(n):
             for j in range(n):
-                Hmid[i, j] = mp.mpc(mp.ldexp(cr[i, j], -prec),
-                                    mp.ldexp(ci[i, j], -prec))
+                Hmid[i, j] = mp.ldexp(c[i, j], -prec)
         try:
-            _, Q = mp.eighe(Hmid)
+            _, Q = mp.eigsy(Hmid)
         except Exception:
             return None
 
-    def scaled(x):
-        return to_int(mpf_shift(x, prec), "n")
-
-    qs = [Q[i, j] for i in range(n) for j in range(n)]
-    gr = [scaled(z.real._mpf_) for z in qs]
-    gi = [scaled(z.imag._mpf_) for z in qs]
-    # Python ints in object arrays: the matmuls below are exact
-    gr, gi = (np.array(v, dtype=object).reshape(n, n) for v in (gr, gi))
-
-    # P = G* C G, with W = C G; entries as (re, im) integer matrices
-    wr = cr @ gr - ci @ gi
-    wi = cr @ gi + ci @ gr
-    pr = gr.T @ wr + gi.T @ wi
-    pi = gr.T @ wi - gi.T @ wr
-    g_abs = np.abs(gr) + np.abs(gi)
+    # Python ints in an object array: the matmuls below are exact
+    g = np.array([to_int(mpf_shift(Q[i, j]._mpf_, prec), "n")
+                  for i in range(n) for j in range(n)],
+                 dtype=object).reshape(n, n)
+    p = g.T @ (c @ g)
+    g_abs = np.abs(g)
     b = g_abs.T @ (rad @ g_abs.sum(axis=1))
 
     lows, highs = [], []
     for i in range(n):
-        spread = b[i] + sum(isqrt(pr[i, j] ** 2 + pi[i, j] ** 2) + 1
-                            for j in range(n) if j != i)
-        lows.append(pr[i, i] - spread)
-        highs.append(pr[i, i] + spread)
+        spread = b[i] + sum(abs(p[i, j]) for j in range(n) if j != i)
+        lows.append(p[i, i] - spread)
+        highs.append(p[i, i] + spread)
     return _merge_and_count(lows, highs, nullity)
 
 
@@ -226,7 +211,7 @@ def certified_inertia(float_enclosure_fn, mp_enclosure_fn, n, nullity):
     """Run the ladder: double precision, then mpmath at 128, 256, ... bits
     up to PRECISION_CAP.
 
-    float_enclosure_fn() -> MRMatrix; mp_enclosure_fn(prec) -> (cr, ci, rad),
+    float_enclosure_fn() -> MRMatrix; mp_enclosure_fn(prec) -> (c, rad),
     the integer enclosure of 2^prec H that `inertia_mp` reads, built only
     when a precision rung runs.  Raises UndecidedSignError when the cap is
     exhausted.

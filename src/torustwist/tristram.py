@@ -14,20 +14,21 @@ d.  That arithmetic fact certifies the nullity; a form without a torus
 knot source gets its nullity from one exact rational rank (`cyclotomic`).
 The remaining eigenvalue signs are certified by `certify`: interval
 arithmetic in doubles, then exact integer congruences at rising mpmath
-precision until every sign resolves or a cap is hit.  Torus forms are
-certified in real arithmetic at every d: the Seifert basis of the torus
-braid carries a reversal involution P with P V P^T = V^T (`seifert`), so
+precision until every sign resolves or a cap is hit.  Every form reaches
+`certify` as a real symmetric matrix.  At d = 2, z = -1 and H = C0 - C1 - C2
+is an integer matrix.  At d > 2 the Seifert basis of a torus braid carries
+a reversal involution P with P V P^T = V^T (`seifert`), so
 P H P^T = conj(H), and H is congruent to a real symmetric matrix K of the
 same size, whose integer slices are O(n^2) gathers of H's (`_real_slices`,
 after A. Lee, "Centrohermitian and skew-centrohermitian matrices", Linear
 Algebra Appl. 29, 1980).  A form without an involution, such as a
-sourceless one built from its slices, stays complex at d > 2.  z is
-evaluated only in `_root_bounds`, as integer bounds on 2^bits cos(t) and
-2^bits sin(t), t = 2*pi*a/d: the double rung rounds the 80-bit bounds
-outward, and each precision rung encloses 2^prec H entrywise by integers,
-from
-H = C0 + cos(t) (C1 + C2) + i sin(t) (C1 - C2), or 2^prec K from
-K = R0 + cos(t) R1 + sin(t) R2.
+sourceless one built from its slices, is certified as the direct sum of
+H and conj(H): the swap of the two copies is an involution of it, and its
+counts are twice H's (`_doubled`).  z is evaluated only in `_root_bounds`,
+as integer bounds on 2^bits cos(t) and 2^bits sin(t), t = 2*pi*a/d: the
+double rung rounds the 80-bit bounds outward, and each precision rung
+encloses 2^prec K entrywise by integers, from
+K = R0 + cos(t) R1 + sin(t) R2 (2^prec H is exact at d = 2).
 
 For torus knots there is also an exact integer fast path (Litherland,
 "Signatures of iterated torus knots", LNM 722, 1979): writing
@@ -51,7 +52,7 @@ one call.  Both check each value's invariants in one helper, `_checked`.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress
 from math import gcd, inf, isqrt, nextafter
@@ -135,9 +136,9 @@ class HermitianForm:
     `involution`, an index array P with P P = id, P C0 P^T = C0 and
     P C1 P^T = C2, makes P H P^T = conj(H), so that `inertia` certifies a
     congruent real symmetric matrix instead of H (see `_real_slices`).
-    `build_form` passes on the Seifert form's reversal involution, so torus
-    forms are certified in real arithmetic at every d; a form without one,
-    such as a sourceless form built from its slices, stays complex at d > 2.
+    `build_form` passes on the Seifert form's reversal involution; a form
+    without one, such as a sourceless form built from its slices, is
+    certified at d > 2 as the direct sum of H and conj(H) (`_doubled`).
     """
 
     d: int
@@ -188,9 +189,13 @@ def _root_bounds(d: int, bits: int):
 
 
 @lru_cache(maxsize=None)
-def _trig_enclosures(d: int):
-    """Outward double enclosures of 1, cos(t) and sin(t), as (midpoints,
-    radii), from the 80-bit `_root_bounds`."""
+def _weights(d: int):
+    """Outward double enclosures, as (midpoints, radii), of the weights w_s
+    of the real matrix sum_s S_s w_s that `inertia` certifies: (1, -1, -1)
+    on H's slices at d = 2, where z = conj(z) = -1 exactly, else
+    (1, cos(t), sin(t)) on K's, from the 80-bit `_root_bounds`."""
+    if d == 2:
+        return np.array([1.0, -1.0, -1.0]), np.zeros(3)
     mid, rad = [1.0], [0.0]
     for lo, hi in _root_bounds(d, 80):
         lo = nextafter(lo * 2.0 ** -80, -inf)
@@ -200,26 +205,16 @@ def _trig_enclosures(d: int):
     return np.array(mid), np.array(rad)
 
 
-@lru_cache(maxsize=None)
-def _root_enclosures(d: int):
-    """Outward double enclosures of 1, z and conj(z), as (midpoints,
-    radii).  The midpoints are real at d = 2, where z = conj(z) = -1
-    exactly, so forms at d = 2 stay in real arithmetic."""
-    if d == 2:
-        return np.array([1.0, -1.0, -1.0]), np.zeros(3)
-    (_, cos_mid, sin_mid), (_, cos_rad, sin_rad) = _trig_enclosures(d)
-    mid = np.array([1, complex(cos_mid, sin_mid), complex(cos_mid, -sin_mid)])
-    rad = np.array([0.0, cos_rad + sin_rad, cos_rad + sin_rad])
-    return mid, rad
-
-
 def _float_enclosure(slices, mid, rad) -> MRMatrix:
-    """Double enclosure of sum_s S_s w_s, S_s = slices[:, :, s] integer,
-    over every w_s with |w_s - mid_s| <= rad_s: H from (C0, C1, C2) and
-    `_root_enclosures`, or the reduced K from its slices and
-    `_trig_enclosures`."""
+    """Real double enclosure of sum_s S_s w_s, S_s = slices[:, :, s]
+    integer, over every w_s with |w_s - mid_s| <= rad_s: the matrix that
+    `inertia` certifies, from its slices and `_weights`."""
     k = slices.shape[2]
     mid, rad = mid[:k], rad[:k]
+    if slices.dtype == object:
+        # slices that `_real_slices` widened past int64: the cast rounds
+        # each entry to nearest, as the int64 one does above 2^53
+        slices = slices.astype(np.float64)
     # einsum casts the int64 slices in buffered chunks, and the radius is
     # summed one |S_s| at a time: no copy of the (n, n, k) array is made.
     # The order S0, S2, S1 is that of einsum("ijk,k->ij")'s two-lane
@@ -234,31 +229,22 @@ def _float_enclosure(slices, mid, rad) -> MRMatrix:
     return MRMatrix(np.einsum("ijk,k->ij", slices, mid), radius)
 
 
-def _trig_slices(coeffs):
-    """(C0, C1 + C2, C1 - C2) as an object array stacked like coeffs:
-    H = C0 + cos(t) (C1 + C2) + i sin(t) (C1 - C2)."""
-    n, _, k = coeffs.shape
-    c = np.zeros((n, n, 3), dtype=object)
-    c[:, :, :k] = coeffs
-    return np.stack([c[:, :, 0], c[:, :, 1] + c[:, :, 2],
-                     c[:, :, 1] - c[:, :, 2]], axis=-1)
-
-
-def _mp_enclosure(slices, d: int, prec: int, real: bool):
-    """(cr, ci, rad), object arrays of Python ints with
-    |2^prec F - (cr + i ci)| <= rad entrywise for F = T0 + cos(t) T1 +
-    j sin(t) T2, T_s = slices[:, :, s], j = 1 when real and i otherwise:
-    H from `_trig_slices`, or the reduced K from its slices.  cos(t) and
-    sin(t) come from `_root_bounds`."""
-    t0, t1, t2 = np.moveaxis(slices.astype(object), -1, 0)
+def _mp_enclosure(slices, d: int, prec: int):
+    """(c, rad), object arrays of Python ints with |2^prec F - c| <= rad
+    entrywise for F = sum_s S_s w_s, S_s = slices[:, :, s] (missing slices
+    zero) and w the weights of `_weights(d)`: exact at d = 2, with rad = 0;
+    else cos(t) and sin(t) come from `_root_bounds`."""
+    n, _, k = slices.shape
+    padded = np.zeros((n, n, 3), dtype=object)
+    padded[:, :, :k] = slices
+    s0, s1, s2 = np.moveaxis(padded, -1, 0)
+    if d == 2:
+        return (s0 - s1 - s2) << prec, np.zeros((n, n), dtype=object)
     (c_lo, c_hi), (s_lo, s_hi) = _root_bounds(d, prec)
     c_mid, s_mid = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
-    cr = (t0 << prec) + t1 * c_mid
-    ci = t2 * s_mid
-    if real:
-        cr, ci = cr + ci, 0 * ci
-    rad = np.abs(t1) * (c_hi - c_mid) + np.abs(t2) * (s_hi - s_mid)
-    return cr, ci, rad
+    c = (s0 << prec) + s1 * c_mid + s2 * s_mid
+    rad = np.abs(s1) * (c_hi - c_mid) + np.abs(s2) * (s_hi - s_mid)
+    return c, rad
 
 
 def _checked_involution(h: HermitianForm):
@@ -300,15 +286,19 @@ def _real_slices(coeffs, p):
     Im H = sin(t) (C1 - C2).  The basis is first reordered as the f fixed
     points, the a < p[a], then their partners p[a], so that X^+ and X^-
     are sums of column blocks; only the rows a <= p[a] are read.  O(n^2)
-    work on integer slices."""
+    work on integer slices, in int64 unless an entry reaches 2^60: each
+    entry of K's slices sums at most four of C's, which could then
+    overflow, so Python ints are used instead."""
     n, _, k = coeffs.shape
     idx = np.arange(n)
     pairs = idx[idx < p]
     f, m = n - 2 * len(pairs), n - len(pairs)
     order = np.concatenate([idx[idx == p], pairs, p[pairs]])
-    y = [coeffs[:, :, s][order[:m]][:, order] if s < k
-         else np.zeros((m, n), dtype=np.int64) for s in range(3)]
-    out = np.zeros((n, n, 3), dtype=np.int64)
+    top = max(int(coeffs.max()), -int(coeffs.min())) if coeffs.size else 0
+    dtype = object if top >= 2 ** 60 else np.int64
+    y = [coeffs[:, :, s][order[:m]][:, order].astype(dtype, copy=False)
+         if s < k else np.zeros((m, n), dtype=dtype) for s in range(3)]
+    out = np.zeros((n, n, 3), dtype=dtype)
     for s, x in enumerate((y[0], y[1] + y[2], y[1] - y[2])):
         plus = x[:, :m] + np.concatenate([x[:, :f], x[:, m:]], axis=1)
         minus = x[:, f:m] - x[:, m:]
@@ -321,20 +311,35 @@ def _real_slices(coeffs, p):
     return out
 
 
+def _doubled(h: HermitianForm) -> HermitianForm:
+    """The direct sum of H and conj(H) = H^T, a form of twice h's dimension
+    with the block-diagonal slices diag(C0, C0), diag(C1, C2) and
+    diag(C2, C1), and with the swap a <-> a + n of its two copies as its
+    involution.  Its inertia is twice H's."""
+    n, _, k = h.coeffs.shape
+    c = np.zeros((2 * n, 2 * n, 3), dtype=h.coeffs.dtype)
+    c[:n, :n, :k] = h.coeffs
+    c[n:, n:] = c[:n, :n, [0, 2, 1]]
+    swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    return replace(h, dimension=2 * n, coeffs=c, involution=swap)
+
+
 def _enclosures(h: HermitianForm):
-    """(double, mp) enclosure builders of the matrix that `inertia`
-    certifies for h: the real K of `_real_slices` when h carries an
-    involution, d > 2 and every entry is below 2^60 (so the int64 gathers
-    cannot overflow), else H itself.  Checks h first (`_checked_involution`)."""
+    """(double, mp, copies): the enclosure builders of the real symmetric
+    matrix that `inertia` certifies for h, and the number of copies of H it
+    is congruent to.  That matrix is H itself at d = 2, and at d > 2 the K
+    of `_real_slices`, of h when it carries an involution (one copy), else
+    of `_doubled(h)` (two).  Checks h first (`_checked_involution`)."""
     p = _checked_involution(h)
-    c = h.coeffs
-    if p is None or h.d == 2 or (
-            c.size and max(int(c.max()), -int(c.min())) >= 2 ** 60):
-        return (lambda: _float_enclosure(c, *_root_enclosures(h.d)),
-                lambda prec: _mp_enclosure(_trig_slices(c), h.d, prec, False))
-    r = _real_slices(c, p)
-    return (lambda: _float_enclosure(r, *_trig_enclosures(h.d)),
-            lambda prec: _mp_enclosure(r, h.d, prec, True))
+    copies, slices = 1, h.coeffs
+    if h.d > 2:
+        if p is None:
+            h, copies = _doubled(h), 2
+            p = h.involution
+        slices = _real_slices(h.coeffs, p)
+    d = h.d
+    return (lambda: _float_enclosure(slices, *_weights(d)),
+            lambda prec: _mp_enclosure(slices, d, prec), copies)
 
 
 def _nullity(h: HermitianForm) -> int:
@@ -355,8 +360,14 @@ def inertia(h: HermitianForm) -> Inertia:
     """Certified inertia (n_plus, n_zero, n_minus) of the form; DomainError,
     before any rung runs, unless it is Hermitian and its involution, if
     any, is a symmetry of it."""
-    float_fn, mp_fn = _enclosures(h)
-    return certified_inertia(float_fn, mp_fn, h.dimension, _nullity(h))
+    float_fn, mp_fn, copies = _enclosures(h)
+    res = certified_inertia(float_fn, mp_fn, copies * h.dimension,
+                            copies * _nullity(h))
+    counts = (res.n_plus, res.n_zero, res.n_minus)
+    if any(c % copies for c in counts):
+        raise InternalCheckError(f"certified inertia {counts} of {copies} "
+                                 "copies of a form does not divide evenly")
+    return Inertia(*(c // copies for c in counts))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,8 @@ def test_a_braid_without_the_symmetry_has_no_involution():
     assert f.involution is None
     h = build_form(f, 3)
     assert h.involution is None
-    assert tristram._enclosures(h)[0]().mid.dtype == np.complex128
+    # its d = 3 form is certified as the real reduced doubled form
+    float_fn, _, copies = tristram._enclosures(h)
+    assert float_fn().mid.dtype == np.float64 and copies == 2
     # sigma_3 of the trefoil, with the nullity from exact elimination
     assert inertia(h).signature == -2

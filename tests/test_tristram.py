@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torustwist import (DomainError, HermitianForm, TorusKnotParams,
                         build_form, inertia, prop35_bound_check,
@@ -97,24 +97,41 @@ def test_hermitian_route_rejects_composite_d_before_the_seifert_matrix(
     assert calls == []
 
 
-def test_float_enclosure_contains_every_exact_entry():
+def _exact_weights(d):
+    """The weights of `tristram._weights(d)` at the current mpmath
+    precision: (1, -1, -1) at d = 2, else (1, cos(t), sin(t))."""
     from mpmath import mp
 
-    for p, q in [(2, 5), (3, 7), (4, 5)]:
-        f = seifert_matrix(torus_braid(p, q))
+    if d == 2:
+        return (1, -1, -1)
+    t = 2 * mp.pi * (d // 2) / d
+    return (1, mp.cos(t), mp.sin(t))
+
+
+# integer slices to enclose: torus forms' (C0, C1, C2), whatever they weigh
+_SLICES = [build_form(seifert_matrix(torus_braid(p, q)), 2).coeffs
+           for p, q in [(2, 5), (3, 7), (4, 5)]]
+
+
+def test_float_enclosure_contains_every_exact_entry():
+    # also on object slices past int64, as `_real_slices` widens them
+    from mpmath import mp
+
+    wide = np.array([[[2 ** 64 + 1, -(2 ** 63) - 7, 5],
+                      [3, 2 ** 62, -(2 ** 65) + 3]]] * 2, dtype=object)
+    for slices in _SLICES + [wide]:
+        n = slices.shape[0]
         for d in (2, 3, 5, 7, 43):
-            h = build_form(f, d, source=(p, q))
-            enc = tristram._float_enclosure(h.coeffs,
-                                            *tristram._root_enclosures(d))
+            enc = tristram._float_enclosure(slices, *tristram._weights(d))
+            assert enc.mid.dtype == np.float64
             with mp.workprec(200):
-                z = mp.expj(2 * mp.pi * h.a / d)
-                roots = (1, z, mp.conj(z))
-                for i in range(h.dimension):
-                    for j in range(h.dimension):
+                w = _exact_weights(d)
+                for i in range(n):
+                    for j in range(n):
                         exact = sum(int(c) * r
-                                    for c, r in zip(h.coeffs[i, j], roots))
-                        gap = abs(exact - mp.mpc(complex(enc.mid[i, j])))
-                        assert gap <= enc.rad[i, j], (p, q, d, i, j)
+                                    for c, r in zip(slices[i, j], w))
+                        gap = abs(exact - mp.mpf(float(enc.mid[i, j])))
+                        assert gap <= enc.rad[i, j], (n, d, i, j)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 43, 97])
@@ -135,28 +152,25 @@ def test_root_bounds_enclose_cos_and_sin(d):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_mp_enclosure_contains_every_exact_entry(k):
-    # 2-slice forms here are (V + V^T, -V): not Hermitian, but the
-    # enclosure of C0 + z C1 + conj(z) C2 holds for any integer slices
+    # the enclosure of sum_s S_s w_s holds for any k integer slices, a
+    # missing one counting as zero; at d = 2 it is exact
     from mpmath import mp
 
-    for p, q in [(2, 5), (3, 7), (4, 5)]:
-        f = seifert_matrix(torus_braid(p, q))
+    for coeffs in _SLICES:
+        slices, n = coeffs[:, :, :k], coeffs.shape[0]
         for d in (2, 3, 5, 7, 43):
-            coeffs = build_form(f, d).coeffs[:, :, :k]
-            h = HermitianForm(d, f.dimension, coeffs, source=(p, q))
             for prec in (53, 128, 256):
-                cr, ci, rad = tristram._mp_enclosure(
-                    tristram._trig_slices(coeffs), d, prec, False)
+                c, rad = tristram._mp_enclosure(slices, d, prec)
+                if d == 2:
+                    assert not rad.any()
                 with mp.workprec(prec + 200):
-                    z = mp.expj(2 * mp.pi * h.a / d)
-                    roots = (1, z, mp.conj(z))
-                    for i in range(h.dimension):
-                        for j in range(h.dimension):
-                            exact = sum(int(c) * r
-                                        for c, r in zip(coeffs[i, j], roots))
-                            gap = abs(exact * 2 ** prec
-                                      - mp.mpc(cr[i, j], ci[i, j]))
-                            assert gap <= rad[i, j], (p, q, d, prec, i, j)
+                    w = _exact_weights(d)
+                    for i in range(n):
+                        for j in range(n):
+                            exact = sum(int(x) * r
+                                        for x, r in zip(slices[i, j], w))
+                            gap = abs(exact * 2 ** prec - c[i, j])
+                            assert gap <= rad[i, j], (n, d, prec, i, j)
 
 
 def _exact_reduced(h):
@@ -184,22 +198,27 @@ def _exact_reduced(h):
 
 
 def _reduced_cases():
+    """(h, the form whose K `inertia` certifies for h): torus forms at d > 2
+    with their involution, and without it, when the doubled form's K."""
     for p, q in [(2, 5), (3, 7), (4, 5)]:
         f = seifert_matrix(torus_braid(p, q))
         for d in (3, 5, 7, 43):
-            yield build_form(f, d, source=(p, q))
+            h = build_form(f, d, source=(p, q))
+            yield h, h
+            bare = replace(h, involution=None)
+            yield bare, tristram._doubled(bare)
 
 
 def test_reduced_float_enclosure_contains_every_exact_entry():
     from mpmath import mp
 
-    for h in _reduced_cases():
+    for h, reduced in _reduced_cases():
         enc = tristram._enclosures(h)[0]()
         assert enc.mid.dtype == np.float64
         with mp.workprec(200):
-            k = _exact_reduced(h)
-            for i in range(h.dimension):
-                for j in range(h.dimension):
+            k = _exact_reduced(reduced)
+            for i in range(reduced.dimension):
+                for j in range(reduced.dimension):
                     gap = abs(k[i, j] - mp.mpf(float(enc.mid[i, j])))
                     assert gap <= enc.rad[i, j], (h.source, h.d, i, j)
 
@@ -207,17 +226,36 @@ def test_reduced_float_enclosure_contains_every_exact_entry():
 def test_reduced_mp_enclosure_contains_every_exact_entry():
     from mpmath import mp
 
-    for h in _reduced_cases():
+    for h, reduced in _reduced_cases():
         mp_fn = tristram._enclosures(h)[1]
         for prec in (53, 128, 256):
-            cr, ci, rad = mp_fn(prec)
-            assert not ci.any()
+            c, rad = mp_fn(prec)
             with mp.workprec(prec + 200):
-                k = _exact_reduced(h)
-                for i in range(h.dimension):
-                    for j in range(h.dimension):
-                        gap = abs(k[i, j] * 2 ** prec - cr[i, j])
+                k = _exact_reduced(reduced)
+                for i in range(reduced.dimension):
+                    for j in range(reduced.dimension):
+                        gap = abs(k[i, j] * 2 ** prec - c[i, j])
                         assert gap <= rad[i, j], (h.source, h.d, prec, i, j)
+
+
+def test_a_form_without_an_involution_is_certified_twice_over():
+    # the doubled form's slices are the block sums, its involution the swap
+    bare = replace(build_form(seifert_matrix(torus_braid(3, 7)), 5,
+                              source=(3, 7)), involution=None)
+    n, c = bare.dimension, bare.coeffs
+    double = tristram._doubled(bare)
+    assert double.dimension == 2 * n and double.source == (3, 7)
+    assert np.array_equal(double.involution,
+                          [*range(n, 2 * n), *range(n)])
+    zero = np.zeros((n, n, 3), dtype=c.dtype)
+    assert np.array_equal(double.coeffs, np.concatenate(
+        [np.concatenate([c, zero], axis=1),
+         np.concatenate([zero, c[:, :, [0, 2, 1]]], axis=1)]))
+    assert tristram._checked_involution(double) is double.involution
+    assert tristram._enclosures(bare)[2] == 2
+    assert tristram._enclosures(replace(bare, d=2))[2] == 1
+    ine = inertia(bare)
+    assert ine.n_zero == 0 and ine.signature == sigma_d_counting(3, 7, 5)
 
 
 def _run_O(script):
@@ -398,6 +436,72 @@ def test_precision_cap_raises_undecided(monkeypatch):
         inertia(HermitianForm(2, 2, coeffs))
 
 
+def test_inertia_widens_entries_of_2_60_and_more():
+    # [[1, n], [n, n^2 - 1]] at d = 3, n = 2^31, has det -1, so inertia
+    # (1, 0, 1).  Under the identity involution every point is fixed and K's
+    # first slice is 2 C0, past int64; without an involution the doubled
+    # form is certified
+    n = 2 ** 31
+    coeffs = np.zeros((2, 2, 3), dtype=np.int64)
+    coeffs[:, :, 0] = [[1, n], [n, n * n - 1]]
+    for inv in (np.arange(2), None):
+        res = inertia(HermitianForm(3, 2, coeffs, involution=inv))
+        assert (res.n_plus, res.n_zero, res.n_minus) == (1, 0, 1), inv
+    k = tristram._real_slices(coeffs, np.arange(2))
+    assert k.dtype == object and k[1, 1, 0] == 2 * (n * n - 1)
+
+
+def test_an_odd_doubled_count_is_an_internal_check_error_also_under_O(
+        monkeypatch):
+    # the doubled form holds two copies of H, so its counts must be even
+    bare = replace(build_form(seifert_matrix(torus_braid(2, 5)), 3,
+                              source=(2, 5)), involution=None)
+    monkeypatch.setattr(tristram, "certified_inertia",
+                        lambda *args: certify.Inertia(2, 0, 6))
+    assert inertia(bare) == certify.Inertia(1, 0, 3)
+    monkeypatch.setattr(tristram, "certified_inertia",
+                        lambda *args: certify.Inertia(3, 0, 5))
+    with pytest.raises(InternalCheckError):
+        inertia(bare)
+    res = _run_O(
+        "from dataclasses import replace\n"
+        "from torustwist import (build_form, inertia, seifert_matrix,\n"
+        "                        torus_braid, tristram)\n"
+        "from torustwist.certify import Inertia\n"
+        "from torustwist.errors import InternalCheckError\n"
+        "tristram.certified_inertia = lambda *args: Inertia(3, 0, 5)\n"
+        "f = build_form(seifert_matrix(torus_braid(2, 5)), 3, source=(2, 5))\n"
+        "try:\n"
+        "    inertia(replace(f, involution=None))\n"
+        "except InternalCheckError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    assert res.returncode == 0, res.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([3, 5, 7]), n=st.integers(1, 5), data=st.data())
+def test_inertia_without_an_involution_matches_complex_eigenvalues(d, n, data):
+    # an independent oracle: mp.eighe on H itself at 300 bits, for forms
+    # whose eigenvalues all lie at least 2^-200 away from zero
+    from mpmath import mp
+
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=n * n,
+                                 max_size=n * n))
+    v = np.array(entries, dtype=np.int64).reshape(n, n)
+    h = HermitianForm(d, n, np.stack([v + v.T, -v, -v.T], axis=-1))
+    with mp.workprec(300):
+        z = mp.expj(2 * mp.pi * h.a / d)
+        roots = (1, z, mp.conj(z))
+        hm = mp.matrix([[sum(int(c) * r for c, r in zip(h.coeffs[i, j], roots))
+                         for j in range(n)] for i in range(n)])
+        eig = mp.eighe(hm, eigvals_only=True)
+        assume(all(abs(e) >= mp.mpf(2) ** -200 for e in eig))
+        want = (sum(e > 0 for e in eig), 0, sum(e < 0 for e in eig))
+    res = inertia(h)
+    assert (res.n_plus, res.n_zero, res.n_minus) == want
+
+
 def _fixture(k, seed=5):
     """k blocks [[1, n], [n, n^2 - 1]] at d = 2, n in [2^25, 2^27]: each
     has a small eigenvalue of about -1/n^2, out of reach of doubles."""
@@ -411,18 +515,20 @@ def _fixture(k, seed=5):
 
 
 def _mp_rung(h, prec, nullity=0):
-    return certify.inertia_mp(tristram._enclosures(h)[1], h.dimension, prec,
-                              nullity)
+    """The mp rung on the matrix that `inertia` certifies for h, which holds
+    `copies` copies of H: its counts are those of H times copies."""
+    _, mp_fn, copies = tristram._enclosures(h)
+    return certify.inertia_mp(mp_fn, copies * h.dimension, prec,
+                              copies * nullity)
 
 
-def _integer_enclosure(cr, ci=None, rad=None):
+def _integer_enclosure(c, rad=None):
     """enclosure_fn(prec) for inertia_mp: the given integer matrices
-    (cr, ci, rad) of 2^prec H, with ci and rad zero when not given."""
-    cr = np.array(cr, dtype=object)
-    zero = np.zeros(cr.shape, dtype=object)
-    ci = zero if ci is None else np.array(ci, dtype=object)
-    rad = zero if rad is None else np.array(rad, dtype=object)
-    return lambda prec: (cr, ci, rad)
+    (c, rad) of 2^prec H, with rad zero when not given."""
+    c = np.array(c, dtype=object)
+    rad = (np.zeros(c.shape, dtype=object) if rad is None
+           else np.array(rad, dtype=object))
+    return lambda prec: (c, rad)
 
 
 def test_mp_rung_resolves_fixtures_at_128_bits():
@@ -435,13 +541,15 @@ def test_mp_rung_resolves_fixtures_at_128_bits():
 
 
 def test_mp_rung_matches_counting_on_torus_forms():
-    # on the reduced real form, and on H itself without the involution
+    # on the reduced real form, and without the involution on the reduced
+    # doubled form, which holds two copies of H
     for p, q, d in [(3, 7, 5), (4, 9, 7), (5, 8, 3)]:
         form = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
-        for h in (form, replace(form, involution=None)):
+        for h, copies in ((form, 1), (replace(form, involution=None), 2)):
             res = _mp_rung(h, 128)
             assert res.n_zero == 0
-            assert res.signature == sigma_d_counting(p, q, d), (p, q, d)
+            assert res.signature == copies * sigma_d_counting(p, q, d), \
+                (p, q, d, copies)
 
 
 def test_mp_rung_counts_an_exact_nullity():
@@ -479,7 +587,7 @@ def test_mp_rung_honours_the_entry_radius():
         # [[1, x], [x, 1]] for every x in [lo, hi] / 10, scaled by 2^prec
         mid, rad = (lo + hi) * one // 20, (hi - lo) * one // 20
         return _integer_enclosure([[one, mid], [mid, one]],
-                                  rad=[[0, rad], [rad, 0]])
+                                  [[0, rad], [rad, 0]])
 
     res = certify.inertia_mp(off_diagonal_in(2, 6), 2, prec, 0)
     assert (res.n_plus, res.n_zero, res.n_minus) == (2, 0, 0)
@@ -488,27 +596,25 @@ def test_mp_rung_honours_the_entry_radius():
 
 
 def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
-    # With mp.eighe replaced by the basis 2^-prec * I, the rung's integer
+    # With mp.eigsy replaced by the basis 2^-prec * I, the rung's integer
     # matrix G is I, so its Gershgorin rows are those of C = 2^prec H:
-    # C = [[c0, 7+8i, 3+10i], [7-8i, 100, 0], [3-10i, 0, 100]].  Row 0's
-    # off-diagonal moduli are sqrt(113) + sqrt(109) = 21.07, but their
-    # floors sum to 20, so at c0 = 21 the row's edge lies within n = 3
-    # units of zero, and only the +1 on each floored modulus keeps the row
-    # from being counted positive.  Any G is a valid congruence.
+    # C = [[c0, 7, -3], [7, 100, 0], [-3, 0, 100]].  Row 0's off-diagonal
+    # moduli sum to 10 exactly, so at c0 = 10 the row's edge touches zero
+    # and the row is not counted positive; a bound that read the signed
+    # sum 4 would count it.  Any G is a valid congruence.
     from mpmath import mp
 
     prec = 128
 
     def form(c0):
-        return _integer_enclosure([[c0, 7, 3], [7, 100, 0], [3, 0, 100]],
-                                  [[0, 8, 10], [-8, 0, 0], [-10, 0, 0]])
+        return _integer_enclosure([[c0, 7, -3], [7, 100, 0], [-3, 0, 100]])
 
-    real = certify.inertia_mp(form(21), 3, prec, 0)
+    real = certify.inertia_mp(form(10), 3, prec, 0)
     assert (real.n_plus, real.n_zero, real.n_minus) == (3, 0, 0)
-    monkeypatch.setattr(mp, "eighe",
+    monkeypatch.setattr(mp, "eigsy",
                         lambda a: (None, mp.eye(3) * mp.mpf(2) ** -prec))
-    assert certify.inertia_mp(form(21), 3, prec, 0) is None
-    res = certify.inertia_mp(form(23), 3, prec, 0)
+    assert certify.inertia_mp(form(10), 3, prec, 0) is None
+    res = certify.inertia_mp(form(11), 3, prec, 0)
     assert (res.n_plus, res.n_zero, res.n_minus) == (3, 0, 0)
 
 
@@ -518,12 +624,14 @@ def test_double_rung_stays_real_at_d2():
     assert enc.mid.dtype == np.float64
     res = certify.inertia_via_congruence(enc, 0)
     assert res.signature == sigma_d_counting(5, 8, 2)
-    # at d = 3 the torus form is reduced to a real one; without its
-    # involution it stays complex
+    # every kind of form reaches the rung real: d = 2 with and without the
+    # involution, the reduced form at d = 3, and the reduced doubled form
+    # without the involution
     form3 = build_form(seifert_matrix(torus_braid(5, 8)), 3, source=(5, 8))
-    assert tristram._enclosures(form3)[0]().mid.dtype == np.float64
-    assert tristram._enclosures(replace(form3, involution=None))[0]() \
-        .mid.dtype == np.complex128
+    for h in (form, form3):
+        for inv in (h.involution, None):
+            enc = tristram._enclosures(replace(h, involution=inv))[0]()
+            assert enc.mid.dtype == enc.rad.dtype == np.float64, (h.d, inv)
 
 
 def test_double_rung_resolves_every_small_torus_form():
@@ -594,76 +702,67 @@ def test_row_radius_is_the_documented_chain():
 
 
 def _dyadic(a):
-    """(ar, ai, s): integer object arrays with a = (ar + i ai) / s exactly,
-    s the least power of two that makes every part an integer."""
-    parts = [[x.as_integer_ratio() for x in part.ravel().tolist()]
-             for part in (np.real(a), np.imag(a))]
-    s = max(den for part in parts for _, den in part)
-    return (*(np.array([num * (s // den) for num, den in part],
-                       dtype=object).reshape(a.shape) for part in parts), s)
+    """(ai, s): an integer object array with a = ai / s exactly, s the least
+    power of two that makes every entry an integer."""
+    parts = [x.as_integer_ratio() for x in a.ravel().tolist()]
+    s = max(den for _, den in parts)
+    return np.array([num * (s // den) for num, den in parts],
+                    dtype=object).reshape(a.shape), s
 
 
-def _row_errors(q, m, cr, ci, rad, prec):
-    """Upper bounds on sum_j |Q* H Q - m|_ij, one per row, over every H with
-    |2^prec H - (cr + i ci)| <= rad entrywise, with Q and m taken as exact;
-    exact where the rows are real."""
-    zr, zi, dq = _dyadic(q)
-    mr, mi, dm = _dyadic(m)
-    # P = Z* C Z with Z = dq Q, as in inertia_mp
-    wr, wi = cr @ zr - ci @ zi, cr @ zi + ci @ zr
-    pr, pi = zr.T @ wr + zi.T @ wi, zr.T @ wi - zi.T @ wr
-    z_abs = np.abs(zr) + np.abs(zi)
+def _row_errors(q, m, c, rad, prec):
+    """sum_j |Q^T H Q - m|_ij, bounded above one row at a time, over every
+    H with |2^prec H - c| <= rad entrywise, with Q and m taken as exact."""
+    z, dq = _dyadic(q)
+    mi, dm = _dyadic(m)
+    # P = Z^T c Z with Z = dq Q, as in inertia_mp
+    p = z.T @ (c @ z)
+    z_abs = np.abs(z)
     b = z_abs.T @ (rad @ z_abs.sum(axis=1))
-    # unit (Q* H Q - m) lies within x + i y +- dm b
+    # unit (Q^T H Q - m) lies within x +- dm b
     unit = dq * dq << prec
-    x, y = pr * dm - mr * unit, pi * dm - mi * unit
-    sq_moduli = x * x + y * y
-    return [Fraction(sum(math.isqrt(s - 1) + 1 for s in row if s) + dm * bi,
-                     unit * dm) for row, bi in zip(sq_moduli, b)]
+    x = p * dm - mi * unit
+    return [Fraction(sum(abs(v) for v in row) + dm * bi, unit * dm)
+            for row, bi in zip(x, b)]
 
 
 def test_row_radius_contains_the_exact_congruence():
     # a soundness check, not a tightness one: the true row errors here are
     # at most 0.2% of r, since the model bounds every rounding at its worst
-    # torus forms at d > 2 with their involution (real K) and without (H)
+    # torus forms at d = 2 (H), at d > 2 with their involution (K) and
+    # without it (the doubled form's K), and fixtures
     forms = [build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
              for p, q in coprime_range(40, 41) if (p - 1) * (q - 1) <= 40
              for d in (2, 3, 5)]
     forms += [replace(h, involution=None) for h in forms if h.d > 2]
     forms += [_fixture(k, seed=k) for k in (1, 2, 3)]
     for h in forms:
-        float_fn, mp_fn = tristram._enclosures(h)
+        float_fn, mp_fn, _ = tristram._enclosures(h)
         enc = float_fn()
         _, q = np.linalg.eigh(enc.mid)
         m, r = certify._congruence(enc, q)
-        if h.d == 2:
-            # H is an integer matrix at z = -1
-            exact = h.coeffs @ np.array([1, -1, -1])[:h.coeffs.shape[2]]
-            zero = np.zeros(exact.shape, dtype=object)
-            enclosure = (exact.astype(object), zero, zero, 0)
-        else:
-            enclosure = (*mp_fn(320), 320)
-        errors = _row_errors(q, m, *enclosure)
+        errors = _row_errors(q, m, *mp_fn(320), 320)
         assert all(e <= Fraction(x) for e, x in zip(errors, r)), \
             (h.source, h.d)
 
 
 def test_double_rung_peak_memory():
-    # one attempt on T(21, 26), n = 500, holds a few n x n arrays at once:
-    # below 6 n^2 doubles in real arithmetic (d = 2, and the reduced form at
-    # d = 3), 9 n^2 in complex (d = 3 without the involution)
+    # one attempt on T(21, 26), n = 500, holds a few N x N arrays at once,
+    # below 6 N^2 doubles, where N is the size of the certified matrix: n at
+    # d = 2 and for the reduced form at d = 3, 2n for the reduced doubled
+    # form at d = 3 without the involution
     f = seifert_matrix(torus_braid(21, 26))
-    for d, limit, involution in ((2, 6, f.involution), (3, 6, f.involution),
-                                 (3, 9, None)):
+    for d, involution in ((2, f.involution), (3, f.involution), (3, None)):
         h = replace(build_form(f, d, source=(21, 26)), involution=involution)
-        enc = tristram._enclosures(h)[0]()
+        float_fn, _, copies = tristram._enclosures(h)
+        enc = float_fn()
         tracemalloc.start()
         try:
             certify.inertia_via_congruence(enc, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= limit * 8 * f.dimension ** 2, (d, peak)
+        assert peak <= 6 * 8 * (copies * f.dimension) ** 2, (d, peak)
 
 
 def test_counting_matches_hermitian_on_range():
