@@ -32,6 +32,8 @@ r = |Q|^T (g |hq| 1 + v), each stage rounded up by (1 + 4g) and an
 underflow allowance.  Row i's interval is centred at m_ii with half-width
 (sum_{j != i} |m_ij| + r_i)(1 + g), the diagonal left out of the sum
 rather than subtracted from it, which could cancel the off-diagonal part.
+The precision rungs form the same intervals with the same helper
+(`_gershgorin_spread`), exactly and without the 1 + g, on integers.
 Overestimating r only costs an occasional escalation, never soundness.
 If it cannot separate the intervals, the mpmath rungs follow at 128, 256,
 ... bits up to a cap: mp.eigsy at that precision, then an exact integer
@@ -135,11 +137,21 @@ def _congruence(h: MRMatrix, q):
 
 def _gershgorin_spread(m, r):
     """Half-widths of Gershgorin intervals centred at m_ii that hold the
-    rows of every symmetric M with sum_j |M_ij - m_ij| <= r_i."""
+    rows of every symmetric M with sum_j |M_ij - m_ij| <= r_i: exact for an
+    object array of Python ints, else grown by 1 + g, which covers the
+    floating row sums."""
     off = np.abs(m)
-    np.fill_diagonal(off, 0.0)
-    # 1 + g covers the floating row sums
-    return (off.sum(axis=1) + r) * (1.0 + _gamma(len(r)))
+    np.fill_diagonal(off, 0)
+    spread = off.sum(axis=1) + r
+    return spread if m.dtype == object else spread * (1.0 + _gamma(len(r)))
+
+
+def _gershgorin_count(m, r, nullity):
+    """`_merge_and_count` on the Gershgorin intervals of `_gershgorin_spread`
+    for m and r."""
+    centers, spread = m.diagonal(), _gershgorin_spread(m, r)
+    return _merge_and_count(list(centers - spread), list(centers + spread),
+                            nullity)
 
 
 def inertia_via_congruence(h: MRMatrix, nullity: int):
@@ -151,10 +163,7 @@ def inertia_via_congruence(h: MRMatrix, nullity: int):
         _, q = np.linalg.eigh(h.mid)
     except np.linalg.LinAlgError:
         return None
-    m, r = _congruence(h, q)
-    centers = m.diagonal()
-    spread = _gershgorin_spread(m, r)
-    return _merge_and_count(list(centers - spread), list(centers + spread), nullity)
+    return _gershgorin_count(*_congruence(h, q), nullity)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +191,8 @@ def inertia_mp(enclosure_fn, n, prec, nullity):
 
     c, rad = enclosure_fn(prec)
     with mp.workprec(prec):
-        Hmid = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                Hmid[i, j] = mp.ldexp(c[i, j], -prec)
+        Hmid = mp.matrix([[mp.ldexp(x, -prec) for x in row]
+                          for row in c.tolist()])
         try:
             _, Q = mp.eigsy(Hmid)
         except Exception:
@@ -195,16 +202,9 @@ def inertia_mp(enclosure_fn, n, prec, nullity):
     g = np.array([to_int(mpf_shift(Q[i, j]._mpf_, prec), "n")
                   for i in range(n) for j in range(n)],
                  dtype=object).reshape(n, n)
-    p = g.T @ (c @ g)
     g_abs = np.abs(g)
-    b = g_abs.T @ (rad @ g_abs.sum(axis=1))
-
-    lows, highs = [], []
-    for i in range(n):
-        spread = b[i] + sum(abs(p[i, j]) for j in range(n) if j != i)
-        lows.append(p[i, i] - spread)
-        highs.append(p[i, i] + spread)
-    return _merge_and_count(lows, highs, nullity)
+    return _gershgorin_count(g.T @ (c @ g),
+                             g_abs.T @ (rad @ g_abs.sum(axis=1)), nullity)
 
 
 def certified_inertia(float_enclosure_fn, mp_enclosure_fn, n, nullity):

@@ -20,8 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .core import TorusKnotParams, normalize
-from .errors import (DomainError, InternalCheckError, InvalidKnotError,
-                     SequenceSemanticError, SequenceSyntaxError,
+from .errors import (DomainError, InternalCheckError, SequenceSemanticError,
                      UndecidedSignError)
 from .fourmanifold import ledger_from_sequence, parse_sequence
 from .lattice import sigma_closed, sigma_oracle
@@ -404,8 +403,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidKnotError, DomainError, SequenceSyntaxError,
-            SequenceSemanticError, ValueError) as e:
+    except ValueError as e:   # every bad-input error in `errors` is one
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalCheckError as e:

@@ -41,8 +41,8 @@ def rational_rank(m) -> int:
 
 
 def hermitian_nullity_exact(coeffs, d) -> int:
-    """Exact nullity over Q(zeta_d), prime d, of the form whose integer
-    slices are coeffs[:, :, s] (see tristram.HermitianForm)."""
+    """Exact nullity over Q(zeta_d), prime d, of the form whose three
+    integer slices are coeffs[:, :, s] (see tristram.HermitianForm)."""
     n = coeffs.shape[0]
     zeta = np.zeros((d - 1, d - 1), dtype=object)   # the companion matrix Z
     zeta[1:, :-1] = np.eye(d - 2, dtype=object)
@@ -50,7 +50,7 @@ def hermitian_nullity_exact(coeffs, d) -> int:
     a = d // 2
     real = sum(np.kron(coeffs[:, :, s].astype(object),
                        np.linalg.matrix_power(zeta, e))
-               for s, e in zip(range(coeffs.shape[2]), (0, a, d - a)))
+               for s, e in enumerate((0, a, d - a)))
     nullity, rem = divmod(n * (d - 1) - rational_rank(real), d - 1)
     if rem:
         raise InternalCheckError(

@@ -24,11 +24,12 @@ after A. Lee, "Centrohermitian and skew-centrohermitian matrices", Linear
 Algebra Appl. 29, 1980).  A form without an involution, such as a
 sourceless one built from its slices, is certified as the direct sum of
 H and conj(H): the swap of the two copies is an involution of it, and its
-counts are twice H's (`_doubled`).  z is evaluated only in `_root_bounds`,
-as integer bounds on 2^bits cos(t) and 2^bits sin(t), t = 2*pi*a/d: the
-double rung rounds the 80-bit bounds outward, and each precision rung
-encloses 2^prec K entrywise by integers, from
-K = R0 + cos(t) R1 + sin(t) R2 (2^prec H is exact at d = 2).
+counts are twice H's (`_doubled`).  Either matrix is sum_s S_s w_s over
+three integer slices, w = (1, -1, -1) on H's at d = 2 and
+(1, cos(t), sin(t)) on K's, t = 2*pi*a/d.  Both rungs enclose it by one
+slice loop over integer bounds on 2^bits w (`_weight_bounds`, exact at
+d = 2; z is evaluated only in `_root_bounds`): in doubles from the 80-bit
+bounds for the double rung, in Python ints for each precision rung.
 
 For torus knots there is also an exact integer fast path (Litherland,
 "Signatures of iterated torus knots", LNM 722, 1979): writing
@@ -128,8 +129,8 @@ class HermitianForm:
     """Exact Hermitian form H = C0 + z C1 + conj(z) C2 over Z[z], with
     z = exp(2*pi*i*a/d) and a = [d/2], for a prime d.
 
-    coeffs has shape (dimension, dimension, k), 1 <= k <= 3, and
-    coeffs[:, :, s] is the integer slice C_s; missing slices are zero.  H is
+    coeffs[:, :, s] is the integer slice C_s; one or two given slices are
+    padded to shape (dimension, dimension, 3) with zero slices.  H is
     Hermitian when C0 is symmetric and C2 = C1^T, as `build_form` makes it;
     `inertia` rejects any other form.  `source` carries (p, q) when the form
     came from a torus knot, enabling the arithmetic nullity certificate.
@@ -149,11 +150,14 @@ class HermitianForm:
 
     def __post_init__(self):
         _require_prime(self.d)
-        n = self.dimension
-        shape = np.shape(self.coeffs)
-        if len(shape) != 3 or shape[:2] != (n, n) or not 1 <= shape[2] <= 3:
-            raise DomainError(f"coeffs of shape {shape}: need ({n}, {n}, k) "
-                              f"with 1 <= k <= 3")
+        n, c = self.dimension, np.asarray(self.coeffs)
+        if c.ndim != 3 or c.shape[:2] != (n, n) or not 1 <= c.shape[2] <= 3:
+            raise DomainError(f"coeffs of shape {c.shape}: need "
+                              f"({n}, {n}, k) with 1 <= k <= 3")
+        if c.shape[2] < 3:
+            pad = np.zeros((n, n, 3 - c.shape[2]), dtype=c.dtype)
+            c = np.concatenate([c, pad], axis=2)
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def a(self) -> int:
@@ -189,72 +193,68 @@ def _root_bounds(d: int, bits: int):
 
 
 @lru_cache(maxsize=None)
-def _weights(d: int):
-    """Outward double enclosures, as (midpoints, radii), of the weights w_s
-    of the real matrix sum_s S_s w_s that `inertia` certifies: (1, -1, -1)
-    on H's slices at d = 2, where z = conj(z) = -1 exactly, else
-    (1, cos(t), sin(t)) on K's, from the 80-bit `_root_bounds`."""
+def _weight_bounds(d: int, bits: int):
+    """Integers (mid, rad), three of each, with |2^bits w_s - mid_s| <= rad_s
+    for the weights of the real matrix sum_s S_s w_s that `inertia`
+    certifies: (1, -1, -1) on H's slices at d = 2, exactly, else
+    (1, cos(t), sin(t)) on K's, from `_root_bounds`."""
+    one = 1 << bits
     if d == 2:
-        return np.array([1.0, -1.0, -1.0]), np.zeros(3)
-    mid, rad = [1.0], [0.0]
-    for lo, hi in _root_bounds(d, 80):
-        lo = nextafter(lo * 2.0 ** -80, -inf)
-        hi = nextafter(hi * 2.0 ** -80, inf)
-        mid.append(0.5 * (lo + hi))
-        rad.append(max(hi - mid[-1], mid[-1] - lo) * (1 + 2 ** -50))
-    return np.array(mid), np.array(rad)
+        return (one, -one, -one), (0, 0, 0)
+    (c_lo, c_hi), (s_lo, s_hi) = _root_bounds(d, bits)
+    c, s = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
+    return (one, c, s), (0, c_hi - c, s_hi - s)
 
 
-def _float_enclosure(slices, mid, rad) -> MRMatrix:
-    """Real double enclosure of sum_s S_s w_s, S_s = slices[:, :, s]
-    integer, over every w_s with |w_s - mid_s| <= rad_s: the matrix that
-    `inertia` certifies, from its slices and `_weights`."""
-    k = slices.shape[2]
-    mid, rad = mid[:k], rad[:k]
-    if slices.dtype == object:
-        # slices that `_real_slices` widened past int64: the cast rounds
-        # each entry to nearest, as the int64 one does above 2^53
-        slices = slices.astype(np.float64)
-    # einsum casts the int64 slices in buffered chunks, and the radius is
-    # summed one |S_s| at a time: no copy of the (n, n, k) array is made.
-    # The order S0, S2, S1 is that of einsum("ijk,k->ij")'s two-lane
-    # reduction over k on x86-64, so the radius is bit-identical to it there
-    weights = rad + 8 * 2.0 ** -53 * np.abs(mid)
-    radius = np.zeros(slices.shape[:2])
-    for s in [s for s in (0, 2, 1) if s < k]:
-        term = np.abs(slices[:, :, s], dtype=np.float64)
-        term *= weights[s]
-        radius += term
-    radius += 1e-300
-    return MRMatrix(np.einsum("ijk,k->ij", slices, mid), radius)
+def _slice_sum(slices, mid, rad, dtype):
+    """(sum_s S_s mid_s, sum_s |S_s| rad_s) over the three slices
+    S_s = slices[:, :, s], evaluated in dtype: exactly for object (Python
+    ints), else with rounding.  The sums are accumulated in place through
+    one scratch matrix, and each slice is cast in the ufuncs' buffers."""
+    c, r, t = (np.zeros(slices.shape[:2], dtype) for _ in range(3))
+    for s in range(3):
+        x = slices[:, :, s]
+        np.multiply(x, mid[s], out=t, dtype=dtype, casting="unsafe")
+        c += t
+        np.abs(x, out=t, dtype=dtype, casting="unsafe")
+        t *= rad[s]
+        r += t
+    return c, r
+
+
+def _float_enclosure(slices, d: int) -> MRMatrix:
+    """Real double enclosure of F = sum_s S_s w_s, S_s = slices[:, :, s]
+    integer and w the weights of `_weight_bounds(d, 80)`: the matrix that
+    `inertia` certifies.  A weight's midpoint rounds to nearest, and its
+    radius, grown by that rounding exactly, rounds up.  The radius weight
+    8u |mid_s| covers the cast of S_s (object slices past int64 included),
+    the product and the two sums of each entry, and 1e-300 underflow."""
+    mid, rad = [], []
+    for m, r in zip(*_weight_bounds(d, 80)):
+        f = float(m)
+        e = r + abs(m - int(f))
+        mid.append(f * 2.0 ** -80)
+        rad.append(((nextafter(e, inf) if e else 0.0)
+                    + 8 * 2.0 ** -53 * abs(f)) * 2.0 ** -80)
+    c, r = _slice_sum(slices, mid, rad, np.float64)
+    r += 1e-300
+    return MRMatrix(c, r)
 
 
 def _mp_enclosure(slices, d: int, prec: int):
     """(c, rad), object arrays of Python ints with |2^prec F - c| <= rad
-    entrywise for F = sum_s S_s w_s, S_s = slices[:, :, s] (missing slices
-    zero) and w the weights of `_weights(d)`: exact at d = 2, with rad = 0;
-    else cos(t) and sin(t) come from `_root_bounds`."""
-    n, _, k = slices.shape
-    padded = np.zeros((n, n, 3), dtype=object)
-    padded[:, :, :k] = slices
-    s0, s1, s2 = np.moveaxis(padded, -1, 0)
-    if d == 2:
-        return (s0 - s1 - s2) << prec, np.zeros((n, n), dtype=object)
-    (c_lo, c_hi), (s_lo, s_hi) = _root_bounds(d, prec)
-    c_mid, s_mid = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
-    c = (s0 << prec) + s1 * c_mid + s2 * s_mid
-    rad = np.abs(s1) * (c_hi - c_mid) + np.abs(s2) * (s_hi - s_mid)
-    return c, rad
+    entrywise for F = sum_s S_s w_s, S_s = slices[:, :, s] and w the
+    weights of `_weight_bounds(d, prec)`; exact at d = 2, with rad = 0."""
+    return _slice_sum(slices, *_weight_bounds(d, prec), object)
 
 
 def _checked_involution(h: HermitianForm):
     """h's involution P as an index array, or None if it has none.  Raises
-    DomainError unless H is Hermitian (C0 = C0^T and C2 = C1^T, missing
-    slices zero) and P is a symmetry of it (P P = id, P C0 P^T = C0 and
-    P C1 P^T = C2).  The comparisons are exact, on the integer slices."""
-    n, _, k = h.coeffs.shape
-    c0, c1, c2 = (h.coeffs[:, :, s] if s < k else np.zeros((n, n), dtype=int)
-                  for s in range(3))
+    DomainError unless H is Hermitian (C0 = C0^T and C2 = C1^T) and P is a
+    symmetry of it (P P = id, P C0 P^T = C0 and P C1 P^T = C2).  The
+    comparisons are exact, on the integer slices."""
+    n = h.dimension
+    c0, c1, c2 = np.moveaxis(h.coeffs, -1, 0)
     if not (np.array_equal(c0, c0.T) and np.array_equal(c2, c1.T)):
         raise DomainError(f"the form at d={h.d} is not Hermitian: need "
                           f"C0 = C0^T and C2 = C1^T")
@@ -289,7 +289,7 @@ def _real_slices(coeffs, p):
     work on integer slices, in int64 unless an entry reaches 2^60: each
     entry of K's slices sums at most four of C's, which could then
     overflow, so Python ints are used instead."""
-    n, _, k = coeffs.shape
+    n = coeffs.shape[0]
     idx = np.arange(n)
     pairs = idx[idx < p]
     f, m = n - 2 * len(pairs), n - len(pairs)
@@ -297,7 +297,7 @@ def _real_slices(coeffs, p):
     top = max(int(coeffs.max()), -int(coeffs.min())) if coeffs.size else 0
     dtype = object if top >= 2 ** 60 else np.int64
     y = [coeffs[:, :, s][order[:m]][:, order].astype(dtype, copy=False)
-         if s < k else np.zeros((m, n), dtype=dtype) for s in range(3)]
+         for s in range(3)]
     out = np.zeros((n, n, 3), dtype=dtype)
     for s, x in enumerate((y[0], y[1] + y[2], y[1] - y[2])):
         plus = x[:, :m] + np.concatenate([x[:, :f], x[:, m:]], axis=1)
@@ -316,9 +316,9 @@ def _doubled(h: HermitianForm) -> HermitianForm:
     with the block-diagonal slices diag(C0, C0), diag(C1, C2) and
     diag(C2, C1), and with the swap a <-> a + n of its two copies as its
     involution.  Its inertia is twice H's."""
-    n, _, k = h.coeffs.shape
+    n = h.dimension
     c = np.zeros((2 * n, 2 * n, 3), dtype=h.coeffs.dtype)
-    c[:n, :n, :k] = h.coeffs
+    c[:n, :n] = h.coeffs
     c[n:, n:] = c[:n, :n, [0, 2, 1]]
     swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
     return replace(h, dimension=2 * n, coeffs=c, involution=swap)
@@ -338,7 +338,7 @@ def _enclosures(h: HermitianForm):
             p = h.involution
         slices = _real_slices(h.coeffs, p)
     d = h.d
-    return (lambda: _float_enclosure(slices, *_weights(d)),
+    return (lambda: _float_enclosure(slices, d),
             lambda prec: _mp_enclosure(slices, d, prec), copies)
 
 

@@ -1,6 +1,10 @@
+import inspect
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+from torustwist import certify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -12,3 +16,16 @@ def test_perfbench_smoke_accepts_what_the_library_renders():
                          capture_output=True, text=True, timeout=900)
     assert res.returncode == 0, res.stdout[-3000:] + res.stderr[-3000:]
     assert res.stdout.splitlines()[-1] == "smoke: ok"
+
+
+def test_perfbench_hooks_name_the_library_as_it_is():
+    # perfbench traces the library by patching the attributes its PATCHES
+    # name, and records args[2] of each `inertia_mp` call as the mp rung's
+    # bits: a rename or a reordered signature would change a metric quietly.
+    # spans.py is compiled from its text, so nothing is written beside it
+    path = ROOT / "perfbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    for module, attribute, *_ in spans.PATCHES:
+        assert hasattr(module, attribute), (module.__name__, attribute)
+    assert list(inspect.signature(certify.inertia_mp).parameters)[2] == "prec"

@@ -61,9 +61,25 @@ def test_form_is_three_slices_and_rejects_other_shapes():
     f = seifert_matrix(torus_braid(3, 4))
     for d in filter(is_prime, range(2, 44)):
         assert build_form(f, d).coeffs.shape == (6, 6, 3), d
-    # one slice, or two with C2 = 0, are forms too
-    for k in (1, 2, 3):
-        HermitianForm(5, 2, np.zeros((2, 2, k), dtype=np.int64))
+    # one slice, or two, are forms too: they are padded with zero slices
+    for coeffs in _SLICES:
+        n = coeffs.shape[0]
+        for k in (1, 2):
+            h = HermitianForm(5, n, coeffs[:, :, :k])
+            assert h.coeffs.shape == (n, n, 3), k
+            assert np.array_equal(h.coeffs[:, :, :k], coeffs[:, :, :k])
+            assert not h.coeffs[:, :, k:].any(), k
+    # and certify as the explicit three-slice form: C0 symmetric, C1 = 0 for
+    # H to be Hermitian, at d = 2 and at d = 3 under the identity involution
+    for coeffs in _SLICES:
+        n = coeffs.shape[0]
+        full = np.zeros_like(coeffs)
+        full[:, :, 0] = coeffs[:, :, 0]
+        for d, inv in ((2, None), (3, np.arange(n))):
+            want = inertia(HermitianForm(d, n, full, involution=inv))
+            for k in (1, 2):
+                h = HermitianForm(d, n, full[:, :, :k], involution=inv)
+                assert inertia(h) == want, (n, d, k)
     # a d-slice cube of powers of zeta is not a form of this layout
     for shape in [(2, 2, 5), (2, 2, 0), (2, 3, 3), (3, 3, 3), (2, 2), (2, 2, 3, 1)]:
         with pytest.raises(DomainError):
@@ -98,8 +114,9 @@ def test_hermitian_route_rejects_composite_d_before_the_seifert_matrix(
 
 
 def _exact_weights(d):
-    """The weights of `tristram._weights(d)` at the current mpmath
-    precision: (1, -1, -1) at d = 2, else (1, cos(t), sin(t))."""
+    """The weights that `tristram._weight_bounds(d, bits)` encloses, at the
+    current mpmath precision: (1, -1, -1) at d = 2, else
+    (1, cos(t), sin(t))."""
     from mpmath import mp
 
     if d == 2:
@@ -122,7 +139,7 @@ def test_float_enclosure_contains_every_exact_entry():
     for slices in _SLICES + [wide]:
         n = slices.shape[0]
         for d in (2, 3, 5, 7, 43):
-            enc = tristram._float_enclosure(slices, *tristram._weights(d))
+            enc = tristram._float_enclosure(slices, d)
             assert enc.mid.dtype == np.float64
             with mp.workprec(200):
                 w = _exact_weights(d)
@@ -150,14 +167,32 @@ def test_root_bounds_enclose_cos_and_sin(d):
                 assert hi - lo <= 2, (d, bits, f)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 43, 97])
+def test_weight_bounds_enclose_every_weight(d):
+    from mpmath import mp
+
+    with mp.workprec(200):
+        for bits in (53, 80, 128):
+            # 200-bit values are within 2^(bits - 190) of the true ones
+            slack = mp.ldexp(1, bits - 190)
+            mid, rad = tristram._weight_bounds(d, bits)
+            assert len(mid) == len(rad) == 3
+            for w, m, r in zip(_exact_weights(d), mid, rad):
+                assert type(m) is int and type(r) is int and r >= 0
+                assert abs(mp.ldexp(w, bits) - m) <= r + slack, (d, bits)
+            if d == 2:
+                assert rad == (0, 0, 0)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_mp_enclosure_contains_every_exact_entry(k):
     # the enclosure of sum_s S_s w_s holds for any k integer slices, a
-    # missing one counting as zero; at d = 2 it is exact
+    # missing one counting as zero as the form pads it; at d = 2 it is exact
     from mpmath import mp
 
     for coeffs in _SLICES:
-        slices, n = coeffs[:, :, :k], coeffs.shape[0]
+        given, n = coeffs[:, :, :k], coeffs.shape[0]
+        slices = HermitianForm(2, n, given).coeffs
         for d in (2, 3, 5, 7, 43):
             for prec in (53, 128, 256):
                 c, rad = tristram._mp_enclosure(slices, d, prec)
@@ -168,7 +203,7 @@ def test_mp_enclosure_contains_every_exact_entry(k):
                     for i in range(n):
                         for j in range(n):
                             exact = sum(int(x) * r
-                                        for x, r in zip(slices[i, j], w))
+                                        for x, r in zip(given[i, j], w))
                             gap = abs(exact * 2 ** prec - c[i, j])
                             assert gap <= rad[i, j], (n, d, prec, i, j)
 
@@ -557,7 +592,7 @@ def test_mp_rung_counts_an_exact_nullity():
     # the nullity comes from exact cyclotomic elimination
     fix = _fixture(3)
     n = fix.dimension + 4
-    coeffs = np.zeros((n, n, 2), dtype=np.int64)
+    coeffs = np.zeros((n, n, 3), dtype=np.int64)
     coeffs[2:4, 2:4, 0] = [[1, 1], [1, 1]]
     coeffs[4:, 4:] = fix.coeffs
     h = HermitianForm(2, n, coeffs)
@@ -763,6 +798,25 @@ def test_double_rung_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 8 * (copies * f.dimension) ** 2, (d, peak)
+
+
+def test_float_enclosure_peak_memory():
+    # the enclosure of T(21, 26)'s certified matrix, of size N = n at d = 2
+    # and for the reduced form at d = 3, N = 2n for the reduced doubled form
+    # at d = 3 without the involution, holds its midpoint, its radius and
+    # one scratch matrix: no N x N x 3 copy of the slices
+    f = seifert_matrix(torus_braid(21, 26))
+    for d, involution in ((2, f.involution), (3, f.involution), (3, None)):
+        h = replace(build_form(f, d, source=(21, 26)), involution=involution)
+        float_fn, _, copies = tristram._enclosures(h)
+        float_fn()   # the weights are cached after the first call
+        tracemalloc.start()
+        try:
+            float_fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * (copies * f.dimension) ** 2, (d, peak)
 
 
 def test_counting_matches_hermitian_on_range():
