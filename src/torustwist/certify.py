@@ -18,6 +18,11 @@ on a k-dimensional subspace V, then Qv != 0 for every nonzero v in V
 Hence a <= n+(M) <= n+(H) and b <= n-(M) <= n-(H), while
 a + b = n - z = n+(H) + n-(H); so a = n+(H) and b = n-(H).
 
+The ladder runs on one matrix at a time, and its caller adds the counts
+of a block-diagonal form's blocks: `tristram` certifies the two diagonal
+blocks of a d = 2 form with an involution apart, so eigh and both
+products below run per block, on about n/2 rows each.
+
 The ladder has two kinds of rung.  The double rung runs LAPACK eigh on
 the midpoint of H's enclosure H_mid +- rad_H and forms hq = fl(H_mid Q)
 and m = fl(Q^T hq), its only n^3 products.  Under the standard model

@@ -37,10 +37,11 @@ SCAN_COLUMNS = ("p", "q", "exceptional", "verdict", "survivors", "sigma",
 # with DomainError (exit 2) before any pair is listed.
 MAX_SCAN_CELLS = 2 ** 20
 # sigma's oracle enumerates the (p-1)(q-1) lattice points and its seifert
-# route diagonalizes a dense matrix of that dimension.  At T(2, 2049), which
-# is this bound, the seifert route took 3.0 s and 360 MB peak RSS (two runs,
-# 2-vCPU Intel Xeon, one BLAS thread).  A larger knot is rejected on those
-# routes with DomainError (exit 2) before any work.
+# route diagonalizes the two dense halves, of about half that dimension,
+# of the form's real reduction.  At T(2, 2049), which is this bound, the
+# seifert route took 0.76-0.81 s and 94 MB peak RSS (two runs, 2-vCPU Intel
+# Xeon, one BLAS thread).  A larger knot is rejected on those routes with
+# DomainError (exit 2) before any work.
 MAX_SIGMA_DIM = 2 ** 11
 # tables and scan classify every knot they list, at 0.7-1.0 us per
 # candidate omega up to the knot's genus cutoff (one classify of

@@ -14,10 +14,17 @@ is integral, with entries fixed by the interleaving pattern of band pairs:
     V[f, e]  = -1  if they interleave as c < a < d < b
 
 All other entries vanish (generators two or more apart, nested pairs,
-disjoint pairs).  The sign conventions are pinned by requiring the closure
-of s1^3 (the positive trefoil, T(2,3)) to yield exactly [[-1, 1], [0, -1]],
-so that positive torus knots get negative signatures; the test suite
-cross-checks signatures against lattice counts and Alexander determinants.
+disjoint pairs).  So a loop e = (a, b) on g has at most two partners on
+g+1, both read off the occurrences x of g+1 inside (a, b): the last such x
+starts the loop f = (x, next) with a < x < b < next, and V[e, f] = +1 if x
+has a successor; the first such x ends the loop f = (prev, x) with
+prev < a < x < b, and V[f, e] = -1 if x has a predecessor.  Every other
+loop on g+1 is nested in e, encloses it or misses it.  V has at most 4n
+nonzeros, found by bisecting the positions of g+1, and is stored by them.
+The sign conventions are pinned by requiring the closure of s1^3 (the
+positive trefoil, T(2,3)) to yield exactly [[-1, 1], [0, -1]], so that
+positive torus knots get negative signatures; the test suite cross-checks
+signatures against lattice counts and Alexander determinants.
 
 When reading the word backwards with each s_g replaced by s_{k-g} gives the
 word back, as it does for the torus braid (s1 ... s_{k-1})^q, the same
@@ -77,58 +84,73 @@ def closure_components(b: BraidWord) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SeifertForm:
-    matrix: np.ndarray  # integer Seifert matrix V
+    """The integer Seifert matrix V by its nonzeros, V[rows[k], cols[k]] =
+    vals[k], sorted row-major with each position once."""
+
+    dimension: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     # the reversal involution as an index array, P e_i = e_involution[i],
     # with P V P^T = V^T; None when the word is not its own flipped reverse
     involution: np.ndarray = None
 
     @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """V as a dense int64 matrix."""
+        v = np.zeros((self.dimension, self.dimension), dtype=np.int64)
+        v[self.rows, self.cols] = self.vals
+        return v
 
     def symmetrized(self) -> np.ndarray:
-        return self.matrix + self.matrix.T
+        v = self.matrix
+        return v + v.T
 
 
 def seifert_matrix(b: BraidWord) -> SeifertForm:
-    """Seifert matrix of the fiber surface of a positive braid knot closure."""
+    """Seifert matrix of the fiber surface of a positive braid knot closure,
+    in O(n log n): each loop meets at most two loops of the next generator
+    (see the module docstring)."""
     if closure_components(b) != 1:
         raise NotAKnotError(
             f"closure has {closure_components(b)} components; need a knot")
-    occ = {}
-    for pos, g in enumerate(b.letters):
-        occ.setdefault(g, []).append(pos)
-    basis = []  # (generator, first position, second position)
-    span = {}  # generator -> its slice of basis
-    for g in sorted(occ):
-        ps = occ[g]
-        first = len(basis)
-        basis.extend((g, ps[t], ps[t + 1]) for t in range(len(ps) - 1))
-        span[g] = range(first, len(basis))
-    n = len(basis)
-    if n != len(b.letters) - b.strands + 1:
+    k, length = b.strands, len(b.letters)
+    letters = np.array(b.letters, dtype=np.int64)
+    # every occurrence by generator, then position, under the key
+    # g * length + position; an occurrence starts a loop when the next one
+    # is on the same generator, and loop[i] numbers the loop started at i
+    pos = np.argsort(letters, kind="stable")
+    gen = letters[pos]
+    key = gen * length + pos
+    starts = np.append(gen[1:] == gen[:-1], False)   # the last starts none
+    loop = np.cumsum(starts) - starts
+    first = np.flatnonzero(starts)
+    n = len(first)
+    if n != length - k + 1:
         raise InternalCheckError(
             f"fiber surface basis has {n} elements for {b}")
-    start = {(g, a): idx for idx, (g, a, _) in enumerate(basis)}
-    V = np.zeros((n, n), dtype=np.int64)
-    for e, (g, a, bb) in enumerate(basis):
-        V[e, e] = -1
-        nxt = start.get((g, bb))
-        if nxt is not None:
-            V[e, nxt] = 1
-        # only pairs on generator g+1 can interleave with e
-        for f in span.get(g + 1, ()):
-            _, c, d = basis[f]
-            if a < c < bb < d:
-                V[e, f] = 1
-            elif c < a < d < bb:
-                V[f, e] = -1
+    e, g, a, bb = np.arange(n), gen[first], pos[first], pos[first + 1]
+    # the next loop on g starts where e ends
+    nxt = starts[first + 1]
+    # the occurrences of g+1 inside e = (a, b) are key[lo:hi]
+    lo = np.searchsorted(key, (g + 1) * length + a, side="right")
+    hi = np.searchsorted(key, (g + 1) * length + bb, side="left")
+    # the loop from the last of them interleaves as a < c < b < d, and
+    # the loop into the first as c < a < d < b, when they exist
+    last = (hi > lo) & starts[hi - 1]
+    head = (hi > lo) & starts[lo - 1]
+    rows = np.concatenate([e, e[nxt], e[last], loop[lo[head] - 1]])
+    cols = np.concatenate([e, e[nxt] + 1, loop[hi[last] - 1], e[head]])
+    vals = np.repeat([-1, 1, 1, -1], [n, np.count_nonzero(nxt),
+                                      np.count_nonzero(last),
+                                      np.count_nonzero(head)])
+    order = np.argsort(rows * n + cols)
     involution = None
-    last = len(b.letters) - 1
-    if tuple(b.strands - g for g in reversed(b.letters)) == b.letters:
-        involution = np.array([start[b.strands - g, last - bb]
-                               for g, _, bb in basis])
-    return SeifertForm(V, involution)
+    if tuple(k - x for x in reversed(b.letters)) == b.letters:
+        # (g, a, b) -> (k-g, L-1-b, L-1-a), by the start of the image loop
+        involution = loop[np.searchsorted(
+            key, (k - g) * length + length - 1 - bb)]
+    return SeifertForm(n, rows[order], cols[order], vals[order], involution)
 
 
 def genus_from_form(f: SeifertForm) -> int:

@@ -126,11 +126,31 @@ def _seifert_all_pairs(b):
     return V
 
 
+def _most_spanned(b):
+    """The most occurrences of g+1 strictly inside one loop on g."""
+    occ = {}
+    for pos, g in enumerate(b.letters):
+        occ.setdefault(g, []).append(pos)
+    return max((sum(a < x < bb for x in occ.get(g + 1, ()))
+                for g, ps in occ.items() for a, bb in zip(ps, ps[1:])),
+               default=0)
+
+
 def test_seifert_matrix_matches_the_all_pairs_loop():
     braids = [torus_braid(p, q) for p, q in coprime_range(15, 15)]
     # 10_139 and 10_152: positive 3-braid knots that are not torus knots
     braids += [BraidWord(3, (1, 1, 1, 1, 2, 1, 1, 1, 2, 2)),
                BraidWord(3, (1, 1, 1, 2, 2, 1, 1, 2, 2, 2))]
+    # a loop on g that spans two or more occurrences of g+1, so that loops
+    # on g+1 nest inside it and only the outermost two are its partners
+    nested = [BraidWord(3, (1, 2, 2, 2, 1, 2)),
+              BraidWord(3, (1, 2, 2, 2, 2, 1, 2, 1)),
+              BraidWord(4, (1, 2, 3, 3, 3, 2, 2, 1, 2, 3, 1)),
+              BraidWord(4, (1, 1, 2, 2, 2, 1, 3, 3, 3, 2, 3))]
+    for b in nested:
+        assert closure_components(b) == 1, b
+        assert _most_spanned(b) >= 3, b
+    braids += nested
     rng = np.random.default_rng(7)
     random_words = 0
     while random_words < 40:
@@ -165,7 +185,9 @@ def test_a_braid_without_the_symmetry_has_no_involution():
     h = build_form(f, 3)
     assert h.involution is None
     # its d = 3 form is certified as the real reduced doubled form
-    float_fn, _, copies = tristram._enclosures(h)
+    (block,), copies = tristram._enclosures(h)
+    float_fn, _, n, _ = block
     assert float_fn().mid.dtype == np.float64 and copies == 2
+    assert n == 2 * f.dimension
     # sigma_3 of the trefoil, with the nullity from exact elimination
     assert inertia(h).signature == -2

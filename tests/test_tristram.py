@@ -48,11 +48,16 @@ def trial_division_primes(n):
     return out + [n] if n > 1 else out
 
 
+def _dense(h):
+    """h's three integer slices as one (n, n, 3) array."""
+    return h.coeffs.dense(h.dimension)
+
+
 def test_build_form_d2_is_twice_symmetrization():
     f = seifert_matrix(torus_braid(2, 3))
     h = build_form(f, 2)
     # evaluate the slices C0 + z C1 + conj(z) C2 at z = -1
-    c0, c1, c2 = np.moveaxis(h.coeffs, -1, 0)
+    c0, c1, c2 = np.moveaxis(_dense(h), -1, 0)
     value = c0 - c1 - c2
     assert value.tolist() == (2 * f.symmetrized()).tolist()
 
@@ -60,15 +65,16 @@ def test_build_form_d2_is_twice_symmetrization():
 def test_form_is_three_slices_and_rejects_other_shapes():
     f = seifert_matrix(torus_braid(3, 4))
     for d in filter(is_prime, range(2, 44)):
-        assert build_form(f, d).coeffs.shape == (6, 6, 3), d
+        assert build_form(f, d).coeffs.vals.shape[0] == 3, d
+        assert _dense(build_form(f, d)).shape == (6, 6, 3), d
     # one slice, or two, are forms too: they are padded with zero slices
     for coeffs in _SLICES:
         n = coeffs.shape[0]
         for k in (1, 2):
-            h = HermitianForm(5, n, coeffs[:, :, :k])
-            assert h.coeffs.shape == (n, n, 3), k
-            assert np.array_equal(h.coeffs[:, :, :k], coeffs[:, :, :k])
-            assert not h.coeffs[:, :, k:].any(), k
+            c = _dense(HermitianForm(5, n, coeffs[:, :, :k]))
+            assert c.shape == (n, n, 3), k
+            assert np.array_equal(c[:, :, :k], coeffs[:, :, :k])
+            assert not c[:, :, k:].any(), k
     # and certify as the explicit three-slice form: C0 symmetric, C1 = 0 for
     # H to be Hermitian, at d = 2 and at d = 3 under the identity involution
     for coeffs in _SLICES:
@@ -126,7 +132,7 @@ def _exact_weights(d):
 
 
 # integer slices to enclose: torus forms' (C0, C1, C2), whatever they weigh
-_SLICES = [build_form(seifert_matrix(torus_braid(p, q)), 2).coeffs
+_SLICES = [_dense(build_form(seifert_matrix(torus_braid(p, q)), 2))
            for p, q in [(2, 5), (3, 7), (4, 5)]]
 
 
@@ -139,7 +145,8 @@ def test_float_enclosure_contains_every_exact_entry():
     for slices in _SLICES + [wide]:
         n = slices.shape[0]
         for d in (2, 3, 5, 7, 43):
-            enc = tristram._float_enclosure(slices, d)
+            enc = tristram._float_enclosure(
+                HermitianForm(2, n, slices).coeffs, n, d)
             assert enc.mid.dtype == np.float64
             with mp.workprec(200):
                 w = _exact_weights(d)
@@ -195,7 +202,7 @@ def test_mp_enclosure_contains_every_exact_entry(k):
         slices = HermitianForm(2, n, given).coeffs
         for d in (2, 3, 5, 7, 43):
             for prec in (53, 128, 256):
-                c, rad = tristram._mp_enclosure(slices, d, prec)
+                c, rad = tristram._mp_enclosure(slices, n, d, prec)
                 if d == 2:
                     assert not rad.any()
                 with mp.workprec(prec + 200):
@@ -215,10 +222,10 @@ def _exact_reduced(h):
     i (e_a - e_p[a]) over a < p[a]."""
     from mpmath import mp
 
-    p, n = h.involution, h.dimension
+    p, n, coeffs = h.involution, h.dimension, _dense(h)
     z = mp.expj(2 * mp.pi * h.a / h.d)
     roots = (1, z, mp.conj(z))
-    hm = mp.matrix([[sum(int(c) * r for c, r in zip(h.coeffs[i, j], roots))
+    hm = mp.matrix([[sum(int(c) * r for c, r in zip(coeffs[i, j], roots))
                      for j in range(n)] for i in range(n)])
     fixed = [a for a in range(n) if p[a] == a]
     pairs = [a for a in range(n) if a < p[a]]
@@ -244,11 +251,18 @@ def _reduced_cases():
             yield bare, tristram._doubled(bare)
 
 
+def _one_block(h):
+    """(float_fn, mp_fn, n, nullity, copies) of the one block that
+    `inertia` certifies for h, a form at d > 2 or without an involution."""
+    (block,), copies = tristram._enclosures(h)
+    return (*block, copies)
+
+
 def test_reduced_float_enclosure_contains_every_exact_entry():
     from mpmath import mp
 
     for h, reduced in _reduced_cases():
-        enc = tristram._enclosures(h)[0]()
+        enc = _one_block(h)[0]()
         assert enc.mid.dtype == np.float64
         with mp.workprec(200):
             k = _exact_reduced(reduced)
@@ -262,7 +276,7 @@ def test_reduced_mp_enclosure_contains_every_exact_entry():
     from mpmath import mp
 
     for h, reduced in _reduced_cases():
-        mp_fn = tristram._enclosures(h)[1]
+        mp_fn = _one_block(h)[1]
         for prec in (53, 128, 256):
             c, rad = mp_fn(prec)
             with mp.workprec(prec + 200):
@@ -277,18 +291,18 @@ def test_a_form_without_an_involution_is_certified_twice_over():
     # the doubled form's slices are the block sums, its involution the swap
     bare = replace(build_form(seifert_matrix(torus_braid(3, 7)), 5,
                               source=(3, 7)), involution=None)
-    n, c = bare.dimension, bare.coeffs
+    n, c = bare.dimension, _dense(bare)
     double = tristram._doubled(bare)
     assert double.dimension == 2 * n and double.source == (3, 7)
     assert np.array_equal(double.involution,
                           [*range(n, 2 * n), *range(n)])
     zero = np.zeros((n, n, 3), dtype=c.dtype)
-    assert np.array_equal(double.coeffs, np.concatenate(
+    assert np.array_equal(_dense(double), np.concatenate(
         [np.concatenate([c, zero], axis=1),
          np.concatenate([zero, c[:, :, [0, 2, 1]]], axis=1)]))
     assert tristram._checked_involution(double) is double.involution
-    assert tristram._enclosures(bare)[2] == 2
-    assert tristram._enclosures(replace(bare, d=2))[2] == 1
+    assert tristram._enclosures(bare)[1] == 2
+    assert tristram._enclosures(replace(bare, d=2))[1] == 1
     ine = inertia(bare)
     assert ine.n_zero == 0 and ine.signature == sigma_d_counting(3, 7, 5)
 
@@ -332,14 +346,13 @@ def test_inertia_rejects_a_non_hermitian_form_also_under_O():
 
 def test_inertia_rejects_an_involution_that_is_not_a_symmetry_also_under_O():
     form = build_form(seifert_matrix(torus_braid(3, 5)), 3, source=(3, 5))
-    p, n = form.involution, form.dimension
+    p, n, c = form.involution, form.dimension, _dense(form)
     assert inertia(form).signature == sigma_d_counting(3, 5, 3)
     # one corrupted entry of C1, with C2 = C1^T kept, so H stays Hermitian
     # but P C1 P^T != C2
     i, j = next((i, j) for i in range(n) for j in range(n)
-                if form.coeffs[i, j, 1] == 0
-                and form.coeffs[p[i], p[j], 1] == 0 and i != p[j])
-    corrupt = form.coeffs.copy()
+                if c[i, j, 1] == 0 and c[p[i], p[j], 1] == 0 and i != p[j])
+    corrupt = c.copy()
     corrupt[i, j, 1] = corrupt[j, i, 2] = 1
     bad = [replace(form, coeffs=corrupt),
            replace(form, involution=np.roll(np.arange(n), 1)),  # P P != id
@@ -368,7 +381,7 @@ def test_inertia_rejects_an_involution_that_is_not_a_symmetry_also_under_O():
 
 # torus form slices do not depend on d, and every torus form is
 # nonsingular at every prime d
-_TORUS_SLICES = [build_form(seifert_matrix(torus_braid(p, q)), 2).coeffs
+_TORUS_SLICES = [_dense(build_form(seifert_matrix(torus_braid(p, q)), 2))
                  for p, q in [(2, 3), (2, 5), (3, 4)]]
 
 
@@ -482,8 +495,9 @@ def test_inertia_widens_entries_of_2_60_and_more():
     for inv in (np.arange(2), None):
         res = inertia(HermitianForm(3, 2, coeffs, involution=inv))
         assert (res.n_plus, res.n_zero, res.n_minus) == (1, 0, 1), inv
-    k = tristram._real_slices(coeffs, np.arange(2))
-    assert k.dtype == object and k[1, 1, 0] == 2 * (n * n - 1)
+    k = tristram._real_slices(HermitianForm(3, 2, coeffs).coeffs, 2,
+                              np.arange(2))
+    assert k.vals.dtype == object and k.dense(2)[1, 1, 0] == 2 * (n * n - 1)
 
 
 def test_an_odd_doubled_count_is_an_internal_check_error_also_under_O(
@@ -525,10 +539,11 @@ def test_inertia_without_an_involution_matches_complex_eigenvalues(d, n, data):
                                  max_size=n * n))
     v = np.array(entries, dtype=np.int64).reshape(n, n)
     h = HermitianForm(d, n, np.stack([v + v.T, -v, -v.T], axis=-1))
+    coeffs = _dense(h)
     with mp.workprec(300):
         z = mp.expj(2 * mp.pi * h.a / d)
         roots = (1, z, mp.conj(z))
-        hm = mp.matrix([[sum(int(c) * r for c, r in zip(h.coeffs[i, j], roots))
+        hm = mp.matrix([[sum(int(c) * r for c, r in zip(coeffs[i, j], roots))
                          for j in range(n)] for i in range(n)])
         eig = mp.eighe(hm, eigvals_only=True)
         assume(all(abs(e) >= mp.mpf(2) ** -200 for e in eig))
@@ -537,24 +552,47 @@ def test_inertia_without_an_involution_matches_complex_eigenvalues(d, n, data):
     assert (res.n_plus, res.n_zero, res.n_minus) == want
 
 
-def _fixture(k, seed=5):
-    """k blocks [[1, n], [n, n^2 - 1]] at d = 2, n in [2^25, 2^27]: each
-    has a small eigenvalue of about -1/n^2, out of reach of doubles."""
+def _fixture_slices(k, seed=5):
+    """The two dense slices of `_fixture(k, seed)`, as perfbench builds
+    them."""
     rng = random.Random(seed)
     coeffs = np.zeros((2 * k, 2 * k, 2), dtype=np.int64)
     for blk in range(k):
         n = rng.randint(2 ** 25, 2 ** 27)
         i = 2 * blk
         coeffs[i:i + 2, i:i + 2, 0] = [[1, n], [n, n * n - 1]]
-    return HermitianForm(2, 2 * k, coeffs)
+    return coeffs
+
+
+def _fixture(k, seed=5):
+    """k blocks [[1, n], [n, n^2 - 1]] at d = 2, n in [2^25, 2^27]: each
+    has a small eigenvalue of about -1/n^2, out of reach of doubles."""
+    return HermitianForm(2, 2 * k, _fixture_slices(k, seed))
 
 
 def _mp_rung(h, prec, nullity=0):
-    """The mp rung on the matrix that `inertia` certifies for h, which holds
-    `copies` copies of H: its counts are those of H times copies."""
-    _, mp_fn, copies = tristram._enclosures(h)
-    return certify.inertia_mp(mp_fn, copies * h.dimension, prec,
-                              copies * nullity)
+    """The mp rung on the one matrix that `inertia` certifies for h, which
+    holds `copies` copies of H: its counts are those of H times copies."""
+    _, mp_fn, n, _, copies = _one_block(h)
+    return certify.inertia_mp(mp_fn, n, prec, copies * nullity)
+
+
+def _float_rung(h):
+    """The double rung on each matrix that `inertia` certifies for h, each
+    enclosed in doubles: their summed counts, copies times H's, or None if
+    one is unresolved."""
+    blocks, _ = tristram._enclosures(h)
+    counts = [0, 0, 0]
+    for float_fn, _, n, nullity in blocks:
+        enc = float_fn()
+        assert enc.mid.dtype == enc.rad.dtype == np.float64
+        assert enc.mid.shape == (n, n)
+        res = certify.inertia_via_congruence(enc, nullity)
+        if res is None:
+            return None
+        counts = [c + x for c, x in zip(counts, (res.n_plus, res.n_zero,
+                                                 res.n_minus))]
+    return certify.Inertia(*counts)
 
 
 def _integer_enclosure(c, rad=None):
@@ -569,8 +607,7 @@ def _integer_enclosure(c, rad=None):
 def test_mp_rung_resolves_fixtures_at_128_bits():
     for k in range(1, 13):
         h = _fixture(k, seed=k)
-        assert certify.inertia_via_congruence(
-            tristram._enclosures(h)[0](), 0) is None
+        assert _float_rung(h) is None
         res = _mp_rung(h, 128)
         assert (res.n_plus, res.n_zero, res.n_minus) == (k, 0, k), k
 
@@ -594,7 +631,7 @@ def test_mp_rung_counts_an_exact_nullity():
     n = fix.dimension + 4
     coeffs = np.zeros((n, n, 3), dtype=np.int64)
     coeffs[2:4, 2:4, 0] = [[1, 1], [1, 1]]
-    coeffs[4:, 4:] = fix.coeffs
+    coeffs[4:, 4:] = _dense(fix)
     h = HermitianForm(2, n, coeffs)
     nullity = tristram._nullity(h)
     assert nullity == 3
@@ -655,18 +692,17 @@ def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
 
 def test_double_rung_stays_real_at_d2():
     form = build_form(seifert_matrix(torus_braid(5, 8)), 2, source=(5, 8))
-    enc = tristram._enclosures(form)[0]()
-    assert enc.mid.dtype == np.float64
-    res = certify.inertia_via_congruence(enc, 0)
+    res = _float_rung(form)
     assert res.signature == sigma_d_counting(5, 8, 2)
     # every kind of form reaches the rung real: d = 2 with and without the
     # involution, the reduced form at d = 3, and the reduced doubled form
-    # without the involution
+    # without the involution (`_float_rung` checks the dtypes)
     form3 = build_form(seifert_matrix(torus_braid(5, 8)), 3, source=(5, 8))
     for h in (form, form3):
         for inv in (h.involution, None):
-            enc = tristram._enclosures(replace(h, involution=inv))[0]()
-            assert enc.mid.dtype == enc.rad.dtype == np.float64, (h.d, inv)
+            res = _float_rung(replace(h, involution=inv))
+            copies = 2 if h.d > 2 and inv is None else 1
+            assert res.signature == copies * sigma_d_counting(5, 8, h.d)
 
 
 def test_double_rung_resolves_every_small_torus_form():
@@ -677,9 +713,7 @@ def test_double_rung_resolves_every_small_torus_form():
              for d in (2, 3, 5, 7, 11, 13)] + [(31, 37, 5)]
     for p, q, d in cases:
         h = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
-        enc = tristram._enclosures(h)[0]()
-        assert enc.mid.dtype == np.float64
-        res = certify.inertia_via_congruence(enc, 0)
+        res = _float_rung(h)
         n, sig = h.dimension, sigma_d_counting(p, q, d)
         assert res == certify.Inertia((n + sig) // 2, 0, (n - sig) // 2), \
             (p, q, d)
@@ -772,51 +806,288 @@ def test_row_radius_contains_the_exact_congruence():
     forms += [replace(h, involution=None) for h in forms if h.d > 2]
     forms += [_fixture(k, seed=k) for k in (1, 2, 3)]
     for h in forms:
-        float_fn, mp_fn, _ = tristram._enclosures(h)
-        enc = float_fn()
-        _, q = np.linalg.eigh(enc.mid)
-        m, r = certify._congruence(enc, q)
-        errors = _row_errors(q, m, *mp_fn(320), 320)
-        assert all(e <= Fraction(x) for e, x in zip(errors, r)), \
-            (h.source, h.d)
+        for float_fn, mp_fn, _, _ in tristram._enclosures(h)[0]:
+            enc = float_fn()
+            _, q = np.linalg.eigh(enc.mid)
+            m, r = certify._congruence(enc, q)
+            errors = _row_errors(q, m, *mp_fn(320), 320)
+            assert all(e <= Fraction(x) for e, x in zip(errors, r)), \
+                (h.source, h.d)
 
 
 def test_double_rung_peak_memory():
     # one attempt on T(21, 26), n = 500, holds a few N x N arrays at once,
-    # below 6 N^2 doubles, where N is the size of the certified matrix: n at
-    # d = 2 and for the reduced form at d = 3, 2n for the reduced doubled
-    # form at d = 3 without the involution
+    # below 6 N^2 doubles, where N is the size of the certified matrix: each
+    # half of the reduced form at d = 2, n for the reduced form at d = 3, 2n
+    # for the reduced doubled form at d = 3 without the involution
     f = seifert_matrix(torus_braid(21, 26))
     for d, involution in ((2, f.involution), (3, f.involution), (3, None)):
         h = replace(build_form(f, d, source=(21, 26)), involution=involution)
-        float_fn, _, copies = tristram._enclosures(h)
-        enc = float_fn()
-        tracemalloc.start()
-        try:
-            certify.inertia_via_congruence(enc, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * (copies * f.dimension) ** 2, (d, peak)
+        for float_fn, _, size, _ in tristram._enclosures(h)[0]:
+            enc = float_fn()
+            tracemalloc.start()
+            try:
+                certify.inertia_via_congruence(enc, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * 8 * size ** 2, (d, size, peak)
 
 
 def test_float_enclosure_peak_memory():
-    # the enclosure of T(21, 26)'s certified matrix, of size N = n at d = 2
-    # and for the reduced form at d = 3, N = 2n for the reduced doubled form
-    # at d = 3 without the involution, holds its midpoint, its radius and
-    # one scratch matrix: no N x N x 3 copy of the slices
+    # the enclosure of T(21, 26)'s certified matrix, of size N: each half of
+    # the reduced form at d = 2, n for the reduced form at d = 3, 2n for the
+    # reduced doubled form at d = 3 without the involution, holds its
+    # midpoint, its radius and one scratch matrix: no N x N x 3 copy of the
+    # slices
     f = seifert_matrix(torus_braid(21, 26))
     for d, involution in ((2, f.involution), (3, f.involution), (3, None)):
         h = replace(build_form(f, d, source=(21, 26)), involution=involution)
-        float_fn, _, copies = tristram._enclosures(h)
-        float_fn()   # the weights are cached after the first call
-        tracemalloc.start()
-        try:
-            float_fn()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * 8 * (copies * f.dimension) ** 2, (d, peak)
+        for float_fn, _, size, _ in tristram._enclosures(h)[0]:
+            float_fn()   # the weights are cached after the first call
+            tracemalloc.start()
+            try:
+                float_fn()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.5 * 8 * size ** 2, (d, size, peak)
+
+
+# The dense enclosure layer that the slices' nonzeros replaced, kept as the
+# reference the sparse one must match bit for bit: the slice loop, the
+# double enclosure and the real reduction, each on (n, n, 3) arrays.
+
+def _dense_slice_sum(slices, mid, rad, dtype):
+    c, r, t = (np.zeros(slices.shape[:2], dtype) for _ in range(3))
+    for s in range(3):
+        x = slices[:, :, s]
+        np.multiply(x, mid[s], out=t, dtype=dtype, casting="unsafe")
+        c += t
+        np.abs(x, out=t, dtype=dtype, casting="unsafe")
+        t *= rad[s]
+        r += t
+    return c, r
+
+
+def _dense_float_enclosure(slices, d):
+    mid, rad = [], []
+    for m, r in zip(*tristram._weight_bounds(d, 80)):
+        f = float(m)
+        e = r + abs(m - int(f))
+        mid.append(f * 2.0 ** -80)
+        rad.append(((math.nextafter(e, math.inf) if e else 0.0)
+                    + 8 * 2.0 ** -53 * abs(f)) * 2.0 ** -80)
+    c, r = _dense_slice_sum(slices, mid, rad, np.float64)
+    r += 1e-300
+    return certify.MRMatrix(c, r)
+
+
+def _dense_real_slices(coeffs, p):
+    n = coeffs.shape[0]
+    idx = np.arange(n)
+    pairs = idx[idx < p]
+    f, m = n - 2 * len(pairs), n - len(pairs)
+    order = np.concatenate([idx[idx == p], pairs, p[pairs]])
+    top = max(int(coeffs.max()), -int(coeffs.min())) if coeffs.size else 0
+    dtype = object if top >= 2 ** 60 else np.int64
+    y = [coeffs[:, :, s][order[:m]][:, order].astype(dtype, copy=False)
+         for s in range(3)]
+    out = np.zeros((n, n, 3), dtype=dtype)
+    for s, x in enumerate((y[0], y[1] + y[2], y[1] - y[2])):
+        plus = x[:, :m] + np.concatenate([x[:, :f], x[:, m:]], axis=1)
+        minus = x[:, f:m] - x[:, m:]
+        if s < 2:
+            out[:m, :m, s] = plus
+            out[m:, m:, s] = minus[f:]
+        else:
+            out[:m, m:, s] = -minus
+            out[m:, :m, s] = plus[f:]
+    return out
+
+
+def _dense_certified(h, coeffs):
+    """The dense slices of the matrix that the dense layer certified for h,
+    from h's dense slices coeffs: H's own at d = 2, else K's, of the
+    doubled form when h has no involution."""
+    if h.d == 2:
+        return coeffs
+    p = h.involution
+    if p is None:
+        n = h.dimension
+        doubled = np.zeros((2 * n, 2 * n, 3), dtype=coeffs.dtype)
+        doubled[:n, :n] = coeffs
+        doubled[n:, n:] = coeffs[:, :, [0, 2, 1]]
+        coeffs, p = doubled, np.concatenate([np.arange(n, 2 * n),
+                                             np.arange(n)])
+    return _dense_real_slices(coeffs, p)
+
+
+def _assert_bit_identical(enc, want, case):
+    for got, ref in ((enc.mid, want.mid), (enc.rad, want.rad)):
+        assert got.dtype == ref.dtype == np.float64, case
+        assert got.tobytes() == ref.tobytes(), case
+
+
+def test_float_enclosure_is_bit_identical_to_the_dense_layer():
+    # torus forms at d = 3, 5, 7 with their involution and without it (the
+    # doubled form), and at d = 2 without it, from the dense V; the
+    # widened reduced form past int64; object slices past int64; and
+    # two-slice fixtures as perfbench builds them
+    cases = []
+    for p, q in coprime_range(14, 15):
+        f = seifert_matrix(torus_braid(p, q))
+        v = f.matrix
+        dense = np.stack([v + v.T, -v, -v.T], axis=-1)
+        for d in (3, 5, 7):
+            h = build_form(f, d, source=(p, q))
+            cases += [(h, dense), (replace(h, involution=None), dense)]
+        cases.append((replace(build_form(f, 2, source=(p, q)),
+                              involution=None), dense))
+    n = 2 ** 31
+    widened = np.zeros((2, 2, 3), dtype=np.int64)
+    widened[:, :, 0] = [[1, n], [n, n * n - 1]]
+    cases.append((HermitianForm(3, 2, widened, involution=np.arange(2)),
+                  widened))
+    for k in (1, 4, 12):
+        given = _fixture_slices(k, seed=k)
+        padded = np.concatenate([given, np.zeros_like(given[:, :, :1])],
+                                axis=2)
+        cases.append((HermitianForm(2, 2 * k, given), padded))
+    for h, dense in cases:
+        case = (h.source, h.d, h.involution is None, h.dimension)
+        want_slices = _dense_certified(h, dense)
+        float_fn, _, size, _, _ = _one_block(h)
+        assert size == len(want_slices), case
+        _assert_bit_identical(float_fn(), _dense_float_enclosure(
+            want_slices, h.d), case)
+        if h.d > 2:
+            if h.involution is None:
+                h = tristram._doubled(h)
+            k = tristram._real_slices(h.coeffs, h.dimension, h.involution)
+            assert np.array_equal(k.dense(h.dimension), want_slices), case
+    wide = np.array([[[2 ** 64 + 1, -(2 ** 63) - 7, 5],
+                      [3, 2 ** 62, -(2 ** 65) + 3]]] * 2, dtype=object)
+    slices = HermitianForm(2, 2, wide).coeffs
+    assert slices.vals.dtype == object
+    for d in (2, 3, 5, 7, 43):
+        _assert_bit_identical(tristram._float_enclosure(slices, 2, d),
+                              _dense_float_enclosure(wide, d), d)
+
+
+def test_d2_reduced_form_splits_into_two_halves():
+    # at d = 2 the weight of R2 is sin(pi) = 0 exactly, and R0 and R1 vanish
+    # off K's diagonal blocks, so K = diag(K+, K-) and each half is certified
+    # apart; at d > 2 R2 couples them and K is certified whole
+    for p, q in coprime_range(9, 13):
+        form = build_form(seifert_matrix(torus_braid(p, q)), 2, source=(p, q))
+        n, inv = form.dimension, form.involution
+        m = n - np.count_nonzero(np.arange(n) < inv)
+        k = tristram._real_slices(form.coeffs, n, inv).dense(n)
+        for block in (k[:m, m:], k[m:, :m]):
+            assert not block[:, :, :2].any(), (p, q)
+        assert not k[:m, :m, 2].any() and not k[m:, m:, 2].any(), (p, q)
+        blocks, copies = tristram._enclosures(form)
+        assert copies == 1
+        assert [size for _, _, size, _ in blocks] == [m, n - m], (p, q)
+        assert _float_rung(form).signature == sigma_d_counting(p, q, 2)
+        for d in (3, 5):
+            h = replace(form, d=d)
+            assert [size for _, _, size, _ in tristram._enclosures(h)[0]] \
+                == [n], (p, q, d)
+
+
+def _swap_form(blocks, fixed, perm):
+    """A sourceless d = 2 form with C0 = diag(blocks..., fixed) and C1 = C2
+    = 0 under the involution swapping each 2 x 2 block's two indices, with
+    rows and columns then renamed by perm."""
+    n = 2 * len(blocks) + len(fixed)
+    c = np.zeros((n, n, 3), dtype=np.int64)
+    p = np.arange(n)
+    for b, (x, y) in enumerate(blocks):
+        i = 2 * b
+        c[i:i + 2, i:i + 2, 0] = [[x, y], [y, x]]
+        p[i], p[i + 1] = i + 1, i
+    for t, x in enumerate(fixed):
+        c[2 * len(blocks) + t, 2 * len(blocks) + t, 0] = x
+    perm = np.asarray(perm)
+    back = np.argsort(perm)
+    # entry (a, b) moves to (perm[a], perm[b]), and P to perm P perm^-1
+    return HermitianForm(2, n, c[back][:, back], involution=perm[p][back])
+
+
+def test_a_sourceless_d2_form_gets_each_halfs_exact_nullity():
+    # [[x, y], [y, x]] under the swap is x + y on u = e_a + e_b and x - y on
+    # v = e_a - e_b, so [[1, 1], [1, 1]] puts a kernel vector in the v half
+    # and [[1, -1], [-1, 1]] one in the u half; the whole form's nullity
+    # given to each half would leave the other half unresolvable
+    perm = [3, 0, 4, 1, 2]
+    for blocks, halves, want in (
+            ([(1, 1), (1, 3)], [0, 1], (2, 1, 2)),
+            ([(1, -1), (1, 3)], [1, 0], (2, 1, 2))):
+        h = _swap_form(blocks, [-3], perm)
+        assert tristram._nullity(h) == 1
+        got = [nullity for _, _, _, nullity in tristram._enclosures(h)[0]]
+        assert got == halves, blocks
+        assert inertia(h) == certify.Inertia(*want), blocks
+        assert inertia(replace(h, involution=None)) == \
+            certify.Inertia(*want), blocks
+
+
+def test_integer_layer_peak_memory():
+    # the Seifert matrix, the form, its involution check and its real
+    # reduction at T(2, 2049), n = 2048, work on the nonzeros: together they
+    # stay below one dense int64 slice, 8 n^2 bytes
+    b = torus_braid(2, 2049)
+    tracemalloc.start()
+    try:
+        f = seifert_matrix(b)
+        h = build_form(f, 2, source=(2, 2049))
+        p = tristram._checked_involution(h)
+        k = tristram._real_slices(h.coeffs, h.dimension, p)
+        halves = tristram._halves(k, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = f.dimension
+    assert n == 2048 and sum(size for size, _ in halves) == n
+    assert peak < 8 * n * n, peak
+
+
+def test_form_rejects_non_integer_slices_also_under_O():
+    # float, bool, complex and object-of-float slices used to be certified
+    # as if they were integers; each is rejected at construction
+    c = np.array([[0.5, 0.25], [0.25, -0.5]]).reshape(2, 2, 1)
+    bad = [c, np.eye(2, dtype=bool).reshape(2, 2, 1), c.astype(complex),
+           c.astype(object), np.array([[[1], [True]], [[True], [1]]],
+                                      dtype=object),
+           np.array([[[1.0], [0]], [[0], [1]]], dtype=object)]
+    for coeffs in bad:
+        with pytest.raises(DomainError, match="integer"):
+            HermitianForm(2, 2, coeffs)
+    with pytest.raises(DomainError, match="integer"):
+        HermitianForm(2, 2, tristram.Slices(np.arange(2), np.arange(2),
+                                            np.ones((3, 2))))
+    # object arrays of Python ints past int64, and unsigned arrays, are
+    # integer forms: [[1, x], [x, x^2 - 1]] has det -1
+    x = 2 ** 40
+    big = np.zeros((2, 2, 3), dtype=object)
+    big[:, :, 0] = [[1, x], [x, x * x - 1]]
+    assert inertia(HermitianForm(2, 2, big)) == certify.Inertia(1, 0, 1)
+    top = np.array([[[2 ** 63 + 1]]], dtype=np.uint64)
+    h = HermitianForm(2, 1, top)
+    assert h.coeffs.vals.dtype == object and h.coeffs.vals[0, 0] == 2 ** 63 + 1
+    assert inertia(h) == certify.Inertia(1, 0, 0)
+    res = _run_O(
+        "import numpy as np\n"
+        "from torustwist import DomainError, HermitianForm\n"
+        "c = np.array([[0.5, 0.25], [0.25, -0.5]]).reshape(2, 2, 1)\n"
+        "try:\n"
+        "    HermitianForm(2, 2, c)\n"
+        "except DomainError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    assert res.returncode == 0, res.stderr
 
 
 def test_counting_matches_hermitian_on_range():
