@@ -1,15 +1,15 @@
 """Verified numeric linear algebra for certified inertia of real symmetric
 forms.
 
-Strategy: diagonalize H approximately, take the computed eigenvector
-matrix Q as an exact matrix, and bound the exactly congruated matrix
-M = Q^T H Q.  M is symmetric, so a connected component of k of its
-Gershgorin row intervals [M_ii - r_i, M_ii + r_i] holds exactly k
-eigenvalues of M.  Components strictly right of zero give
-a eigenvalues certified positive, those strictly left give b certified
-negative, and the components meeting zero must hold exactly the nullity z
-of H, which is known exactly by other means; otherwise the attempt is
-unresolved.
+Strategy: diagonalize H approximately, take the computed basis Q (an
+eigenvector matrix, or an integer elimination basis) as an exact matrix,
+and bound the exactly congruated matrix M = Q^T H Q.  M is symmetric, so a
+connected component of k of its Gershgorin row intervals
+[M_ii - r_i, M_ii + r_i] holds exactly k eigenvalues of M.  Components
+strictly right of zero give a eigenvalues certified positive, those
+strictly left give b certified negative, and the components meeting zero
+must hold exactly the nullity z of H, which is known exactly by other
+means; otherwise the attempt is unresolved.
 
 No invertibility check on Q is needed.  For any square Q,
 n+(Q^T H Q) <= n+(H) and n-(Q^T H Q) <= n-(H): if M is positive definite
@@ -40,12 +40,16 @@ rather than subtracted from it, which could cancel the off-diagonal part.
 The precision rungs form the same intervals with the same helper
 (`_gershgorin_spread`), exactly and without the 1 + g, on integers.
 Overestimating r only costs an occasional escalation, never soundness.
-If it cannot separate the intervals, the mpmath rungs follow at 128, 256,
-... bits up to a cap: mp.eigsy at that precision, then an exact integer
-congruence (see `inertia_mp`) with no rounding model at all.  Each rung
-takes H from its caller as an enclosure: an MRMatrix in doubles, and at
-`prec` bits integer matrices c, rad with |2^prec H - c| <= rad entrywise,
-built only when that rung runs.  Exhausting the cap raises, never guesses.
+If it cannot separate the intervals, the precision rungs follow at 128,
+256, ... bits up to a cap, in Python integers only: a pivoted fixed-point
+LDL^T elimination of the rung's integer midpoint gives an integer basis G
+(`_pivoted_basis`), then an exact integer congruence (see `inertia_mp`)
+with no rounding model at all.  The rounding inside the elimination only
+decides how close to diagonal G^T H G comes out; the certificate reads
+the exact product.  Each rung takes H from its caller as an enclosure: an
+MRMatrix in doubles, and at `prec` bits integer matrices c, rad with
+|2^prec H - c| <= rad entrywise, built only when that rung runs.
+Exhausting the cap raises, never guesses.
 """
 
 from dataclasses import dataclass
@@ -56,8 +60,8 @@ from .errors import InternalCheckError, UndecidedSignError
 
 _U = 2.0 ** -53
 _TINY = 1e-300
-# the highest mpmath precision, in bits, that certified_inertia tries
-# before it raises UndecidedSignError; read at call time
+# the highest precision, in bits, that certified_inertia tries before it
+# raises UndecidedSignError; read at call time
 PRECISION_CAP = 4096
 
 
@@ -172,17 +176,67 @@ def inertia_via_congruence(h: MRMatrix, nullity: int):
 
 
 # ---------------------------------------------------------------------------
-# mpmath escalation path
+# precision rungs, in Python integers
 # ---------------------------------------------------------------------------
 
 
+def _pivoted_basis(c, prec):
+    """An integer basis G, with 2^-prec G close to the congruence that makes
+    the symmetric integer matrix c diagonal: a symmetric elimination in
+    fixed point with `prec` fraction bits, over Python ints.
+
+    A approximates 2^-2prec G^T c G on the indices not yet eliminated.
+    Each step pivots on the largest |A_kk|.  If twice that is below the
+    largest off-diagonal |A_ij|, the unimodular congruence "row and column
+    j += sign(A_ij) row and column i" first makes |A_jj| > |A_ij| (also
+    when every diagonal entry is zero), and j is the pivot, so every
+    multiplier is at most 2 in modulus (after Bunch and Parlett, SIAM J.
+    Numer. Anal. 8, 1971).  The multipliers l_r = 2^prec A_rk / A_kk,
+    rounded, update A's Schur complement and G's columns by one rank-one
+    product each, the former symmetrized so that A stays exactly
+    symmetric.  The elimination stops when the remaining block is zero.
+    Any integer G is a valid congruence, so rounding here costs only a
+    wider Gershgorin interval.
+    """
+    n = c.shape[0]
+    one = 1 << prec
+    half = one >> 1
+    g = np.zeros((n, n), dtype=object)
+    np.fill_diagonal(g, one)
+    a = c.copy()
+    cols = np.arange(n)
+    while len(cols):
+        m = len(cols)
+        mag = np.abs(a)
+        k = int(np.argmax(mag.diagonal()))
+        top = mag[k, k]
+        np.fill_diagonal(mag, 0)
+        i, j = divmod(int(np.argmax(mag)), m)
+        if 2 * top < mag[i, j]:
+            s = 1 if a[i, j] > 0 else -1
+            a[:, j] += s * a[:, i]
+            a[j, :] += s * a[i, :]
+            g[:, cols[j]] += s * g[:, cols[i]]
+            k = j
+        elif top == 0:
+            break
+        rest = np.delete(np.arange(m), k)
+        # floor(x / p + 1/2), for either sign of the pivot p
+        p = a[k, k]
+        l = ((a[rest, k] << (prec + 1)) + p) // (2 * p)
+        u = np.outer(l, a[k, rest])
+        a = a[np.ix_(rest, rest)] - ((u + u.T + one) >> (prec + 1))
+        g[:, cols[rest]] -= (np.outer(g[:, cols[k]], l) + half) >> prec
+        cols = cols[rest]
+    return g
+
+
 def inertia_mp(enclosure_fn, n, prec, nullity):
-    """Certification at `prec` bits: an mpmath eigenbasis, checked exactly.
+    """Certification at `prec` bits: an integer basis, checked exactly.
 
     enclosure_fn(prec) must return n x n object arrays (c, rad) of Python
-    ints with |2^prec H - c| <= rad entrywise.  mp.eigsy diagonalizes the
-    midpoint 2^-prec c at `prec` bits; its eigenvector matrix, scaled by
-    2^prec and rounded, is an integer matrix G.  With R = rad,
+    ints with |2^prec H - c| <= rad entrywise.  `_pivoted_basis(c, prec)`
+    gives an integer matrix G that nearly diagonalizes c.  With R = rad,
     M = G^T (2^prec H) G lies entrywise within G^T c G +- |G|^T R |G|.
     G^T c G is an integer matmul over Python ints; of the radius Gershgorin
     reads only the row sums |G|^T (R (|G| 1)), two integer matrix-vector
@@ -191,30 +245,17 @@ def inertia_mp(enclosure_fn, n, prec, nullity):
     congruence itself, and by the argument in the module docstring it
     needs no invertibility check.  Returns None if unresolved.
     """
-    from mpmath import mp
-    from mpmath.libmp import mpf_shift, to_int
-
     c, rad = enclosure_fn(prec)
-    with mp.workprec(prec):
-        Hmid = mp.matrix([[mp.ldexp(x, -prec) for x in row]
-                          for row in c.tolist()])
-        try:
-            _, Q = mp.eigsy(Hmid)
-        except Exception:
-            return None
-
-    # Python ints in an object array: the matmuls below are exact
-    g = np.array([to_int(mpf_shift(Q[i, j]._mpf_, prec), "n")
-                  for i in range(n) for j in range(n)],
-                 dtype=object).reshape(n, n)
+    # Python ints in object arrays: the matmuls below are exact
+    g = _pivoted_basis(c, prec)
     g_abs = np.abs(g)
     return _gershgorin_count(g.T @ (c @ g),
                              g_abs.T @ (rad @ g_abs.sum(axis=1)), nullity)
 
 
 def certified_inertia(float_enclosure_fn, mp_enclosure_fn, n, nullity):
-    """Run the ladder: double precision, then mpmath at 128, 256, ... bits
-    up to PRECISION_CAP.
+    """Run the ladder: double precision, then exact integer rungs at 128,
+    256, ... bits up to PRECISION_CAP.
 
     float_enclosure_fn() -> MRMatrix; mp_enclosure_fn(prec) -> (c, rad),
     the integer enclosure of 2^prec H that `inertia_mp` reads, built only

@@ -16,7 +16,7 @@ polynomial is a root of unity of composite order, while z has prime order
 d.  That arithmetic fact certifies the nullity; a form without a torus
 knot source gets its nullity from one exact rational rank (`cyclotomic`).
 The remaining eigenvalue signs are certified by `certify`: interval
-arithmetic in doubles, then exact integer congruences at rising mpmath
+arithmetic in doubles, then exact congruences in Python ints at rising
 precision until every sign resolves or a cap is hit.  Every form reaches
 `certify` as real symmetric matrices.  The Seifert basis of a torus braid
 carries a reversal involution P with P V P^T = V^T (`seifert`), so

@@ -4,7 +4,9 @@ import sys
 import types
 from pathlib import Path
 
-from torustwist import certify
+from torustwist import certify, inertia
+
+from test_tristram import _fixture
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +31,21 @@ def test_perfbench_hooks_name_the_library_as_it_is():
     for module, attribute, *_ in spans.PATCHES:
         assert hasattr(module, attribute), (module.__name__, attribute)
     assert list(inspect.signature(certify.inertia_mp).parameters)[2] == "prec"
+
+
+def test_the_precision_rung_is_reached_through_its_module_attribute(
+        monkeypatch):
+    # perfbench times the precision rung by patching `certify.inertia_mp`;
+    # a caller that bound the rung locally would zero `certify.mp_rung.*`
+    # without a failure anywhere else.  `_fixture(2)` needs the 128-bit rung
+    seen = []
+    rung = certify.inertia_mp
+
+    def recording(enclosure_fn, n, prec, nullity):
+        seen.append(prec)
+        return rung(enclosure_fn, n, prec, nullity)
+
+    monkeypatch.setattr(certify, "inertia_mp", recording)
+    res = inertia(_fixture(2))
+    assert (res.n_plus, res.n_zero, res.n_minus) == (2, 0, 2)
+    assert seen == [128]

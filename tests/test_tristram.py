@@ -668,14 +668,12 @@ def test_mp_rung_honours_the_entry_radius():
 
 
 def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
-    # With mp.eigsy replaced by the basis 2^-prec * I, the rung's integer
-    # matrix G is I, so its Gershgorin rows are those of C = 2^prec H:
-    # C = [[c0, 7, -3], [7, 100, 0], [-3, 0, 100]].  Row 0's off-diagonal
-    # moduli sum to 10 exactly, so at c0 = 10 the row's edge touches zero
-    # and the row is not counted positive; a bound that read the signed
-    # sum 4 would count it.  Any G is a valid congruence.
-    from mpmath import mp
-
+    # With the basis helper replaced by one returning the integer identity,
+    # the rung's integer matrix G is I, so its Gershgorin rows are those of
+    # C = 2^prec H: C = [[c0, 7, -3], [7, 100, 0], [-3, 0, 100]].  Row 0's
+    # off-diagonal moduli sum to 10 exactly, so at c0 = 10 the row's edge
+    # touches zero and the row is not counted positive; a bound that read
+    # the signed sum 4 would count it.  Any G is a valid congruence.
     prec = 128
 
     def form(c0):
@@ -683,11 +681,149 @@ def test_mp_rung_bounds_each_off_diagonal_modulus_from_above(monkeypatch):
 
     real = certify.inertia_mp(form(10), 3, prec, 0)
     assert (real.n_plus, real.n_zero, real.n_minus) == (3, 0, 0)
-    monkeypatch.setattr(mp, "eigsy",
-                        lambda a: (None, mp.eye(3) * mp.mpf(2) ** -prec))
+    monkeypatch.setattr(certify, "_pivoted_basis",
+                        lambda c, bits: np.eye(3, dtype=int).astype(object))
     assert certify.inertia_mp(form(10), 3, prec, 0) is None
     res = certify.inertia_mp(form(11), 3, prec, 0)
     assert (res.n_plus, res.n_zero, res.n_minus) == (3, 0, 0)
+
+
+def _block_diagonal(blocks):
+    """The d = 2 form whose first slice is the direct sum of the given
+    integer blocks (lists of rows), with no torus source."""
+    n = sum(len(b) for b in blocks)
+    coeffs = np.zeros((n, n, 2), dtype=np.int64)
+    i = 0
+    for b in blocks:
+        coeffs[i:i + len(b), i:i + len(b), 0] = b
+        i += len(b)
+    return HermitianForm(2, n, coeffs)
+
+
+def test_mp_rung_pivots_past_zero_and_small_diagonals():
+    # hyperbolic blocks [[0, x], [x, 0]] and a small-diagonal one, (1, 0, 1)
+    # each, an all-zero-diagonal 4 x 4 block of inertia (2, 0, 2), and a
+    # fixture block: in all but the last, no diagonal entry is a usable
+    # pivot until the rung's basis combines two rows and columns
+    blocks = [[[0, x], [x, 0]] for x in (1, 3, 2 ** 20 + 7, 2 ** 40)]
+    blocks += [[[1, 2 ** 40], [2 ** 40, 2]],
+               [[0, 1, 1, 1], [1, 0, -1, 1], [1, -1, 0, 1], [1, 1, 1, 0]],
+               _fixture_slices(1)[:, :, 0].tolist()]
+    h = _block_diagonal(blocks)
+    k = h.dimension // 2
+    res = _mp_rung(h, 128)
+    assert (res.n_plus, res.n_zero, res.n_minus) == (k, 0, k)
+    # a zero block among them: its exact nullity, and no other count
+    h = _block_diagonal(blocks[:2] + [[[0] * 3] * 3] + blocks[2:])
+    nullity = tristram._nullity(h)
+    assert nullity == 3
+    res = _mp_rung(h, 128, nullity)
+    assert (res.n_plus, res.n_zero, res.n_minus) == (k, 3, k)
+    assert _mp_rung(h, 128, nullity - 1) is None
+
+
+def _exact_inertia(a):
+    """(n_plus, n_zero, n_minus) of an integer symmetric matrix by an exact
+    LDL^T over Fractions: Sylvester's law of inertia on its pivots.  With
+    every remaining diagonal entry zero, "row and column j += row and
+    column i" for a nonzero a_ij makes a_jj = 2 a_ij the pivot; a remaining
+    zero block is the kernel."""
+    a = [[Fraction(x) for x in row] for row in a]
+    rest = list(range(len(a)))
+    plus = minus = 0
+    while rest:
+        k = next((i for i in rest if a[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in rest for j in rest if a[i][j]), None)
+            if pair is None:
+                break
+            i, k = pair
+            for r in rest:
+                a[r][k] += a[r][i]
+            for r in rest:
+                a[k][r] += a[i][r]
+        rest.remove(k)
+        for r in rest:
+            f = a[r][k] / a[k][k]
+            for s in rest:
+                a[r][s] -= f * a[k][s]
+        plus += a[k][k] > 0
+        minus += a[k][k] < 0
+    return plus, len(rest), minus
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Integer symmetric matrices up to 8 x 8 with entries up to 2^30: dense
+    ones, ones with a zero diagonal, and rank-deficient ones E^T B E with
+    B symmetric r x r, r < n, and E of entries -1, 0, 1."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dense", "zero-diagonal", "low-rank"]))
+    top = draw(st.sampled_from([2, 2 ** 30]))
+    if kind == "low-rank":
+        r = draw(st.integers(0, n - 1))
+        top = min(top, 2 ** 23)
+        b = np.array(draw(st.lists(st.integers(-top, top), min_size=r * r,
+                                   max_size=r * r)),
+                     dtype=object).reshape(r, r)
+        e = np.array(draw(st.lists(st.integers(-1, 1), min_size=r * n,
+                                   max_size=r * n)),
+                     dtype=object).reshape(r, n)
+        return (e.T @ (b + b.T) @ e).tolist()
+    v = np.array(draw(st.lists(st.integers(-top, top), min_size=n * n,
+                               max_size=n * n)), dtype=object).reshape(n, n)
+    m = np.triu(v) + np.triu(v, 1).T
+    if kind == "zero-diagonal":
+        np.fill_diagonal(m, 0)
+    return m.tolist()
+
+
+def _condition_number(a, nullity):
+    """max |lambda| / min |lambda| over the nonzero eigenvalues of a, which
+    has exactly `nullity` zero ones, from mpmath eigenvalues at 1024 bits."""
+    from mpmath import mp
+
+    with mp.workprec(1024):
+        eig = sorted(abs(x) for x in mp.eigsy(mp.matrix(a),
+                                              eigvals_only=True))
+        return eig[-1] / eig[nullity]
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_symmetric_matrices())
+def test_mp_rung_matches_an_exact_ldlt(a):
+    # rad = 0 at 128 bits: the rung gives the exact counts, or None only
+    # for a matrix whose condition number passes 2^100
+    n, prec = len(a), 128
+    plus, nullity, minus = _exact_inertia(a)
+    c = np.array(a, dtype=object) << prec
+    res = certify.inertia_mp(_integer_enclosure(c), n, prec, nullity)
+    if res is None:
+        assert nullity < n and _condition_number(a, nullity) > 2 ** 100, a
+    else:
+        assert (res.n_plus, res.n_zero, res.n_minus) == (plus, nullity, minus)
+
+
+def test_the_d2_ladder_runs_without_mpmath():
+    # a sourceless d = 2 fixture goes past the double rung to the precision
+    # rung at 128 bits, all in Python integers: neither importing `certify`
+    # nor certifying the fixture loads mpmath
+    res = _run_O(
+        "import sys\n"
+        "import numpy as np\n"
+        "import torustwist.certify\n"
+        "print('mpmath' in sys.modules)\n"
+        "from torustwist import HermitianForm, certify, inertia\n"
+        "bits = []\n"
+        "rung = certify.inertia_mp\n"
+        "certify.inertia_mp = lambda *args: (bits.append(args[2])\n"
+        "                                    or rung(*args))\n"
+        f"coeffs = np.array({_fixture_slices(3).tolist()}, dtype=np.int64)\n"
+        "res = inertia(HermitianForm(2, 6, coeffs))\n"
+        "print(res.n_plus, res.n_zero, res.n_minus, bits)\n"
+        "print('mpmath' in sys.modules)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["False", "3 0 3 [128]", "False"]
 
 
 def test_double_rung_stays_real_at_d2():
