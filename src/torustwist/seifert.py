@@ -11,20 +11,22 @@ is integral, with entries fixed by the interleaving pattern of band pairs:
     V[e, e'] = +1  for e' the next pair of the same generator
     V[e, f]  = +1  if e = (a, b) on generator g, f = (c, d) on g+1
                    interleave as a < c < b < d
-    V[f, e]  = -1  if they interleave as c < a < d < b
+    V[e, f]  = -1  if they interleave as c < a < d < b
 
 All other entries vanish (generators two or more apart, nested pairs,
 disjoint pairs).  So a loop e = (a, b) on g has at most two partners on
 g+1, both read off the occurrences x of g+1 inside (a, b): the last such x
 starts the loop f = (x, next) with a < x < b < next, and V[e, f] = +1 if x
 has a successor; the first such x ends the loop f = (prev, x) with
-prev < a < x < b, and V[f, e] = -1 if x has a predecessor.  Every other
+prev < a < x < b, and V[e, f] = -1 if x has a predecessor.  Every other
 loop on g+1 is nested in e, encloses it or misses it.  V has at most 4n
 nonzeros, found by bisecting the positions of g+1, and is stored by them.
 The sign conventions are pinned by requiring the closure of s1^3 (the
 positive trefoil, T(2,3)) to yield exactly [[-1, 1], [0, -1]], so that
 positive torus knots get negative signatures; the test suite cross-checks
-signatures against lattice counts and Alexander determinants.
+signatures against lattice counts and Alexander determinants, and, on
+braids that are not torus braids, |det(V^T - tV)| against the reduced
+Burau representation.
 
 When reading the word backwards with each s_g replaced by s_{k-g} gives the
 word back, as it does for the torus braid (s1 ... s_{k-1})^q, the same
@@ -111,9 +113,10 @@ def seifert_matrix(b: BraidWord) -> SeifertForm:
     """Seifert matrix of the fiber surface of a positive braid knot closure,
     in O(n log n): each loop meets at most two loops of the next generator
     (see the module docstring)."""
-    if closure_components(b) != 1:
+    components = closure_components(b)
+    if components != 1:
         raise NotAKnotError(
-            f"closure has {closure_components(b)} components; need a knot")
+            f"closure has {components} components; need a knot")
     k, length = b.strands, len(b.letters)
     letters = np.array(b.letters, dtype=np.int64)
     # every occurrence by generator, then position, under the key
@@ -139,8 +142,9 @@ def seifert_matrix(b: BraidWord) -> SeifertForm:
     # the loop into the first as c < a < d < b, when they exist
     last = (hi > lo) & starts[hi - 1]
     head = (hi > lo) & starts[lo - 1]
-    rows = np.concatenate([e, e[nxt], e[last], loop[lo[head] - 1]])
-    cols = np.concatenate([e, e[nxt] + 1, loop[hi[last] - 1], e[head]])
+    rows = np.concatenate([e, e[nxt], e[last], e[head]])
+    cols = np.concatenate([e, e[nxt] + 1, loop[hi[last] - 1],
+                           loop[lo[head] - 1]])
     vals = np.repeat([-1, 1, 1, -1], [n, np.count_nonzero(nxt),
                                       np.count_nonzero(last),
                                       np.count_nonzero(head)])

@@ -28,16 +28,17 @@ t = 2*pi*a/d, and R2 alone couples K's two diagonal blocks; at d = 2,
 sin(t) = 0 exactly, so K splits and its two halves, of about n/2 each, are
 certified apart and their counts added (`_halves`).  A form without an
 involution, such as a sourceless one built from its slices, is certified
-at d = 2 as H itself, an integer matrix (w = (1, -1, -1) on its slices),
-and at d > 2 as the direct sum of H and conj(H): the swap of the two
-copies is an involution of it, and its counts are twice H's (`_doubled`).
-Each certified matrix is sum_s S_s w_s over three integer slices, w =
-(1, -1, -1) at d = 2 and (1, cos(t), sin(t)) on K's at d > 2.  Both rungs
-enclose it by one slice loop over its nonzeros and integer bounds on
-2^bits w (`_weight_bounds`, exact at d = 2; z is evaluated only in
-`_root_bounds`), scattered into the dense midpoint and radius that the
-rungs read: in doubles from the 80-bit bounds for the double rung, in
-Python ints for each precision rung.
+at d = 2 as H itself, the integer matrix C0 - (C1 + C2), and at d > 2 as
+the direct sum of H and conj(H): the swap of the two copies is an
+involution of it, and its counts are twice H's (`_doubled`).  Each
+certified matrix is sum_s S_s w_s over three integer slices, K's or, for
+H at d = 2, (C0, C1 + C2, 0), with the weights w = (1, cos(t), sin(t)) at
+every d.  Both rungs enclose it by one slice loop over its nonzeros and
+integer bounds on 2^bits w (`_weight_bounds`), scattered into the dense
+midpoint and radius that the rungs read: in doubles from the 80-bit
+bounds for the double rung, in Python ints for each precision rung.  z is
+evaluated once per precision, in Python integers, in `_root_bounds`, and
+exactly at d = 2.
 
 For torus knots there is also an exact integer fast path (Litherland,
 "Signatures of iterated torus knots", LNM 722, 1979): writing
@@ -255,34 +256,67 @@ def build_form(f: SeifertForm, d: int, source=None) -> HermitianForm:
 @lru_cache(maxsize=None)
 def _root_bounds(d: int, bits: int):
     """Integer enclosures ((c_lo, c_hi), (s_lo, s_hi)) of 2^bits cos(t) and
-    2^bits sin(t), t = 2*pi*a/d: exact floor and ceiling of an interval
-    evaluation with guard bits.  The one place where z is evaluated."""
-    from mpmath import iv
-    from mpmath.libmp import mpf_shift, to_int
+    2^bits sin(t), t = 2*pi*a/d, each at most 2 wide: the one place where z
+    is evaluated, in Python integers, in fixed point at w = bits + g bits.
 
-    old = iv.prec
-    iv.prec = bits + 10
-    try:
-        t = 2 * iv.pi * (d // 2) / d
-        return tuple((to_int(mpf_shift(lo, bits), "f"),
-                      to_int(mpf_shift(hi, bits), "c"))
-                     for lo, hi in (iv.cos(t)._mpi_, iv.sin(t)._mpi_))
-    finally:
-        iv.prec = old
+    With phi = pi (d - 2a)/d, cos(t) = -cos(phi), sin(t) = sin(phi) and
+    0 <= phi <= pi/3.  Each integer X below stands for 2^w x, for a real x,
+    within an error e_X written beside it:
+      - pi = 16 atan(1/5) - 4 atan(1/239) (Machin), each atan(1/x) summed
+        as sum_k (-1)^k [2^w / x^(2k+1)] / (2k+1), every term floored
+        (error < 1), until 2^w / x^(2k+1) < 1: the alternating tail is
+        then below its first term, < 1, so K terms err by less than K + 1;
+      - phi as the floor of pi (d - 2a) / d: error (d - 2a) e_pi / d, plus
+        1 for the floor;
+      - cos and sin of the angle that phi's integer stands for exactly,
+        from the terms u_n of its exponential series, u_0 = 2^w and u_n
+        the floor of u_(n-1) phi / (2^w n) until one is 0.  As phi/n <= 1
+        for n >= 2, each u_n falls short of its exact value by at most k,
+        the number of floors of a nonzero product; the terms u_0 ... u_N,
+        signed as in the cosine's and the sine's series, so sum to within
+        N k, and each alternating tail is below its first term, at most
+        k.  Both functions are 1-Lipschitz, so phi's error carries over.
+    So e = e_phi + (N + 1) k bounds both sums' errors, and the enclosures
+    are their floors and ceilings, minus and plus e, at 2^-g.  At d = 2
+    phi = 0, and every error is 0: the bounds are exact.  N <= w + 2 and
+    e_pi < 4w + 30, so the guard g = 2 bitlen(bits + 64) + 2 keeps 2e
+    below 2^g, which bounds the width by 2."""
+    g = 2 * (bits + 64).bit_length() + 2
+    w = bits + g
+    pi = e_pi = 0
+    for x, m in ((5, 16), (239, -4)):
+        k, y = 0, (1 << w) // x
+        e_pi += abs(m)
+        while y:
+            pi += m * (y // (2 * k + 1))
+            m, y, k = -m, y // (x * x), k + 1
+            e_pi += abs(m)
+    odd = d - 2 * (d // 2)
+    phi, r = divmod(pi * odd, d)
+    e = -(-odd * e_pi // d) + (r != 0)
+    u = 1 << w
+    terms, k = [u], 0
+    while u:
+        x = u * phi
+        u = (x >> w) // len(terms)
+        terms.append(u)
+        k += x != 0
+    e += len(terms) * k
+    c = sum(terms[0::4]) - sum(terms[2::4])
+    s = sum(terms[1::4]) - sum(terms[3::4])
+    return (((-c - e) >> g, -((c - e) >> g)),
+            ((s - e) >> g, -((-s - e) >> g)))
 
 
 @lru_cache(maxsize=None)
 def _weight_bounds(d: int, bits: int):
     """Integers (mid, rad), three of each, with |2^bits w_s - mid_s| <= rad_s
-    for the weights of a real matrix sum_s S_s w_s that `inertia`
-    certifies: (1, -1, -1) on a d = 2 form's slices, exactly, else
-    (1, cos(t), sin(t)) on K's, from `_root_bounds`."""
-    one = 1 << bits
-    if d == 2:
-        return (one, -one, -one), (0, 0, 0)
+    for the weights w = (1, cos(t), sin(t)) of the real matrix
+    sum_s S_s w_s that `inertia` certifies, from `_root_bounds`; exact at
+    d = 2, where they are (1, -1, 0)."""
     (c_lo, c_hi), (s_lo, s_hi) = _root_bounds(d, bits)
     c, s = (c_lo + c_hi) >> 1, (s_lo + s_hi) >> 1
-    return (one, c, s), (0, c_hi - c, s_hi - s)
+    return (1 << bits, c, s), (0, c_hi - c, s_hi - s)
 
 
 def _slice_sum(slices: Slices, n: int, mid, rad, dtype):
@@ -325,13 +359,6 @@ def _float_enclosure(slices: Slices, n: int, d: int) -> MRMatrix:
     return MRMatrix(c, r)
 
 
-def _mp_enclosure(slices: Slices, n: int, d: int, prec: int):
-    """(c, rad), n x n object arrays of Python ints with
-    |2^prec F - c| <= rad entrywise for F = sum_s C_s w_s and w the weights
-    of `_weight_bounds(d, prec)`; exact at d = 2, with rad = 0."""
-    return _slice_sum(slices, n, *_weight_bounds(d, prec), object)
-
-
 def _matching(key, image):
     """The order with image[order] == key, or None if image, a list of
     distinct positions, is not a reordering of key."""
@@ -367,6 +394,13 @@ def _checked_involution(h: HermitianForm):
                       "need P P = id, P C0 P^T = C0 and P C1 P^T = C2")
 
 
+def _widened(vals: np.ndarray) -> np.ndarray:
+    """Integer slice values as int64, or as Python ints once an entry
+    reaches 2^60, so that a sum of up to eight of them cannot overflow."""
+    top = max(int(vals.max()), -int(vals.min())) if vals.size else 0
+    return vals.astype(object if top >= 2 ** 60 else np.int64, copy=False)
+
+
 def _real_slices(coeffs: Slices, n: int, p) -> Slices:
     """Slices (R0, R1, R2) of the real symmetric n x n
     K = R0 + cos(t) R1 + sin(t) R2 = W* H W / 2, for an involution p
@@ -385,10 +419,8 @@ def _real_slices(coeffs: Slices, n: int, p) -> Slices:
     a <= p[a] of the C_s are read: each nonzero X[a, b] is added into
     (X^+)[a, rep(b)], with weight 2 at a fixed point b, and, for b not
     fixed, into (X^-)[a, rep(b)] with the sign of e_b in v_b, rep(b) the
-    lesser of b and p[b].  O(nnz log nnz) work on integers, in int64
-    unless an entry reaches 2^60: each entry of K's slices sums at most
-    four of C's, and R0 - R1 (`_halves`) eight, which could then overflow,
-    so Python ints are used instead."""
+    lesser of b and p[b].  O(nnz log nnz) work on integers, each entry of
+    K's slices a sum of at most four of C's (`_widened`)."""
     rows, cols, vals = coeffs
     idx = np.arange(n)
     pairs = idx[idx < p]
@@ -397,8 +429,7 @@ def _real_slices(coeffs: Slices, n: int, p) -> Slices:
     u[idx == p] = np.arange(f)
     u[pairs] = u[p[pairs]] = np.arange(f, m)
     v[pairs] = v[p[pairs]] = np.arange(m, n)
-    top = max(int(vals.max()), -int(vals.min())) if vals.size else 0
-    vals = vals.astype(object if top >= 2 ** 60 else np.int64, copy=False)
+    vals = _widened(vals)
     read = rows <= p[rows]
     a, b, y = rows[read], cols[read], np.compress(read, vals, axis=1)
     x0, x1, x2 = y[0], y[1] + y[2], y[1] - y[2]
@@ -419,20 +450,19 @@ def _real_slices(coeffs: Slices, n: int, p) -> Slices:
 
 
 def _halves(k: Slices, p):
-    """At d = 2, K of `_real_slices` is R0 - R1: its weights (1, cos(pi),
-    sin(pi)) are exactly (1, -1, 0), so R2, which alone fills K's
-    off-diagonal blocks, drops out and K = diag(K+, K-), on the u and the
-    v rows.  Returns (size, Slices of (K+-, 0, 0)) for the two blocks."""
+    """K's two diagonal blocks, on the u and the v rows of `_real_slices`,
+    as (size, K's slices cut down to the block).  At d = 2 K's weights
+    (1, cos(pi), sin(pi)) are exactly (1, -1, 0) (`_root_bounds`), so R2,
+    which alone fills K's off-diagonal blocks, drops out and
+    K = diag(K+, K-): the halves' counts add up to K's."""
     n = len(p)
     m = n - np.count_nonzero(np.arange(n) < p)
     rows, cols, vals = k
-    one = vals[0] - vals[1]
     out = []
     for lo, hi in ((0, m), (m, n)):
         keep = (rows >= lo) & (rows < hi) & (cols >= lo) & (cols < hi)
-        s = np.zeros((3, np.count_nonzero(keep)), dtype=one.dtype)
-        s[0] = one[keep]
-        out.append((hi - lo, Slices(rows[keep] - lo, cols[keep] - lo, s)))
+        out.append((hi - lo, Slices(rows[keep] - lo, cols[keep] - lo,
+                                    np.compress(keep, vals, axis=1))))
     return out
 
 
@@ -453,26 +483,33 @@ def _doubled(h: HermitianForm) -> HermitianForm:
 def _block(slices: Slices, n: int, d: int, nullity: int):
     """(float_fn, mp_fn, n, nullity) for the n x n matrix sum_s C_s w_s of
     the slices at d's weights: its enclosure builders, for
-    `certified_inertia`, and its exact nullity."""
+    `certified_inertia`, and its exact nullity.  mp_fn(prec) gives
+    (c, rad), n x n arrays of Python ints with |2^prec F - c| <= rad."""
     return (lambda: _float_enclosure(slices, n, d),
-            lambda prec: _mp_enclosure(slices, n, d, prec), n, nullity)
+            lambda prec: _slice_sum(slices, n, *_weight_bounds(d, prec),
+                                    object), n, nullity)
 
 
 def _enclosures(h: HermitianForm):
     """(blocks, copies): the real symmetric matrices that `inertia`
     certifies for h, as `_block`s, whose counts sum to copies times H's.
-    At d = 2 that is H itself, or with an involution the two halves of K
-    (`_halves`), each certified as the d = 2 form (K+-, 0, 0) with its own
-    exact nullity.  At d > 2 it is the K of `_real_slices`, of h when it
-    carries an involution (one copy), else of `_doubled(h)` (two).  Checks
-    h first (`_checked_involution`)."""
+    At d = 2 that is H itself, from the slices (C0, C1 + C2, 0), or with
+    an involution the two halves of K (`_halves`), each with its own exact
+    nullity, as a d = 2 form of its slices.  At d > 2 it is the K of
+    `_real_slices`, of h when it carries an involution (one copy), else of
+    `_doubled(h)` (two).  Checks h first (`_checked_involution`)."""
     p = _checked_involution(h)
+    if h.d == 2 and p is None:
+        rows, cols, x = h.coeffs
+        x = _widened(x)
+        s = Slices(rows, cols, np.stack([x[0], x[1] + x[2],
+                                         np.zeros_like(x[0])]))
+        return [_block(s, h.dimension, 2, _nullity(h))], 1
     if h.d == 2:
-        parts = [h] if p is None else [
-            HermitianForm(2, size, s, h.source)
-            for size, s in _halves(_real_slices(h.coeffs, h.dimension, p), p)]
-        return [_block(x.coeffs, x.dimension, 2, _nullity(x))
-                for x in parts], 1
+        return [_block(s, size, 2,
+                       _nullity(HermitianForm(2, size, s, h.source)))
+                for size, s in _halves(_real_slices(h.coeffs, h.dimension,
+                                                    p), p)], 1
     copies = 1 if p is not None else 2
     nullity = copies * _nullity(h)
     if p is None:
@@ -493,13 +530,15 @@ def _nullity(h: HermitianForm) -> int:
             raise InternalCheckError(
                 f"nullity certificate needs coprime (p,q), got ({p},{q})")
         return 0
-    return cyclotomic.hermitian_nullity_exact(h.coeffs.dense(h.dimension), h.d)
+    return cyclotomic.hermitian_nullity_exact(h.coeffs, h.dimension, h.d)
 
 
 def inertia(h: HermitianForm) -> Inertia:
     """Certified inertia (n_plus, n_zero, n_minus) of the form, the sum of
     its blocks' (`_enclosures`); DomainError, before any rung runs, unless
-    it is Hermitian and its involution, if any, is a symmetry of it."""
+    it is Hermitian and its involution, if any, is a symmetry of it, or
+    if the exact nullity of a form without a source would need a rational
+    matrix past `cyclotomic.MAX_EXACT_DIM`."""
     blocks, copies = _enclosures(h)
     counts = [0, 0, 0]
     for float_fn, mp_fn, n, nullity in blocks:

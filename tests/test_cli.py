@@ -54,7 +54,7 @@ def test_invalid_input_exit_code(capsys):
 
 def test_precision_exhaustion_exit_code(capsys, monkeypatch):
     # no rung resolves: the double rung gives up and the cap is below the
-    # first mpmath rung at 128 bits.  The cache does not key on the cap, and
+    # first precision rung at 128 bits.  The cache does not key on the cap, and
     # the --all tests may already hold T(5,8) at d = 2 there
     tristram._sigma_hermitian.cache_clear()
     monkeypatch.setattr(certify, "PRECISION_CAP", 64)

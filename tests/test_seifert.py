@@ -122,7 +122,7 @@ def _seifert_all_pairs(b):
             if a < c < bb < d:
                 V[e, f] = 1
             elif c < a < d < bb:
-                V[f, e] = -1
+                V[e, f] = -1
     return V
 
 
@@ -191,3 +191,67 @@ def test_a_braid_without_the_symmetry_has_no_involution():
     assert n == 2 * f.dimension
     # sigma_3 of the trefoil, with the nullity from exact elimination
     assert inertia(h).signature == -2
+
+
+def _random_knot_words(seed, count, strands=(3, 7), letters=(8, 40)):
+    """`count` seeded random positive braid words whose closure is a knot."""
+    rng = np.random.default_rng(seed)
+    words = []
+    while len(words) < count:
+        k = int(rng.integers(*strands))
+        size = int(rng.integers(*letters))
+        b = BraidWord(k, tuple(int(x) for x in rng.integers(1, k, size=size)))
+        if closure_components(b) == 1:
+            words.append(b)
+    return words
+
+
+def _burau_alexander(b, t):
+    """Delta(t) = (1 - t)/(1 - t^k) det(I - psi(b)) at a complex t, with psi
+    the reduced Burau representation of the k-strand braid b (Birman,
+    "Braids, links and mapping class groups", 1974): the Alexander
+    polynomial of b's closure, up to a unit +-t^m."""
+    k = b.strands
+    psi = np.eye(k - 1, dtype=complex)
+    for g in b.letters:
+        # s_g acts on the rows g-2, g-1, g of the k-1 reduced coordinates
+        m = np.eye(k - 1, dtype=complex)
+        m[g - 1, g - 1] = -t
+        if g > 1:
+            m[g - 2, g - 1] = t
+        if g < k - 1:
+            m[g, g - 1] = 1
+        psi = psi @ m
+    return (1 - t) / (1 - t ** k) * np.linalg.det(np.eye(k - 1) - psi)
+
+
+def test_seifert_matrix_gives_the_burau_alexander_polynomial():
+    # |det(V^T - t V)| = |Delta(t)| on the unit circle, where the unit +-t^m
+    # has modulus 1, on random positive braid knots that are mostly not
+    # torus knots; the first word is the smallest one an earlier rule for
+    # the c < a < d < b interleaving got wrong
+    words = [BraidWord(3, (1, 1, 2, 1, 1, 1, 2, 1))]
+    words += _random_knot_words(seed=2024, count=300)
+    points = [np.exp(1j * x) for x in (0.9, 1.7, 2.3)]
+    for b in words:
+        v = seifert_matrix(b).matrix
+        for t in points:
+            got = abs(np.linalg.det(v.T - t * v))
+            want = abs(_burau_alexander(b, t))
+            assert math.isclose(got, want, rel_tol=1e-7, abs_tol=1e-7), \
+                (b, t, got, want)
+
+
+def test_tristram_signatures_are_invariant_under_rotating_the_word():
+    # a cyclic rotation of the word is a conjugate braid with the same
+    # closure, though its Seifert basis and matrix differ
+    rng = np.random.default_rng(5)
+    for b in _random_knot_words(seed=31, count=40, strands=(3, 6),
+                                letters=(8, 21)):
+        size = len(b.letters)
+        rotations = [BraidWord(b.strands, b.letters[r:] + b.letters[:r])
+                     for r in (0, *rng.integers(1, size, size=2))]
+        for d in (2, 3, 5):
+            counts = {inertia(build_form(seifert_matrix(w), d))
+                      for w in rotations}
+            assert len(counts) == 1, (b, d, counts)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -120,13 +121,13 @@ def test_hermitian_route_rejects_composite_d_before_the_seifert_matrix(
 
 
 def _exact_weights(d):
-    """The weights that `tristram._weight_bounds(d, bits)` encloses, at the
-    current mpmath precision: (1, -1, -1) at d = 2, else
-    (1, cos(t), sin(t))."""
+    """The weights (1, cos(t), sin(t)) that `tristram._weight_bounds(d,
+    bits)` encloses, at the current mpmath precision; (1, -1, 0) exactly at
+    d = 2, where mpmath's sin(pi) is not 0."""
     from mpmath import mp
 
     if d == 2:
-        return (1, -1, -1)
+        return (1, -1, 0)
     t = 2 * mp.pi * (d // 2) / d
     return (1, mp.cos(t), mp.sin(t))
 
@@ -158,20 +159,25 @@ def test_float_enclosure_contains_every_exact_entry():
                         assert gap <= enc.rad[i, j], (n, d, i, j)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 43, 97])
+@pytest.mark.parametrize("d", primes_upto(400))
 def test_root_bounds_enclose_cos_and_sin(d):
+    # the integer evaluation against mpmath, at the double rung's 80 bits
+    # and every precision rung up to the cap; exact at d = 2
     from mpmath import mp
 
-    with mp.workprec(200):
-        t = 2 * mp.pi * (d // 2) / d
-        for bits in (53, 80, 128):
-            # 200-bit values are within 2^(bits - 190) of the true ones
+    for bits in (53, 80, *(2 ** e for e in range(7, 13))):
+        bounds = tristram._root_bounds(d, bits)
+        with mp.workprec(bits + 200):
+            t = 2 * mp.pi * (d // 2) / d
+            # these values are within 2^(bits - 190) of the true ones
             slack = mp.ldexp(1, bits - 190)
-            for (lo, hi), f in zip(tristram._root_bounds(d, bits),
-                                   (mp.cos, mp.sin)):
+            for (lo, hi), f in zip(bounds, (mp.cos, mp.sin)):
+                assert type(lo) is int and type(hi) is int
                 x = mp.ldexp(f(t), bits)
                 assert lo <= x + slack and x - slack <= hi, (d, bits, f)
                 assert hi - lo <= 2, (d, bits, f)
+        if d == 2:
+            assert bounds == ((-2 ** bits, -2 ** bits), (0, 0)), bits
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 43, 97])
@@ -193,8 +199,9 @@ def test_weight_bounds_enclose_every_weight(d):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_mp_enclosure_contains_every_exact_entry(k):
-    # the enclosure of sum_s S_s w_s holds for any k integer slices, a
-    # missing one counting as zero as the form pads it; at d = 2 it is exact
+    # the precision rungs' enclosure of sum_s S_s w_s, the slice loop in
+    # Python ints, holds for any k integer slices, a missing one counting
+    # as zero as the form pads it; at d = 2 it is exact
     from mpmath import mp
 
     for coeffs in _SLICES:
@@ -202,7 +209,8 @@ def test_mp_enclosure_contains_every_exact_entry(k):
         slices = HermitianForm(2, n, given).coeffs
         for d in (2, 3, 5, 7, 43):
             for prec in (53, 128, 256):
-                c, rad = tristram._mp_enclosure(slices, n, d, prec)
+                c, rad = tristram._slice_sum(
+                    slices, n, *tristram._weight_bounds(d, prec), object)
                 if d == 2:
                     assert not rad.any()
                 with mp.workprec(prec + 200):
@@ -307,12 +315,20 @@ def test_a_form_without_an_involution_is_certified_twice_over():
     assert ine.n_zero == 0 and ine.signature == sigma_d_counting(3, 7, 5)
 
 
-def _run_O(script):
-    env = dict(os.environ)
+def _run(script, *flags, **kwargs):
+    """Run script in a child interpreter, with the given interpreter flags,
+    that imports the package from this tree; one BLAS thread, so that a
+    child capped in address space does not spend it on thread buffers."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          **kwargs)
+
+
+def _run_O(script):
+    return _run(script, "-O")
 
 
 def test_inertia_rejects_a_non_hermitian_form_also_under_O():
@@ -430,8 +446,42 @@ def test_exact_nullity_of_block_sums(d, blocks, data):
     # permuting rows and columns alike hides the blocks but keeps the nullity
     perm = data.draw(st.permutations(range(n)))
     coeffs = coeffs[perm][:, perm]
-    assert cyclotomic.hermitian_nullity_exact(coeffs, d) == \
+    slices = HermitianForm(d, n, coeffs).coeffs
+    assert cyclotomic.hermitian_nullity_exact(slices, n, d) == \
         sum(z for _, z in parts)
+
+
+def test_exact_nullity_is_bounded_before_it_allocates():
+    # a sourceless form of dimension 4 at d = 10007 would need a rational
+    # matrix 40,024 square, 1.6e9 objects; in a child capped at 2 GB of
+    # address space it is rejected at once, with DomainError, not MemoryError
+    script = (
+        "import numpy as np\n"
+        "from torustwist import DomainError, HermitianForm, inertia\n"
+        "v = np.array([[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 1],\n"
+        "              [1, 0, 0, 1]])\n"
+        "h = HermitianForm(10007, 4, np.stack([v + v.T, -v, -v.T], axis=-1))\n"
+        "try:\n"
+        "    inertia(h)\n"
+        "except DomainError as e:\n"
+        "    print(e)\n")
+
+    def cap():
+        limit = 2 << 30
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    res = _run(script, preexec_fn=cap)
+    assert res.returncode == 0, res.stderr
+    assert "n(d-1) = 40024 exceeds MAX_EXACT_DIM = 256" in res.stdout
+    # the bound is on n(d-1): 16 * 16 is accepted, 17 * 16 is not
+    assert cyclotomic.MAX_EXACT_DIM == 256
+    for n, accepted in ((16, True), (17, False)):
+        zero = HermitianForm(17, n, np.zeros((n, n, 1), dtype=np.int64))
+        if accepted:
+            assert tristram._nullity(zero) == n
+        else:
+            with pytest.raises(DomainError, match="MAX_EXACT_DIM"):
+                tristram._nullity(zero)
 
 
 def test_t25_all_primes():
@@ -804,26 +854,40 @@ def test_mp_rung_matches_an_exact_ldlt(a):
         assert (res.n_plus, res.n_zero, res.n_minus) == (plus, nullity, minus)
 
 
-def test_the_d2_ladder_runs_without_mpmath():
-    # a sourceless d = 2 fixture goes past the double rung to the precision
-    # rung at 128 bits, all in Python integers: neither importing `certify`
-    # nor certifying the fixture loads mpmath
-    res = _run_O(
-        "import sys\n"
+def test_the_certified_route_runs_without_mpmath():
+    # mpmath is only the tests' oracle: with its import blocked, the
+    # Hermitian route runs at d = 2, 3, 5, 7, a sourceless d = 3 fixture
+    # goes past the double rung to the precision rung at 128 bits, and the
+    # prime-signature demo runs to its end
+    demo = SRC.parent / "demos" / "02_prime_signatures.py"
+    script = (
+        "import runpy, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "try:\n"
+        "    import mpmath\n"
+        "except ImportError:\n"
+        "    print('blocked')\n"
         "import numpy as np\n"
-        "import torustwist.certify\n"
-        "print('mpmath' in sys.modules)\n"
-        "from torustwist import HermitianForm, certify, inertia\n"
+        "from torustwist import (HermitianForm, TorusKnotParams, certify,\n"
+        "                        inertia, tristram_sigma)\n"
+        "print([tristram_sigma(TorusKnotParams(5, 8), d, method='hermitian')\n"
+        "       for d in (2, 3, 5, 7)])\n"
         "bits = []\n"
         "rung = certify.inertia_mp\n"
         "certify.inertia_mp = lambda *args: (bits.append(args[2])\n"
         "                                    or rung(*args))\n"
         f"coeffs = np.array({_fixture_slices(3).tolist()}, dtype=np.int64)\n"
-        "res = inertia(HermitianForm(2, 6, coeffs))\n"
+        "res = inertia(HermitianForm(3, 6, coeffs))\n"
         "print(res.n_plus, res.n_zero, res.n_minus, bits)\n"
-        "print('mpmath' in sys.modules)\n")
+        f"runpy.run_path({str(demo)!r}, run_name='__main__')\n")
+    res = _run(script)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["False", "3 0 3 [128]", "False"]
+    lines = res.stdout.splitlines()
+    assert lines[:3] == [
+        "blocked", str([sigma_d_counting(5, 8, d) for d in (2, 3, 5, 7)]),
+        "3 0 3 [128]"]
+    assert lines[3] == "sigma_d(T(2,5)) is -4 at every prime d:"
+    assert len(lines) > 10
 
 
 def test_double_rung_stays_real_at_d2():
@@ -1043,11 +1107,14 @@ def _dense_real_slices(coeffs, p):
 
 
 def _dense_certified(h, coeffs):
-    """The dense slices of the matrix that the dense layer certified for h,
-    from h's dense slices coeffs: H's own at d = 2, else K's, of the
-    doubled form when h has no involution."""
+    """The dense slices of the matrix that is certified for h, from h's
+    dense slices coeffs: H's own at d = 2, as (C0, C1 + C2, 0) under the
+    weights (1, -1, 0), else K's, of the doubled form when h has no
+    involution."""
     if h.d == 2:
-        return coeffs
+        c = coeffs.astype(object)
+        return np.stack([c[:, :, 0], c[:, :, 1] + c[:, :, 2],
+                         np.zeros_like(c[:, :, 0])], axis=-1)
     p = h.involution
     if p is None:
         n = h.dimension
@@ -1113,16 +1180,22 @@ def test_float_enclosure_is_bit_identical_to_the_dense_layer():
 
 def test_d2_reduced_form_splits_into_two_halves():
     # at d = 2 the weight of R2 is sin(pi) = 0 exactly, and R0 and R1 vanish
-    # off K's diagonal blocks, so K = diag(K+, K-) and each half is certified
-    # apart; at d > 2 R2 couples them and K is certified whole
+    # off K's diagonal blocks, so K = diag(K+, K-) and each half, K's slices
+    # cut down to it, is certified apart; at d > 2 R2 couples them and K is
+    # certified whole
     for p, q in coprime_range(9, 13):
         form = build_form(seifert_matrix(torus_braid(p, q)), 2, source=(p, q))
         n, inv = form.dimension, form.involution
         m = n - np.count_nonzero(np.arange(n) < inv)
-        k = tristram._real_slices(form.coeffs, n, inv).dense(n)
+        slices = tristram._real_slices(form.coeffs, n, inv)
+        k = slices.dense(n)
         for block in (k[:m, m:], k[m:, :m]):
             assert not block[:, :, :2].any(), (p, q)
         assert not k[:m, :m, 2].any() and not k[m:, m:, 2].any(), (p, q)
+        halves = tristram._halves(slices, inv)
+        for (size, half), (lo, hi) in zip(halves, ((0, m), (m, n))):
+            assert size == hi - lo, (p, q)
+            assert np.array_equal(half.dense(size), k[lo:hi, lo:hi]), (p, q)
         blocks, copies = tristram._enclosures(form)
         assert copies == 1
         assert [size for _, _, size, _ in blocks] == [m, n - m], (p, q)
