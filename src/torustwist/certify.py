@@ -19,9 +19,10 @@ Hence a <= n+(M) <= n+(H) and b <= n-(M) <= n-(H), while
 a + b = n - z = n+(H) + n-(H); so a = n+(H) and b = n-(H).
 
 The ladder runs on one matrix at a time, and its caller adds the counts
-of a block-diagonal form's blocks: `tristram` certifies the two diagonal
-blocks of a d = 2 form with an involution apart, so eigh and both
-products below run per block, on about n/2 rows each.
+of a block-diagonal form's blocks: at d = 2 `tristram` certifies the two
+diagonal blocks of its real form apart, so eigh and both products below
+run per block, on about n/2 rows each for a torus form (a form without
+an involution has one block, twice the form itself).
 
 The ladder has two kinds of rung.  The double rung runs LAPACK eigh on
 the midpoint of H's enclosure H_mid +- rad_H and forms hq = fl(H_mid Q)

@@ -10,35 +10,33 @@ linear in z and conj(z), so it is stored exactly as three integer slices,
 H = (V + V^T) + z (-V) + conj(z) (-V^T), whatever d is, by their shared
 nonzero pattern (`Slices`): a torus form has a few nonzeros per row, and
 every integer layer, from the Seifert matrix (`seifert`) to the real
-reduction below, works on them in O(nnz log nnz).  Torus knot forms
-at prime d are always nonsingular: every root of their Alexander
-polynomial is a root of unity of composite order, while z has prime order
-d.  That arithmetic fact certifies the nullity; a form without a torus
-knot source gets its nullity from one exact rational rank (`cyclotomic`).
-The remaining eigenvalue signs are certified by `certify`: interval
-arithmetic in doubles, then exact congruences in Python ints at rising
-precision until every sign resolves or a cap is hit.  Every form reaches
-`certify` as real symmetric matrices.  The Seifert basis of a torus braid
-carries a reversal involution P with P V P^T = V^T (`seifert`), so
-P H P^T = conj(H), and H is congruent to a real symmetric matrix K of the
-same size, whose integer slices are sums of H's nonzeros (`_real_slices`,
-after A. Lee, "Centrohermitian and skew-centrohermitian matrices", Linear
-Algebra Appl. 29, 1980).  K = R0 + cos(t) R1 + sin(t) R2,
+reduction below, works on them in O(nnz log nnz), in int64 below 2^60 and
+in Python ints past it (`_integer`), so every sum it forms is exact.
+Torus knot forms at prime d are always nonsingular: every root of their
+Alexander polynomial is a root of unity of composite order, while z has
+prime order d.  That arithmetic fact certifies the nullity; a form without
+a torus knot source gets its nullity from one exact rational rank
+(`cyclotomic`).  The remaining eigenvalue signs are certified by
+`certify`: interval arithmetic in doubles, then exact congruences in
+Python ints at rising precision until every sign resolves or a cap is hit.
+Every form reaches `certify` by one path (`_enclosures`): an involution P
+with P H P^T = conj(H) makes H congruent to a real symmetric matrix K of
+the same size, whose integer slices are sums of H's nonzeros
+(`_real_slices`, after A. Lee, "Centrohermitian and skew-centrohermitian
+matrices", Linear Algebra Appl. 29, 1980).  The Seifert basis of a torus
+braid carries one, its reversal with P V P^T = V^T (`seifert`).  Without
+one, H = C0 - (C1 + C2) is real at d = 2, so the identity is one (K = 2H),
+and at d > 2 the direct sum of H and conj(H) has one, the swap of its two
+copies, and twice H's counts (`_doubled`).  K = R0 + cos(t) R1 + sin(t) R2,
 t = 2*pi*a/d, and R2 alone couples K's two diagonal blocks; at d = 2,
-sin(t) = 0 exactly, so K splits and its two halves, of about n/2 each, are
-certified apart and their counts added (`_halves`).  A form without an
-involution, such as a sourceless one built from its slices, is certified
-at d = 2 as H itself, the integer matrix C0 - (C1 + C2), and at d > 2 as
-the direct sum of H and conj(H): the swap of the two copies is an
-involution of it, and its counts are twice H's (`_doubled`).  Each
-certified matrix is sum_s S_s w_s over three integer slices, K's or, for
-H at d = 2, (C0, C1 + C2, 0), with the weights w = (1, cos(t), sin(t)) at
-every d.  Both rungs enclose it by one slice loop over its nonzeros and
-integer bounds on 2^bits w (`_weight_bounds`), scattered into the dense
-midpoint and radius that the rungs read: in doubles from the 80-bit
-bounds for the double rung, in Python ints for each precision rung.  z is
-evaluated once per precision, in Python integers, in `_root_bounds`, and
-exactly at d = 2.
+sin(t) = 0 exactly, so the blocks are certified apart and their counts
+added.  Each block is sum_s S_s w_s over its three integer slices, with
+the weights w = (1, cos(t), sin(t)) at every d.  Both rungs enclose it by
+one slice loop over its nonzeros and integer bounds on 2^bits w
+(`_weight_bounds`), scattered into the dense midpoint and radius that the
+rungs read: in doubles from the 80-bit bounds for the double rung, in
+Python ints for each precision rung.  z is evaluated once per precision,
+in Python integers, in `_root_bounds`, and exactly at d = 2.
 
 For torus knots there is also an exact integer fast path (Litherland,
 "Signatures of iterated torus knots", LNM 722, 1979): writing
@@ -138,7 +136,7 @@ class Slices(NamedTuple):
     """The three integer slices C_s of a form by their shared nonzero
     pattern: C_s[rows[k], cols[k]] = vals[s, k].  The positions are sorted
     row-major, each appears once, and no column of vals is all zero.  vals
-    is int64, or an object array of Python ints."""
+    is held as `_integer` makes it."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -152,28 +150,35 @@ class Slices(NamedTuple):
 
 
 def _integer(v: np.ndarray) -> np.ndarray:
-    """v as int64, or as an object array of Python ints when it is one or
-    holds an unsigned entry past int64; DomainError for any other dtype
-    (bool, float, complex, or objects that are not all ints): both rungs'
-    soundness arguments, and the exact nullity, assume integer slices."""
-    if v.dtype.kind in "iu":
-        if v.dtype.kind == "u" and v.size and int(v.max()) >= 2 ** 63:
-            return v.astype(object)
-        return v.astype(np.int64, copy=False)
-    if v.dtype == object and all(type(x) is int for x in v.flat):
-        return v
-    raise DomainError(f"coeffs of dtype {v.dtype}: need integer slices")
+    """v's values as int64 when every one is below 2^60 in modulus, else as
+    an object array of Python ints: the integer layers' one overflow rule,
+    under which a sum of up to eight int64 values stays inside int64 and
+    no layer adds more.  DomainError unless v has a signed or unsigned
+    integer dtype or holds Python ints: both rungs' soundness arguments,
+    and the exact nullity, assume integer slices."""
+    if not (v.dtype.kind in "iu" or (v.dtype == object and all(
+            type(x) is int for x in v.flat))):
+        raise DomainError(f"coeffs of dtype {v.dtype}: need integer slices")
+    top = max(int(v.max()), -int(v.min())) if v.size else 0
+    return v.astype(np.int64 if top < 2 ** 60 else object, copy=False)
 
 
 def _canonical(n: int, rows, cols, vals) -> Slices:
     """Slices of n x n matrices holding at each position the sum of the
-    columns of vals given there; positions may repeat and come unsorted."""
+    columns of vals given there; positions may repeat and come unsorted.
+    The sums are exact: the values pass `_integer` before and after they
+    are merged, and a position given more than eight times is summed in
+    Python ints."""
+    vals = _integer(vals)
     key = rows * n + cols
     if len(key) and not np.all(key[1:] > key[:-1]):
         order = np.argsort(key)
         key = key[order]
         head = np.flatnonzero(np.append(True, key[1:] != key[:-1]))
-        vals = np.add.reduceat(np.take(vals, order, axis=1), head, axis=1)
+        vals = np.take(vals, order, axis=1)
+        if np.diff(head, append=len(key)).max() > 8:
+            vals = vals.astype(object)
+        vals = _integer(np.add.reduceat(vals, head, axis=1))
         rows, cols = rows[order[head]], cols[order[head]]
     keep = (vals != 0).any(axis=0)
     return Slices(rows[keep], cols[keep], np.compress(keep, vals, axis=1))
@@ -188,19 +193,19 @@ class HermitianForm:
     (dimension, dimension, k), 1 <= k <= 3, whose slice coeffs[:, :, s] is
     C_s (missing slices are zero), or as `Slices`; it is held as `Slices`,
     the slices' nonzeros, so that every integer layer of `inertia` works
-    in O(nnz).  Any dtype but a signed or unsigned integer one, or an
-    object array of Python ints, is rejected with DomainError.  H is
-    Hermitian when C0 is symmetric and C2 = C1^T, as `build_form` makes it;
-    `inertia` rejects any other form.  `source` carries (p, q) when the
-    form came from a torus knot, enabling the arithmetic nullity
-    certificate.  `involution`, an index array P with P P = id,
-    P C0 P^T = C0 and P C1 P^T = C2, makes P H P^T = conj(H), so that
-    `inertia` certifies a congruent real symmetric matrix instead of H
-    (see `_real_slices`), and at d = 2, where that matrix splits, its two
-    diagonal blocks apart (`_halves`).  `build_form` passes on the Seifert
-    form's reversal involution; a form without one, such as a sourceless
-    form built from its slices, is certified at d = 2 as H itself and at
-    d > 2 as the direct sum of H and conj(H) (`_doubled`).
+    in O(nnz).  Its values are summed exactly where positions repeat, and
+    held as int64 below 2^60 in modulus, else as Python ints; any other
+    dtype is rejected with DomainError (`_integer`).  H is Hermitian when
+    C0 is symmetric and C2 = C1^T, as `build_form` makes it; `inertia`
+    rejects any other form.  `source` carries (p, q) when the form came
+    from a torus knot, enabling the arithmetic nullity certificate.
+    `involution`, an index array P with P P = id, P C0 P^T = C0 and
+    P C1 P^T = C2, makes P H P^T = conj(H), so that `inertia` certifies a
+    congruent real symmetric matrix instead of H (see `_real_slices`).
+    `build_form` passes on the Seifert form's reversal involution; a form
+    without one, such as a sourceless form built from its slices, is
+    reduced at d = 2 under the identity and at d > 2 as the direct sum of
+    H and conj(H) (`_doubled`).
     """
 
     d: int
@@ -214,7 +219,6 @@ class HermitianForm:
         n, c = self.dimension, self.coeffs
         if isinstance(c, Slices):
             rows, cols, vals = (np.asarray(x) for x in c)
-            vals = _integer(vals)
             if not (vals.ndim == 2 and vals.shape[0] == 3
                     and rows.shape == cols.shape == vals.shape[1:]
                     and rows.dtype.kind in "iu" and cols.dtype.kind in "iu"
@@ -226,7 +230,6 @@ class HermitianForm:
             if c.ndim != 3 or c.shape[:2] != (n, n) or not 1 <= c.shape[2] <= 3:
                 raise DomainError(f"coeffs of shape {c.shape}: need "
                                   f"({n}, {n}, k) with 1 <= k <= 3")
-            c = _integer(c)
             rows, cols = np.nonzero((c != 0).any(axis=2))
             vals = np.zeros((3, len(rows)), dtype=c.dtype)
             vals[:c.shape[2]] = c[rows, cols].T
@@ -242,9 +245,10 @@ class HermitianForm:
 def build_form(f: SeifertForm, d: int, source=None) -> HermitianForm:
     """H = (1-z)V + (1-conj(z))V^T at z = exp(2*pi*i*[d/2]/d), exactly, as
     the slices (V + V^T, -V, -V^T), from V's nonzeros; at d = 2 it
-    evaluates to 2(V + V^T).  The form keeps f's reversal involution, under
-    which it is symmetric."""
-    r, c, v = f.rows, f.cols, f.vals
+    evaluates to 2(V + V^T).  V's values pass `_integer` before they are
+    negated.  The form keeps f's reversal involution, under which it is
+    symmetric."""
+    r, c, v = f.rows, f.cols, _integer(np.asarray(f.vals))
     zero = np.zeros_like(v)
     slices = Slices(np.concatenate([r, c]), np.concatenate([c, r]),
                     np.stack([np.concatenate([v, v]),
@@ -394,19 +398,13 @@ def _checked_involution(h: HermitianForm):
                       "need P P = id, P C0 P^T = C0 and P C1 P^T = C2")
 
 
-def _widened(vals: np.ndarray) -> np.ndarray:
-    """Integer slice values as int64, or as Python ints once an entry
-    reaches 2^60, so that a sum of up to eight of them cannot overflow."""
-    top = max(int(vals.max()), -int(vals.min())) if vals.size else 0
-    return vals.astype(object if top >= 2 ** 60 else np.int64, copy=False)
+def _real_slices(coeffs: Slices, n: int, p, d: int) -> list:
+    """K's diagonal blocks, as (size, slices (R0, R1, R2)), for the real
+    symmetric n x n K = R0 + cos(t) R1 + sin(t) R2 = W* H W / 2 under an
+    involution p with P H P^T = conj(H): [K] at d > 2, and at d = 2
+    [K+, K-], its blocks on the u and the v rows, an empty one left out.
 
-
-def _real_slices(coeffs: Slices, n: int, p) -> Slices:
-    """Slices (R0, R1, R2) of the real symmetric n x n
-    K = R0 + cos(t) R1 + sin(t) R2 = W* H W / 2, for an involution p
-    verified by `_checked_involution`.
-
-    P H P^T = conj(H), that is H[p[a], p[b]] = conj(H[a, b]).  W has the
+    P H P^T = conj(H) reads H[p[a], p[b]] = conj(H[a, b]).  W has the
     columns u_a = e_a + e_p[a] for a <= p[a] (2 e_a at a fixed point), then
     v_a = i (e_a - e_p[a]) for a < p[a]; its 2 x 2 blocks on each pair
     {a, p[a]} are invertible, so by Sylvester's law K has H's inertia.  With
@@ -415,12 +413,14 @@ def _real_slices(coeffs: Slices, n: int, p) -> Slices:
     and v* H u / 2 = (Im H)^+, where Re H = C0 + cos(t) (C1 + C2) and
     Im H = sin(t) (C1 - C2).  K's basis is ordered as the f fixed points,
     the a < p[a], then the v_a: K's diagonal blocks, the u and the v rows,
-    hold R0 and R1, and its off-diagonal blocks R2 alone.  Only the rows
+    hold R0 and R1, and its off-diagonal blocks R2 alone.  At d = 2,
+    sin(t) = sin(pi) = 0 exactly (`_root_bounds`), so K = diag(K+, K-),
+    whose counts add up to K's, and R2 is not built.  Only the rows
     a <= p[a] of the C_s are read: each nonzero X[a, b] is added into
     (X^+)[a, rep(b)], with weight 2 at a fixed point b, and, for b not
     fixed, into (X^-)[a, rep(b)] with the sign of e_b in v_b, rep(b) the
     lesser of b and p[b].  O(nnz log nnz) work on integers, each entry of
-    K's slices a sum of at most four of C's (`_widened`)."""
+    K's slices a sum of at most four of C's (`_integer`)."""
     rows, cols, vals = coeffs
     idx = np.arange(n)
     pairs = idx[idx < p]
@@ -429,7 +429,6 @@ def _real_slices(coeffs: Slices, n: int, p) -> Slices:
     u[idx == p] = np.arange(f)
     u[pairs] = u[p[pairs]] = np.arange(f, m)
     v[pairs] = v[p[pairs]] = np.arange(m, n)
-    vals = _widened(vals)
     read = rows <= p[rows]
     a, b, y = rows[read], cols[read], np.compress(read, vals, axis=1)
     x0, x1, x2 = y[0], y[1] + y[2], y[1] - y[2]
@@ -438,32 +437,18 @@ def _real_slices(coeffs: Slices, n: int, p) -> Slices:
     va, vb = a < p[a], b != p[b]   # a v row, a v column
     z = np.zeros_like(x0)
     # (the entries kept, K's row, K's column, their parts of R0, R1, R2)
-    parts = ((np.ones_like(va), u[a], u[b], (w * x0, w * x1, z)),
-             (va & vb, v[a], v[b], (sign * x0, sign * x1, z)),
-             (vb, u[a], v[b], (z, z, -sign * x2)),
-             (va, v[a], u[b], (z, z, w * x2)))
-    return _canonical(
-        n, np.concatenate([r[k] for k, r, _, _ in parts]),
-        np.concatenate([c[k] for k, _, c, _ in parts]),
+    uu = (np.ones_like(va), u[a], u[b], (w * x0, w * x1, z))
+    vv = (va & vb, v[a], v[b], (sign * x0, sign * x1, z))
+    if d == 2:
+        blocks = ((0, m, [uu]), (m, n - m, [vv]))
+    else:
+        blocks = ((0, n, [uu, vv, (vb, u[a], v[b], (z, z, -sign * x2)),
+                          (va, v[a], u[b], (z, z, w * x2))]),)
+    return [(size, _canonical(
+        size, np.concatenate([r[k] - lo for k, r, _, _ in parts]),
+        np.concatenate([c[k] - lo for k, _, c, _ in parts]),
         np.concatenate([np.compress(k, x, axis=1) for k, _, _, x in parts],
-                       axis=1))
-
-
-def _halves(k: Slices, p):
-    """K's two diagonal blocks, on the u and the v rows of `_real_slices`,
-    as (size, K's slices cut down to the block).  At d = 2 K's weights
-    (1, cos(pi), sin(pi)) are exactly (1, -1, 0) (`_root_bounds`), so R2,
-    which alone fills K's off-diagonal blocks, drops out and
-    K = diag(K+, K-): the halves' counts add up to K's."""
-    n = len(p)
-    m = n - np.count_nonzero(np.arange(n) < p)
-    rows, cols, vals = k
-    out = []
-    for lo, hi in ((0, m), (m, n)):
-        keep = (rows >= lo) & (rows < hi) & (cols >= lo) & (cols < hi)
-        out.append((hi - lo, Slices(rows[keep] - lo, cols[keep] - lo,
-                                    np.compress(keep, vals, axis=1))))
-    return out
+                       axis=1))) for lo, size, parts in blocks if size]
 
 
 def _doubled(h: HermitianForm) -> HermitianForm:
@@ -492,36 +477,30 @@ def _block(slices: Slices, n: int, d: int, nullity: int):
 
 def _enclosures(h: HermitianForm):
     """(blocks, copies): the real symmetric matrices that `inertia`
-    certifies for h, as `_block`s, whose counts sum to copies times H's.
-    At d = 2 that is H itself, from the slices (C0, C1 + C2, 0), or with
-    an involution the two halves of K (`_halves`), each with its own exact
-    nullity, as a d = 2 form of its slices.  At d > 2 it is the K of
-    `_real_slices`, of h when it carries an involution (one copy), else of
-    `_doubled(h)` (two).  Checks h first (`_checked_involution`)."""
+    certifies for h, as `_block`s whose counts sum to copies times H's: the
+    blocks of `_real_slices` under h's involution (`_checked_involution`),
+    else at d = 2 under the identity, H being real, else under the swap of
+    `_doubled(h)`, two copies of H.  A d = 2 block's nullity is that of its
+    slices at d = 2 (R2 is zero); the one d > 2 block's is copies times H's."""
     p = _checked_involution(h)
-    if h.d == 2 and p is None:
-        rows, cols, x = h.coeffs
-        x = _widened(x)
-        s = Slices(rows, cols, np.stack([x[0], x[1] + x[2],
-                                         np.zeros_like(x[0])]))
-        return [_block(s, h.dimension, 2, _nullity(h))], 1
-    if h.d == 2:
-        return [_block(s, size, 2,
-                       _nullity(HermitianForm(2, size, s, h.source)))
-                for size, s in _halves(_real_slices(h.coeffs, h.dimension,
-                                                    p), p)], 1
-    copies = 1 if p is not None else 2
-    nullity = copies * _nullity(h)
-    if p is None:
-        h = _doubled(h)
+    d, source, copies = h.d, h.source, 1
+    if d > 2:
+        nullity = _nullity(h.coeffs, h.dimension, d, source)
+    if p is None and d == 2:
+        p = np.arange(h.dimension)
+    elif p is None:
+        h, copies = _doubled(h), 2
         p = h.involution
-    k = _real_slices(h.coeffs, h.dimension, p)
-    return [_block(k, h.dimension, h.d, nullity)], copies
+    return [_block(s, size, d, copies * nullity if d > 2
+                   else _nullity(s, size, d, source))
+            for size, s in _real_slices(h.coeffs, h.dimension, p, d)], copies
 
 
-def _nullity(h: HermitianForm) -> int:
-    if h.source is not None:
-        p, q = h.source
+def _nullity(slices: Slices, n: int, d: int, source) -> int:
+    """The exact nullity of the n x n form of these slices at d: 0 for a
+    torus knot `source`, else one exact rational rank (`cyclotomic`)."""
+    if source is not None:
+        p, q = source
         # z has prime order d; a root of the Alexander polynomial of T(p,q)
         # is a pq-th root of unity whose order divides neither p nor q, so
         # its order has prime factors from both p and q and is composite.
@@ -530,7 +509,7 @@ def _nullity(h: HermitianForm) -> int:
             raise InternalCheckError(
                 f"nullity certificate needs coprime (p,q), got ({p},{q})")
         return 0
-    return cyclotomic.hermitian_nullity_exact(h.coeffs, h.dimension, h.d)
+    return cyclotomic.hermitian_nullity_exact(slices, n, d)
 
 
 def inertia(h: HermitianForm) -> Inertia:

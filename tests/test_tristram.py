@@ -21,6 +21,7 @@ from torustwist import (DomainError, HermitianForm, TorusKnotParams,
 from torustwist import certify, cyclotomic, tristram
 from torustwist.errors import InternalCheckError, UndecidedSignError
 from torustwist.obstruction import MAX_Q, genus_cutoff
+from torustwist.seifert import SeifertForm
 from torustwist.tristram import (_lattice_hit, _sigma_counting_brute, is_prime,
                                  prime_divisors, primes_upto,
                                  smallest_prime_factors)
@@ -52,6 +53,11 @@ def trial_division_primes(n):
 def _dense(h):
     """h's three integer slices as one (n, n, 3) array."""
     return h.coeffs.dense(h.dimension)
+
+
+def _nullity(h):
+    """h's exact nullity, as `tristram._nullity` reads it."""
+    return tristram._nullity(h.coeffs, h.dimension, h.d, h.source)
 
 
 def test_build_form_d2_is_twice_symmetrization():
@@ -138,7 +144,7 @@ _SLICES = [_dense(build_form(seifert_matrix(torus_braid(p, q)), 2))
 
 
 def test_float_enclosure_contains_every_exact_entry():
-    # also on object slices past int64, as `_real_slices` widens them
+    # also on object slices past int64, as `tristram._integer` holds them
     from mpmath import mp
 
     wide = np.array([[[2 ** 64 + 1, -(2 ** 63) - 7, 5],
@@ -478,10 +484,10 @@ def test_exact_nullity_is_bounded_before_it_allocates():
     for n, accepted in ((16, True), (17, False)):
         zero = HermitianForm(17, n, np.zeros((n, n, 1), dtype=np.int64))
         if accepted:
-            assert tristram._nullity(zero) == n
+            assert _nullity(zero) == n
         else:
             with pytest.raises(DomainError, match="MAX_EXACT_DIM"):
-                tristram._nullity(zero)
+                _nullity(zero)
 
 
 def test_t25_all_primes():
@@ -536,18 +542,132 @@ def test_precision_cap_raises_undecided(monkeypatch):
 
 def test_inertia_widens_entries_of_2_60_and_more():
     # [[1, n], [n, n^2 - 1]] at d = 3, n = 2^31, has det -1, so inertia
-    # (1, 0, 1).  Under the identity involution every point is fixed and K's
-    # first slice is 2 C0, past int64; without an involution the doubled
-    # form is certified
+    # (1, 0, 1).  n^2 - 1 passes 2^60, so the form holds Python ints; under
+    # the identity involution every point is fixed and K's first slice is
+    # 2 C0, past int64; without an involution the doubled form is certified
     n = 2 ** 31
     coeffs = np.zeros((2, 2, 3), dtype=np.int64)
     coeffs[:, :, 0] = [[1, n], [n, n * n - 1]]
     for inv in (np.arange(2), None):
         res = inertia(HermitianForm(3, 2, coeffs, involution=inv))
         assert (res.n_plus, res.n_zero, res.n_minus) == (1, 0, 1), inv
-    k = tristram._real_slices(HermitianForm(3, 2, coeffs).coeffs, 2,
-                              np.arange(2))
-    assert k.vals.dtype == object and k.dense(2)[1, 1, 0] == 2 * (n * n - 1)
+    h = HermitianForm(3, 2, coeffs)
+    assert h.coeffs.vals.dtype == object
+    (size, k), = tristram._real_slices(h.coeffs, 2, np.arange(2), 3)
+    assert size == 2 and k.vals.dtype == object
+    assert k.dense(2)[1, 1, 0] == 2 * (n * n - 1)
+
+
+def test_repeated_positions_are_summed_exactly_past_int64():
+    # two entries of 2^62 at (0, 0) make C0 = diag(2^63, 1), and so do 17 of
+    # 2^59 and one of -2^59: both sums pass int64, where they used to wrap
+    # to C0[0, 0] = -2^63, read as inertia (1, 0, 1)
+    for top, vals in ((2 ** 62, [2 ** 62] * 2), (2 ** 59, [2 ** 59] * 17
+                                                  + [-2 ** 59])):
+        rows = np.zeros(len(vals) + 1, dtype=np.int64)
+        rows[-1] = 1
+        slices = tristram.Slices(rows, rows, np.array(
+            [vals + [1], [0] * (len(vals) + 1), [0] * (len(vals) + 1)],
+            dtype=np.int64))
+        h = HermitianForm(3, 2, slices)
+        assert h.coeffs.dense(2)[:, :, 0].tolist() == [[2 ** 63, 0], [0, 1]]
+        assert inertia(h) == certify.Inertia(2, 0, 0), top
+    # eight entries of 2^59 on C1 and on C2 at one position merge inside
+    # int64 to 2^62, held as Python ints, so that the real reduction's
+    # C1 + C2 = 2^63 is exact: H(-1) = -2^63 at d = 2, and
+    # (2 cos t) 2^62 < 0 at d = 3
+    zero = np.zeros(8, dtype=np.int64)
+    eight = np.full(8, 2 ** 59, dtype=np.int64)
+    slices = tristram.Slices(zero, zero, np.stack([zero, eight, eight]))
+    for d in (2, 3):
+        h = HermitianForm(d, 1, slices)
+        assert h.coeffs.vals.dtype == object
+        assert inertia(h) == certify.Inertia(0, 0, 1), d
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("x, want", [(2 ** 62, (1, 0, 0)),
+                                     (-2 ** 63, (0, 0, 1))],
+                         ids=["2^62", "-2^63"])
+def test_build_form_is_exact_on_seifert_values_past_int64(x, want, d):
+    # a 1 x 1 V = [x] has H = (2 - 2 cos t) x, of x's sign at every d; the
+    # slices (2x, -x, -x) pass int64: 2x at x = 2^62, and -x at x = -2^63
+    f = SeifertForm(1, np.array([0]), np.array([0]),
+                    np.array([x], dtype=np.int64))
+    h = build_form(f, d)
+    assert h.coeffs.dense(1)[0, 0].tolist() == [2 * x, -x, -x]
+    assert inertia(h) == certify.Inertia(*want)
+
+
+@st.composite
+def _repeated_slices(draw):
+    """(d, n, slices, involution, dense): a small Hermitian form at d given
+    as `Slices` whose positions repeat and come unsorted, with entries up
+    to 2^59 or 2^62 in modulus, its involution (or None), and its dense slices
+    merged in Python ints.  Each drawn term (i, j, c0, c1) adds c0 to C0
+    and c1 to C1 at (i, j), and c0 to C0 and c1 to C2 at (j, i); under an
+    involution P it is also added at the images of those two positions
+    with C1 and C2 exchanged, so that P C0 P^T = C0 and P C1 P^T = C2."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    p = None
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        p = np.arange(n)
+        for k in range(draw(st.integers(0, n // 2))):
+            a, b = perm[2 * k], perm[2 * k + 1]
+            p[a], p[b] = b, a
+    # entries below 2^60 are held as int64, whose merged sums may pass it
+    top = draw(st.sampled_from([2 ** 62, 2 ** 59]))
+    entry = st.one_of(st.integers(-top, top), st.sampled_from([-top, top]))
+    terms = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), entry, entry),
+                          min_size=1, max_size=6))
+    given = []
+    for i, j, c0, c1 in terms:
+        given += [(i, j, c0, c1, 0), (j, i, c0, 0, c1)]
+        if p is not None:
+            given += [(p[i], p[j], c0, 0, c1), (p[j], p[i], c0, c1, 0)]
+    given = [given[k] for k in draw(st.permutations(range(len(given))))]
+    dense = np.zeros((n, n, 3), dtype=object)
+    for i, j, *x in given:
+        for s in range(3):
+            dense[i, j, s] += x[s]
+    rows, cols, *vals = zip(*given)
+    slices = tristram.Slices(np.array(rows, dtype=np.int64),
+                             np.array(cols, dtype=np.int64),
+                             np.array(vals, dtype=np.int64))
+    return d, n, slices, p, dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_repeated_slices())
+def test_inertia_of_repeated_slices_matches_their_merged_matrix(case):
+    # the oracle merges the slices in Python ints: at d = 2 an exact LDL^T
+    # of H = C0 - C1 - C2, at d > 2 mpmath eigenvalues at 1500 bits, where
+    # a zero eigenvalue reads below 2^-1000, and a nonzero one of these
+    # n <= 4 matrices of cyclotomic integers below 2^70 stays far above it
+    from mpmath import mp
+
+    d, n, slices, p, dense = case
+    if d == 2:
+        want = _exact_inertia((dense[:, :, 0] - dense[:, :, 1]
+                               - dense[:, :, 2]).tolist())
+    else:
+        with mp.workprec(1500):
+            z = mp.expj(2 * mp.pi * (d // 2) / d)
+            hm = mp.matrix([[dense[i, j, 0] + z * dense[i, j, 1]
+                             + mp.conj(z) * dense[i, j, 2]
+                             for j in range(n)] for i in range(n)])
+            eig = mp.eighe(hm, eigvals_only=True)
+            tiny = mp.mpf(2) ** -1000
+            want = (sum(e > tiny for e in eig),
+                    sum(abs(e) <= tiny for e in eig),
+                    sum(e < -tiny for e in eig))
+    h = HermitianForm(d, n, slices, involution=p)
+    assert np.array_equal(h.coeffs.dense(n), dense)
+    res = inertia(h)
+    assert (res.n_plus, res.n_zero, res.n_minus) == want
 
 
 def test_an_odd_doubled_count_is_an_internal_check_error_also_under_O(
@@ -662,6 +782,33 @@ def test_mp_rung_resolves_fixtures_at_128_bits():
         assert (res.n_plus, res.n_zero, res.n_minus) == (k, 0, k), k
 
 
+def test_fixtures_stay_int64_and_resolve_at_128_bits(monkeypatch):
+    # forms shaped like perfbench's fixtures, k = 1..12 blocks and one of 12
+    # blocks at n = 2^27, whose entries reach (2^27)^2: certified under the
+    # identity as K = 2H, their values stay int64, and each resolves at the
+    # 128-bit rung, reached through its module attribute as perfbench
+    # times it
+    seen = []
+    rung = certify.inertia_mp
+
+    def recording(enclosure_fn, n, prec, nullity):
+        seen.append(prec)
+        return rung(enclosure_fn, n, prec, nullity)
+
+    monkeypatch.setattr(certify, "inertia_mp", recording)
+    top = 2 ** 27
+    forms = [_fixture(k, seed=k) for k in range(1, 13)]
+    forms.append(_block_diagonal([[[1, top], [top, top * top - 1]]] * 12))
+    for h in forms:
+        n = h.dimension
+        assert h.coeffs.vals.dtype == np.int64, n
+        (size, k), = tristram._real_slices(h.coeffs, n, np.arange(n), 2)
+        assert size == n and k.vals.dtype == np.int64, n
+        seen.clear()
+        assert inertia(h) == certify.Inertia(n // 2, 0, n // 2), n
+        assert seen == [128], n
+
+
 def test_mp_rung_matches_counting_on_torus_forms():
     # on the reduced real form, and without the involution on the reduced
     # doubled form, which holds two copies of H
@@ -683,7 +830,7 @@ def test_mp_rung_counts_an_exact_nullity():
     coeffs[2:4, 2:4, 0] = [[1, 1], [1, 1]]
     coeffs[4:, 4:] = _dense(fix)
     h = HermitianForm(2, n, coeffs)
-    nullity = tristram._nullity(h)
+    nullity = _nullity(h)
     assert nullity == 3
     res = _mp_rung(h, 128, nullity)
     assert (res.n_plus, res.n_zero, res.n_minus) == (4, 3, 3)
@@ -765,7 +912,7 @@ def test_mp_rung_pivots_past_zero_and_small_diagonals():
     assert (res.n_plus, res.n_zero, res.n_minus) == (k, 0, k)
     # a zero block among them: its exact nullity, and no other count
     h = _block_diagonal(blocks[:2] + [[[0] * 3] * 3] + blocks[2:])
-    nullity = tristram._nullity(h)
+    nullity = _nullity(h)
     assert nullity == 3
     res = _mp_rung(h, 128, nullity)
     assert (res.n_plus, res.n_zero, res.n_minus) == (k, 3, k)
@@ -1107,14 +1254,15 @@ def _dense_real_slices(coeffs, p):
 
 
 def _dense_certified(h, coeffs):
-    """The dense slices of the matrix that is certified for h, from h's
-    dense slices coeffs: H's own at d = 2, as (C0, C1 + C2, 0) under the
-    weights (1, -1, 0), else K's, of the doubled form when h has no
+    """The dense slices of the one matrix that is certified for h, a form
+    at d > 2 or without an involution, from h's dense slices coeffs: at
+    d = 2 K = 2H under the identity, (2 C0, 2 (C1 + C2), 0) under the
+    weights (1, -1, 0); at d > 2 K, of the doubled form when h has no
     involution."""
     if h.d == 2:
         c = coeffs.astype(object)
-        return np.stack([c[:, :, 0], c[:, :, 1] + c[:, :, 2],
-                         np.zeros_like(c[:, :, 0])], axis=-1)
+        return 2 * np.stack([c[:, :, 0], c[:, :, 1] + c[:, :, 2],
+                             np.zeros_like(c[:, :, 0])], axis=-1)
     p = h.involution
     if p is None:
         n = h.dimension
@@ -1164,11 +1312,11 @@ def test_float_enclosure_is_bit_identical_to_the_dense_layer():
         assert size == len(want_slices), case
         _assert_bit_identical(float_fn(), _dense_float_enclosure(
             want_slices, h.d), case)
-        if h.d > 2:
-            if h.involution is None:
-                h = tristram._doubled(h)
-            k = tristram._real_slices(h.coeffs, h.dimension, h.involution)
-            assert np.array_equal(k.dense(h.dimension), want_slices), case
+        if h.d > 2 and h.involution is None:
+            h = tristram._doubled(h)
+        p = h.involution if h.involution is not None else np.arange(size)
+        (_, k), = tristram._real_slices(h.coeffs, h.dimension, p, h.d)
+        assert np.array_equal(k.dense(size), want_slices), case
     wide = np.array([[[2 ** 64 + 1, -(2 ** 63) - 7, 5],
                       [3, 2 ** 62, -(2 ** 65) + 3]]] * 2, dtype=object)
     slices = HermitianForm(2, 2, wide).coeffs
@@ -1187,12 +1335,14 @@ def test_d2_reduced_form_splits_into_two_halves():
         form = build_form(seifert_matrix(torus_braid(p, q)), 2, source=(p, q))
         n, inv = form.dimension, form.involution
         m = n - np.count_nonzero(np.arange(n) < inv)
-        slices = tristram._real_slices(form.coeffs, n, inv)
-        k = slices.dense(n)
+        (size, whole), = tristram._real_slices(form.coeffs, n, inv, 3)
+        assert size == n, (p, q)
+        k = whole.dense(n)
         for block in (k[:m, m:], k[m:, :m]):
             assert not block[:, :, :2].any(), (p, q)
         assert not k[:m, :m, 2].any() and not k[m:, m:, 2].any(), (p, q)
-        halves = tristram._halves(slices, inv)
+        halves = tristram._real_slices(form.coeffs, n, inv, 2)
+        assert len(halves) == 2, (p, q)
         for (size, half), (lo, hi) in zip(halves, ((0, m), (m, n))):
             assert size == hi - lo, (p, q)
             assert np.array_equal(half.dense(size), k[lo:hi, lo:hi]), (p, q)
@@ -1235,7 +1385,7 @@ def test_a_sourceless_d2_form_gets_each_halfs_exact_nullity():
             ([(1, 1), (1, 3)], [0, 1], (2, 1, 2)),
             ([(1, -1), (1, 3)], [1, 0], (2, 1, 2))):
         h = _swap_form(blocks, [-3], perm)
-        assert tristram._nullity(h) == 1
+        assert _nullity(h) == 1
         got = [nullity for _, _, _, nullity in tristram._enclosures(h)[0]]
         assert got == halves, blocks
         assert inertia(h) == certify.Inertia(*want), blocks
@@ -1253,8 +1403,7 @@ def test_integer_layer_peak_memory():
         f = seifert_matrix(b)
         h = build_form(f, 2, source=(2, 2049))
         p = tristram._checked_involution(h)
-        k = tristram._real_slices(h.coeffs, h.dimension, p)
-        halves = tristram._halves(k, p)
+        halves = tristram._real_slices(h.coeffs, h.dimension, p, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
