@@ -9,7 +9,8 @@ twist-sequence ledgers to certify that given torus knots cannot be produced
 from the unknot by a single twist.
 """
 
-from .certify import Inertia
+import importlib
+
 from .core import (TorusKnotParams, TwistMove, apply_full_strand_twist,
                    is_exceptional, normalize)
 from .errors import (DomainError, InternalCheckError, InvalidKnotError,
@@ -20,17 +21,29 @@ from .fourmanifold import (FourManifoldLedger, KikuchiResult, TwistSequence,
                            kikuchi_eliminate, ledger_from_sequence,
                            parse_sequence, serialize_sequence,
                            template_sequences)
-from .lattice import (corollary_bound, sigma_2nr_closed, sigma_closed,
+from .lattice import (corollary_bound, prop35_bound_check, sigma_2nr_closed,
+                      sigma_closed, sigma_d, sigma_d_counting, sigma_d_sweep,
                       sigma_oracle, sigma_p_plus_4, sigma_p_plus_r)
 from .obstruction import (CandidateTwist, ObstructionCertificate,
                           certificate_to_json, certificate_to_text, classify,
                           condition_iv_check, survivors_p_plus_2,
                           survivors_p_plus_4, thom_bound_check)
-from .seifert import (BraidWord, SeifertForm, genus_from_form, seifert_matrix,
-                      torus_braid)
-from .tristram import (HermitianForm, build_form, inertia, prop35_bound_check,
-                       sigma_d, sigma_d_counting, sigma_d_sweep,
-                       tristram_sigma)
+
+# the names whose modules need numpy, by module: loaded on first use, so
+# that importing the package, and classify, tables and scan, load no numpy
+_LAZY = {name: module for module, names in (
+    ("certify", ("Inertia",)),
+    ("seifert", ("BraidWord", "SeifertForm", "genus_from_form",
+                 "seifert_matrix", "torus_braid")),
+    ("tristram", ("HermitianForm", "build_form", "inertia", "tristram_sigma")),
+) for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __version__ = "0.1.0"
 

@@ -7,7 +7,8 @@ Subcommands:
   scan      classify every coprime pair in a parameter box
 
 classify, tables and scan take every sigma_d from the integer counting
-kernel; only sigma's seifert route runs certified arithmetic.
+kernel and import no numpy; only sigma's seifert route runs certified
+arithmetic, which loads numpy on first use.
 
 Exit codes: 0 success, 2 invalid input, 3 internal consistency failure,
 4 precision exhaustion (sigma only).
@@ -17,17 +18,15 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .core import TorusKnotParams, normalize
 from .errors import (DomainError, InternalCheckError, SequenceSemanticError,
                      UndecidedSignError)
 from .fourmanifold import ledger_from_sequence, parse_sequence
-from .lattice import sigma_closed, sigma_oracle
+from .lattice import sigma_closed, sigma_d, sigma_oracle
 from .obstruction import (MAX_Q, NOT_IN_T, SIGMA_METHOD, certificate_to_json,
                           certificate_to_text, check_max_q, classify,
                           genus_cutoff)
-from .tristram import sigma_d
 
 SCAN_SCHEMA = "torustwist-scan/1"
 SCAN_COLUMNS = ("p", "q", "exceptional", "verdict", "survivors", "sigma",
@@ -280,6 +279,7 @@ def scan_rows(p_range, q_range, jobs=1):
     # about 16 chunks per worker: enough to balance the load, few enough
     # that the parent's per-chunk work does not cap the pool
     chunksize = -(-len(pairs) // (16 * workers))
+    from concurrent.futures import ProcessPoolExecutor   # only with a pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_scan_row, pairs, chunksize=chunksize))
 

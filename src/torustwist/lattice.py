@@ -1,4 +1,5 @@
-"""Exact integer computation of sigma(T(p,q)) by lattice-point counting.
+"""Exact integer computation of torus knot signatures by lattice-point
+counting.
 
 sigma(T(p,q)) = sigma_plus - sigma_minus, where sigma_plus counts pairs
 (i,j), 0 < i < p, 0 < j < q, with i/p + j/q in (0, 1/2) or (3/2, 2), and
@@ -6,15 +7,81 @@ sigma_minus counts those in (1/2, 3/2).  For coprime p, q the boundary
 values are never attained; the enumeration checks this.  The closed forms
 below evaluate the same quantity with integer floor arithmetic only.
 
+The Tristram d-signature at a prime d counts the same pairs against a
+window that moves with d (Litherland, "Signatures of iterated torus
+knots", LNM 722, 1979): writing x(i,j) = i/p + j/q and s = a/d, a = [d/2],
+the eigenvalue of d's Hermitian form (`tristram`) on the (i,j) monodromy
+line is negative exactly when s < x(i,j) < 1 + s, positive otherwise, and
+never zero for prime d; at d = 2 the window is (1/2, 3/2) above.  For each
+i the positive j number [q|ap - di|/(dp)], so the count splits into two
+floor sums over the i-ranges on either side of i = ap/d.  Only the first
+is evaluated, in O(log) steps by the Euclid-like `floor_sum` recursion:
+the sum over all i is a complete residue sum that Hermite's identity
+closes in O(1), so the second follows from the first.  A point on the
+window boundary would be a solution of iq + jp = N in the box, which one
+modular inverse decides, also in O(log) steps.
+
 All comparisons use exact integer cross-multiplication, never floats.  The
-O(p*q) enumeration (of any d-signature's window) is the permanent
-ground-truth oracle of the test suite; the closed form is the fast path.
+O(p*q) enumeration of any d-signature's window is the permanent
+ground-truth oracle of the test suite; the closed forms and the window
+count are the fast path.  The window count is also validated against
+the certified Hermitian route across the whole test range; that route
+stays authoritative.
+
+Every caller reaches the two routes through one dispatcher, `sigma_d`,
+which imports the Hermitian route, and with it numpy, only when it is
+asked for; `sigma_d_sweep` takes the counting path at every prime up to a
+bound in one call.  Both check each value's invariants in one helper,
+`_checked`.
 """
 
-from math import gcd
+from bisect import bisect_left
+from itertools import compress
+from math import gcd, isqrt
 
-from .core import TorusKnotParams
+from .core import TorusKnotParams, normalize
 from .errors import DomainError, InternalCheckError
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def primes_upto(n: int) -> list:
+    """The primes d <= n, ascending (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    for f in range(3, isqrt(n) + 1, 2):
+        if sieve[f]:
+            sieve[f * f::2 * f] = bytes(len(range(f * f, n + 1, 2 * f)))
+    return [2, *compress(range(3, n + 1, 2), sieve[3::2])]
+
+
+def prime_divisors(n: int) -> list:
+    """Distinct prime divisors of n >= 1, ascending, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def _require_prime(d: int):
+    if not is_prime(d):
+        raise DomainError(f"d={d}: need a prime")
 
 
 def _require_standard(k: TorusKnotParams):
@@ -101,3 +168,142 @@ def corollary_bound(k: TorusKnotParams) -> int:
     """Upper bound -2*[p/2]*[q/2] for sigma(T(p,q)), 0 < p < q."""
     _require_standard(k)
     return -2 * (k.p // 2) * (k.q // 2)
+
+
+# ---------------------------------------------------------------------------
+# Tristram d-signatures by the window count
+# ---------------------------------------------------------------------------
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} [(a*i + b) / m] for n >= 0, m >= 1, a, b >= 0, in
+    O(log m) steps (the Euclid-like recursion of the AtCoder Library)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def _lattice_hit(p: int, q: int, n: int) -> bool:
+    """True iff i*q + j*p = n for some 0 < i < p, 0 < j < q."""
+    g = gcd(p, q)
+    if n % g:
+        return False
+    pg, qg, n = p // g, q // g, n // g
+    i = n * pow(qg, -1, pg) % pg or pg   # least i > 0 on the line
+    j = (n - i * qg) // pg
+    # steps (i, j) -> (i + pg, j - qg) until j < q
+    t = max(0, (j - q) // qg + 1)
+    return i + t * pg < p and j - t * qg > 0
+
+
+def _window_count(p: int, q: int, d: int) -> int:
+    """sigma_d(T(p,q)) by the window count, for 0 < p < q coprime and a
+    prime d, which the callers check.
+
+    With a = [d/2] and t_i = q(ap - di)/(dp), the pairs (i,j) whose
+    x = i/p + j/q lies outside the window (s, 1+s), s = a/d, number
+    [|t_i|] at each i: for i <= m = [(ap-1)/d] they are the j with x < s,
+    and for i > m the j with x > 1+s, whose bound q - t_i is q plus a
+    nonpositive number.  Neither range needs clamping, so the positive
+    count is lo + hi, lo = sum_{i<=m} [t_i] (one `floor_sum`) and
+    hi = sum_{i>m} [-t_i].  hi follows from lo in O(1):
+      - [-t] = -[t] - 1 + [t in Z], and for i > m, t_i is an integer only
+        at i = ap/d, which is an integer iff d | p.  This uses that d is
+        prime; for a prime power d it must be re-derived.
+      - S = sum_{i=1}^{p-1} [t_i] is complete: i -> p - i turns it into
+        sum_i [aq/d + qi/p] - q(p-1); i -> qi mod p permutes the nonzero
+        residues mod p, splitting off sum_i [qi/p] = (p-1)(q-1)/2; and
+        Hermite's identity sum_{r<p} [x + r/p] = [px] gives
+        S = (p-1)(q-1)/2 - q(p-1) + [apq/d] - [aq/d].
+    So positive = 2 lo - S - (p-1-m) + [d | p], and
+    sigma_d = 2 * positive - (p-1)(q-1)
+            = 2 (2 lo + m + [d | p] - [apq/d] + [aq/d]).
+    The count holds only if no lattice point lies on the window boundary
+    d(iq + jp) in {a*pq, (d+a)*pq}; that is checked exactly (it never
+    happens for prime d and coprime p, q) and raises InternalCheckError.
+    O(log q) steps.
+    """
+    a = d // 2
+    for num in (a * p * q, (d + a) * p * q):
+        if num % d == 0 and _lattice_hit(p, q, num // d):
+            raise InternalCheckError(
+                f"window boundary attained at ({p},{q},{d})")
+    m = (a * p - 1) // d
+    lo = floor_sum(m, d * p, d * q, q * (a * p - d * m))
+    return 2 * (2 * lo + m + (p % d == 0) - a * p * q // d + a * q // d)
+
+
+def sigma_d_counting(p: int, q: int, d: int) -> int:
+    """Exact integer fast path for sigma_d(T(p,q)), 0 < p < q coprime and d
+    prime, else DomainError: the window count `_window_count`."""
+    _require_prime(d)
+    if not 0 < p < q:
+        raise DomainError(f"need 0 < p < q, got ({p},{q})")
+    return _window_count(p, q, d)
+
+
+def _checked(nk: TorusKnotParams, d: int, s: int) -> int:
+    """s = sigma_d of the nontrivial normalized knot nk, if it is even and
+    at most -4 (T(2,3), at -2, excepted); else InternalCheckError."""
+    if s % 2 != 0:
+        raise InternalCheckError(f"sigma_{d}({nk}) = {s} is odd")
+    if s > -4 and (nk.p, nk.q) != (2, 3):
+        raise InternalCheckError(
+            f"sigma_{d}({nk}) = {s} violates the -4 bound")
+    return s
+
+
+def sigma_d(k: TorusKnotParams, d: int, method: str = "counting") -> int:
+    """sigma_d of a torus knot, 0 if trivial: "counting" takes the integer
+    fast path, "hermitian" the certified route.  The normalized
+    knot's value must be even and at most -4 (T(2,3), at -2, excepted),
+    else InternalCheckError; the mirror flag then negates it."""
+    nk, mirror = normalize(k)
+    if nk.is_trivial:
+        return 0
+    if method == "counting":
+        s = sigma_d_counting(nk.p, nk.q, d)
+    elif method == "hermitian":
+        from .tristram import _sigma_hermitian   # numpy, on first use
+        s = _sigma_hermitian(nk.p, nk.q, d)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    s = _checked(nk, d, s)
+    return -s if mirror else s
+
+
+def sigma_d_sweep(k: TorusKnotParams, top: int, least: int = 2) -> dict:
+    """{d: sigma_d(k, d)} for every prime d in [least, top], ascending, on
+    the counting path, for a nontrivial knot (else DomainError).
+
+    The knot is normalized and its domain checked once, and the primes come
+    from one sieve, so each d costs one window count and the invariant
+    check of sigma_d."""
+    nk, mirror = normalize(k)
+    if nk.is_trivial:
+        raise DomainError(f"{k} is trivial")
+    p, q = nk.p, nk.q
+    primes = primes_upto(top)
+    out = {d: _checked(nk, d, _window_count(p, q, d))
+           for d in primes[bisect_left(primes, least):]}
+    return {d: -s for d, s in out.items()} if mirror else out
+
+
+def prop35_bound_check(k: TorusKnotParams, d: int,
+                       method: str = "counting") -> bool:
+    """sigma_d <= -4 holds for every nontrivial torus knot except T(2,3);
+    sigma_d raises InternalCheckError on a violation."""
+    nk, _ = normalize(k)
+    if nk.is_trivial or (nk.p, nk.q) == (2, 3):
+        raise DomainError(f"{k} is outside the bound's domain")
+    return sigma_d(k, d, method=method) <= -4

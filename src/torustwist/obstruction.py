@@ -36,7 +36,7 @@ from .fourmanifold import (kikuchi_eliminate, ledger_from_sequence,
                            serialize_sequence, template_sequences)
 # classify does not call prime_divisors; it is imported so that
 # perfbench/spans.py, which traces obstruction.prime_divisors by name, finds it
-from .tristram import prime_divisors, sigma_d, sigma_d_sweep  # noqa: F401
+from .lattice import prime_divisors, sigma_d, sigma_d_sweep  # noqa: F401
 
 SCHEMA = "torustwist-certificate/1"
 # the schema's name for the one sigma_d route, the counting kernel; every
@@ -210,7 +210,7 @@ def condition_iv_check(p: int, q: int, omega: int, d: int,
 def classify(k: TorusKnotParams) -> ObstructionCertificate:
     """Decide TrivialOrExceptional / NotInT / Undecided for one knot.
 
-    Every sigma_d comes from one tristram.sigma_d_sweep over the primes up
+    Every sigma_d comes from one lattice.sigma_d_sweep over the primes up
     to the genus cutoff: the integer window count at each, which the test
     suite cross-validates against the certified Hermitian route; the
     certificate records it as sigma_method SIGMA_METHOD.

@@ -38,98 +38,28 @@ rungs read: in doubles from the 80-bit bounds for the double rung, in
 Python ints for each precision rung.  z is evaluated once per precision,
 in Python integers, in `_root_bounds`, and exactly at d = 2.
 
-For torus knots there is also an exact integer fast path (Litherland,
-"Signatures of iterated torus knots", LNM 722, 1979): writing
-x(i,j) = i/p + j/q over 0 < i < p, 0 < j < q and s = a/d, the form's
-eigenvalue on the (i,j) monodromy line is negative exactly when
-s < x(i,j) < 1 + s, positive otherwise, and never zero for prime d.  For
-each i the positive j number [q|ap - di|/(dp)], so the count splits into
-two floor sums over the i-ranges on either side of i = ap/d.  Only the
-first is evaluated, in O(log) steps by the Euclid-like `floor_sum`
-recursion: the sum over all i is a complete residue sum that Hermite's
-identity closes in O(1), so the second follows from the first.  A
-point on the window boundary would be a solution of iq + jp = N in the
-box, which one modular inverse decides, also in O(log) steps.  The path
-reproduces the half-turn lattice count at d = 2 and is validated against
-the Hermitian route across the whole test range; the Hermitian route stays
-authoritative.
-
-Every caller reaches the two routes through one dispatcher, `sigma_d`;
-`sigma_d_sweep` takes the counting path at every prime up to a bound in
-one call.  Both check each value's invariants in one helper, `_checked`.
+The exact integer fast path for torus knots, Litherland's window count,
+and the dispatcher `sigma_d` that reaches both routes live in `lattice`,
+which imports no numpy.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress
-from math import gcd, inf, isqrt, nextafter
+from math import gcd, inf, nextafter
 from typing import NamedTuple
 
 import numpy as np
 
-from . import cyclotomic
+from . import cyclotomic, lattice
 from .certify import Inertia, MRMatrix, certified_inertia
-from .core import TorusKnotParams, normalize
+from .core import TorusKnotParams
 from .errors import DomainError, InternalCheckError
-from .lattice import sigma_d_enumerated
 from .seifert import SeifertForm, seifert_matrix, torus_braid
 
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def smallest_prime_factors(limit: int) -> list:
-    """spf[k] = the smallest prime factor of k, for 2 <= k < limit."""
-    spf = list(range(limit))
-    f = 2
-    while f * f < limit:
-        if spf[f] == f:
-            for k in range(f * f, limit, f):
-                if spf[k] == k:
-                    spf[k] = f
-        f += 1
-    return spf
-
-
-def primes_upto(n: int) -> list:
-    """The primes d <= n, ascending (sieve of Eratosthenes)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    for f in range(3, isqrt(n) + 1, 2):
-        if sieve[f]:
-            sieve[f * f::2 * f] = bytes(len(range(f * f, n + 1, 2 * f)))
-    return [2, *compress(range(3, n + 1, 2), sieve[3::2])]
-
-
-def prime_divisors(n: int, spf: list = None) -> list:
-    """Distinct prime divisors of n >= 1, ascending, read from a smallest
-    prime factor table that covers n (built for n alone when not given)."""
-    if spf is None:
-        spf = smallest_prime_factors(n + 1)
-    out = []
-    while n > 1:
-        f = spf[n]
-        out.append(f)
-        while n % f == 0:
-            n //= f
-    return out
-
-
-def _require_prime(d: int):
-    if not is_prime(d):
-        raise DomainError(f"d={d}: need a prime")
+# the kernel names perfbench reads here: the window count, and the O(pq)
+# lattice enumeration it is tested against
+sigma_d_counting = lattice.sigma_d_counting
+_sigma_counting_brute = lattice.sigma_d_enumerated
 
 
 class Slices(NamedTuple):
@@ -215,7 +145,7 @@ class HermitianForm:
     involution: np.ndarray = None
 
     def __post_init__(self):
-        _require_prime(self.d)
+        lattice._require_prime(self.d)
         n, c = self.dimension, self.coeffs
         if isinstance(c, Slices):
             rows, cols, vals = (np.asarray(x) for x in c)
@@ -537,7 +467,7 @@ def inertia(h: HermitianForm) -> Inertia:
 
 @lru_cache(maxsize=None)
 def _sigma_hermitian(p: int, q: int, d: int) -> int:
-    _require_prime(d)   # before building the Seifert matrix
+    lattice._require_prime(d)   # before building the Seifert matrix
     form = build_form(seifert_matrix(torus_braid(p, q)), d, source=(p, q))
     ine = inertia(form)
     if ine.n_zero != 0:
@@ -546,147 +476,10 @@ def _sigma_hermitian(p: int, q: int, d: int) -> int:
     return ine.signature
 
 
-def floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{i=0}^{n-1} [(a*i + b) / m] for n >= 0, m >= 1, a, b >= 0, in
-    O(log m) steps (the Euclid-like recursion of the AtCoder Library)."""
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
-        m, a = a, m
-
-
-def _lattice_hit(p: int, q: int, n: int) -> bool:
-    """True iff i*q + j*p = n for some 0 < i < p, 0 < j < q."""
-    g = gcd(p, q)
-    if n % g:
-        return False
-    pg, qg, n = p // g, q // g, n // g
-    i = n * pow(qg, -1, pg) % pg or pg   # least i > 0 on the line
-    j = (n - i * qg) // pg
-    # steps (i, j) -> (i + pg, j - qg) until j < q
-    t = max(0, (j - q) // qg + 1)
-    return i + t * pg < p and j - t * qg > 0
-
-
-def _window_count(p: int, q: int, d: int) -> int:
-    """sigma_d(T(p,q)) by the window count, for 0 < p < q coprime and a
-    prime d, which the callers check.
-
-    With a = [d/2] and t_i = q(ap - di)/(dp), the pairs (i,j) whose
-    x = i/p + j/q lies outside the window (s, 1+s), s = a/d, number
-    [|t_i|] at each i: for i <= m = [(ap-1)/d] they are the j with x < s,
-    and for i > m the j with x > 1+s, whose bound q - t_i is q plus a
-    nonpositive number.  Neither range needs clamping, so the positive
-    count is lo + hi, lo = sum_{i<=m} [t_i] (one `floor_sum`) and
-    hi = sum_{i>m} [-t_i].  hi follows from lo in O(1):
-      - [-t] = -[t] - 1 + [t in Z], and for i > m, t_i is an integer only
-        at i = ap/d, which is an integer iff d | p.  This uses that d is
-        prime; for a prime power d it must be re-derived.
-      - S = sum_{i=1}^{p-1} [t_i] is complete: i -> p - i turns it into
-        sum_i [aq/d + qi/p] - q(p-1); i -> qi mod p permutes the nonzero
-        residues mod p, splitting off sum_i [qi/p] = (p-1)(q-1)/2; and
-        Hermite's identity sum_{r<p} [x + r/p] = [px] gives
-        S = (p-1)(q-1)/2 - q(p-1) + [apq/d] - [aq/d].
-    So positive = 2 lo - S - (p-1-m) + [d | p], and
-    sigma_d = 2 * positive - (p-1)(q-1)
-            = 2 (2 lo + m + [d | p] - [apq/d] + [aq/d]).
-    The count holds only if no lattice point lies on the window boundary
-    d(iq + jp) in {a*pq, (d+a)*pq}; that is checked exactly (it never
-    happens for prime d and coprime p, q) and raises InternalCheckError.
-    O(log q) steps.
-    """
-    a = d // 2
-    for num in (a * p * q, (d + a) * p * q):
-        if num % d == 0 and _lattice_hit(p, q, num // d):
-            raise InternalCheckError(
-                f"window boundary attained at ({p},{q},{d})")
-    m = (a * p - 1) // d
-    lo = floor_sum(m, d * p, d * q, q * (a * p - d * m))
-    return 2 * (2 * lo + m + (p % d == 0) - a * p * q // d + a * q // d)
-
-
-def sigma_d_counting(p: int, q: int, d: int) -> int:
-    """Exact integer fast path for sigma_d(T(p,q)), 0 < p < q coprime and d
-    prime, else DomainError: the window count `_window_count`."""
-    _require_prime(d)
-    if not 0 < p < q:
-        raise DomainError(f"need 0 < p < q, got ({p},{q})")
-    return _window_count(p, q, d)
-
-
-# the O(pq) lattice enumeration the fast path is tested against
-_sigma_counting_brute = sigma_d_enumerated
-
-
-def _checked(nk: TorusKnotParams, d: int, s: int) -> int:
-    """s = sigma_d of the nontrivial normalized knot nk, if it is even and
-    at most -4 (T(2,3), at -2, excepted); else InternalCheckError."""
-    if s % 2 != 0:
-        raise InternalCheckError(f"sigma_{d}({nk}) = {s} is odd")
-    if s > -4 and (nk.p, nk.q) != (2, 3):
-        raise InternalCheckError(
-            f"sigma_{d}({nk}) = {s} violates the -4 bound")
-    return s
-
-
-def sigma_d(k: TorusKnotParams, d: int, method: str = "counting") -> int:
-    """sigma_d of a torus knot, 0 if trivial: "counting" takes the integer
-    fast path, "hermitian" the certified route.  The normalized
-    knot's value must be even and at most -4 (T(2,3), at -2, excepted),
-    else InternalCheckError; the mirror flag then negates it."""
-    nk, mirror = normalize(k)
-    if nk.is_trivial:
-        return 0
-    if method == "counting":
-        s = sigma_d_counting(nk.p, nk.q, d)
-    elif method == "hermitian":
-        s = _sigma_hermitian(nk.p, nk.q, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    s = _checked(nk, d, s)
-    return -s if mirror else s
-
-
-def sigma_d_sweep(k: TorusKnotParams, top: int, least: int = 2) -> dict:
-    """{d: sigma_d(k, d)} for every prime d in [least, top], ascending, on
-    the counting path, for a nontrivial knot (else DomainError).
-
-    The knot is normalized and its domain checked once, and the primes come
-    from one sieve, so each d costs one window count and the invariant
-    check of sigma_d."""
-    nk, mirror = normalize(k)
-    if nk.is_trivial:
-        raise DomainError(f"{k} is trivial")
-    p, q = nk.p, nk.q
-    primes = primes_upto(top)
-    out = {d: _checked(nk, d, _window_count(p, q, d))
-           for d in primes[bisect_left(primes, least):]}
-    return {d: -s for d, s in out.items()} if mirror else out
-
-
 def tristram_sigma(k: TorusKnotParams, d: int,
                    method: str = "hermitian") -> int:
     """sigma_d of a nontrivial torus knot, by default on the certified
-    Hermitian route; see sigma_d."""
+    Hermitian route; see lattice.sigma_d."""
     if k.is_trivial:
         raise DomainError(f"{k} is trivial")
-    return sigma_d(k, d, method=method)
-
-
-def prop35_bound_check(k: TorusKnotParams, d: int,
-                       method: str = "counting") -> bool:
-    """sigma_d <= -4 holds for every nontrivial torus knot except T(2,3);
-    sigma_d raises InternalCheckError on a violation."""
-    nk, _ = normalize(k)
-    if nk.is_trivial or (nk.p, nk.q) == (2, 3):
-        raise DomainError(f"{k} is outside the bound's domain")
-    return sigma_d(k, d, method=method) <= -4
+    return lattice.sigma_d(k, d, method=method)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import resource
@@ -442,7 +443,7 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch):
             chunks.append((len(tasks), chunksize))
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     serial = scan_rows((2, 9), (3, 12), jobs=1)
     assert scan_rows((2, 9), (3, 12), jobs=10 ** 6) == serial

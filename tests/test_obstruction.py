@@ -21,9 +21,8 @@ from torustwist.obstruction import (NOT_IN_T, REASON_GENUS, REASON_KIKUCHI,
                                     Elimination, Eliminations,
                                     certificate_to_dict, certificate_to_json,
                                     certificate_to_text, genus_cutoff)
-from torustwist import tristram
-from torustwist.tristram import (is_prime, prime_divisors,
-                                 smallest_prime_factors)
+from torustwist import lattice
+from torustwist.lattice import is_prime, prime_divisors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -372,7 +371,7 @@ def test_classify_deterministic():
     assert a == b
 
 
-def _per_omega_condition_iv(p, q, spf):
+def _per_omega_condition_iv(p, q):
     """The reference for classify's condition-(iv) sieve: each w in
     [2, cutoff] on its own, condition (iii) first, then its prime
     divisors in ascending order through condition_iv_check, eliminated at
@@ -383,9 +382,9 @@ def _per_omega_condition_iv(p, q, spf):
         if w % 2 == 0 and w <= p:
             reasons[w] = "condition-iii"
             continue
-        for d in prime_divisors(w, spf):
+        for d in prime_divisors(w):
             if d not in sigma:
-                sigma[d] = tristram.sigma_d(K(p, q), d)
+                sigma[d] = lattice.sigma_d(K(p, q), d)
             if not condition_iv_check(p, q, w, d, sigma_value=sigma[d]):
                 reasons[w] = f"condition-iv(d={d})"
                 break
@@ -412,11 +411,10 @@ def _sieve_oracle_knots():
 
 def test_condition_iv_sieve_matches_the_per_omega_loop():
     knots = _sieve_oracle_knots()
-    spf = smallest_prime_factors(max(genus_cutoff(p, q) for p, q in knots) + 1)
     with_two = without_two = 0
     for p, q in knots:
         cert = classify(K(p, q))
-        reasons, alive, sigma = _per_omega_condition_iv(p, q, spf)
+        reasons, alive, sigma = _per_omega_condition_iv(p, q)
         # the templates only remove odd w that passed condition (iv)
         slots = cert.eliminations.reasons
         kikuchi = [w for w, r in enumerate(slots) if r == REASON_KIKUCHI]
@@ -443,7 +441,7 @@ def test_classify_takes_its_primes_from_one_sieve(monkeypatch):
     def refuse(n):
         raise AssertionError(f"is_prime({n}) called")
 
-    monkeypatch.setattr(tristram, "is_prime", refuse)
+    monkeypatch.setattr(lattice, "is_prime", refuse)
     assert certificate_to_json(classify(k)) == want
 
 

@@ -1,8 +1,23 @@
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
 
 import torustwist
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_child(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_all_lists_each_public_name_once_and_only_those():
@@ -10,10 +25,11 @@ def test_all_lists_each_public_name_once_and_only_those():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(torustwist, name), name
-    public = {name for name, value in vars(torustwist).items()
-              if not name.startswith("_")
-              and not isinstance(value, types.ModuleType)}
-    assert set(names) == public
+    # the names defined on import, and those resolved on first use
+    eager = {name for name, value in vars(torustwist).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert set(names) == eager | set(torustwist._LAZY)
 
 
 def test_the_package_has_no_assert_statement():
@@ -25,3 +41,46 @@ def test_the_package_has_no_assert_statement():
         asserts = [node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Assert)]
         assert asserts == [], (path.name, asserts)
+
+
+def test_classify_tables_and_scan_run_without_numpy():
+    # a None entry in sys.modules makes `import numpy` raise ImportError;
+    # only the certified route (tristram and the modules under it) needs it
+    res = _run_child("""
+        import sys
+        sys.modules["numpy"] = None
+        from torustwist import cli
+        runs = [["classify", "-p", p, "-q", q, *fmt]
+                for p, q in (("-5", "8"), ("1", "5"), ("9", "13"))
+                for fmt in ([], ["--format", "json"])]
+        runs.append(["tables", "--which", "thm1.3"])
+        runs += [["scan", "--p-min", "2", "--p-max", "9", "--q-min", "3",
+                  "--q-max", "12", "--jobs", jobs] for jobs in ("1", "2")]
+        runs += [["sigma", "-p", "5", "-q", "8", "--method", method]
+                 for method in ("closed", "oracle")]
+        for argv in runs:
+            if cli.main(argv) != 0:
+                sys.exit(f"{argv} failed")
+        loaded = [m for m in ("tristram", "certify", "seifert", "cyclotomic")
+                  if "torustwist." + m in sys.modules]
+        sys.exit(f"loaded {loaded}" if loaded else 0)
+    """)
+    assert res.returncode == 0, res.stderr[-3000:]
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    res = _run_child("""
+        import sys
+        import torustwist
+        from torustwist import cli
+        for name in torustwist.__all__:
+            value = getattr(torustwist, name)
+            home = sys.modules[value.__module__]
+            if not (home.__name__.startswith("torustwist.")
+                    and getattr(home, name) is value):
+                sys.exit(f"{name} resolves to {value!r}")
+        sys.exit(cli.main(["sigma", "-p", "5", "-q", "8",
+                           "--method", "seifert"]))
+    """)
+    assert res.returncode == 0, res.stderr[-3000:]
+    assert res.stdout == "-20\n"

@@ -18,13 +18,13 @@ from torustwist import (DomainError, HermitianForm, TorusKnotParams,
                         seifert_matrix, sigma_closed, sigma_d,
                         sigma_d_counting, sigma_d_sweep, sigma_oracle,
                         torus_braid, tristram_sigma)
-from torustwist import certify, cyclotomic, tristram
+from torustwist import certify, cyclotomic, lattice, tristram
 from torustwist.errors import InternalCheckError, UndecidedSignError
 from torustwist.obstruction import MAX_Q, genus_cutoff
 from torustwist.seifert import SeifertForm
-from torustwist.tristram import (_lattice_hit, _sigma_counting_brute, is_prime,
-                                 prime_divisors, primes_upto,
-                                 smallest_prime_factors)
+from torustwist.lattice import (_lattice_hit, is_prime, prime_divisors,
+                                primes_upto)
+from torustwist.tristram import _sigma_counting_brute
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -1488,9 +1488,9 @@ def _two_floor_sums(p, q, d):
     # the window count as both floor sums, on either side of i = ap/d
     a = d // 2
     m = (a * p - 1) // d
-    lo = tristram.floor_sum(m, d * p, d * q, q * (a * p - d * m))
-    hi = tristram.floor_sum(p - 1 - m, d * p, d * q,
-                            q * (d * (m + 1) - a * p))
+    lo = lattice.floor_sum(m, d * p, d * q, q * (a * p - d * m))
+    hi = lattice.floor_sum(p - 1 - m, d * p, d * q,
+                           q * (d * (m + 1) - a * p))
     return 2 * (lo + hi) - (p - 1) * (q - 1)
 
 
@@ -1510,19 +1510,19 @@ def test_hermite_closed_sum_matches_two_floor_sums(data, p, source):
         "two": [2], "small": _SMALL_PRIMES,
         "factor of p": trial_division_primes(p),
         "factor of q": trial_division_primes(q)}[source]))
-    assert tristram._window_count(p, q, d) == _two_floor_sums(p, q, d), \
+    assert lattice._window_count(p, q, d) == _two_floor_sums(p, q, d), \
         (p, q, d)
 
 
 def test_window_count_makes_one_floor_sum_per_prime(monkeypatch):
     calls = []
-    floor_sum = tristram.floor_sum
+    floor_sum = lattice.floor_sum
 
     def counted(*args):
         calls.append(args)
         return floor_sum(*args)
 
-    monkeypatch.setattr(tristram, "floor_sum", counted)
+    monkeypatch.setattr(lattice, "floor_sum", counted)
     top = genus_cutoff(101, 203)
     result = sigma_d_sweep(K(101, 203), top)
     assert len(calls) == len(result) == len(primes_upto(top))
@@ -1559,9 +1559,8 @@ def test_window_boundary_detector_matches_enumeration():
 
 
 def test_prime_divisors_match_trial_division():
-    spf = smallest_prime_factors(20001)
     for n in range(2, 20001):
-        assert prime_divisors(n, spf) == trial_division_primes(n), n
+        assert prime_divisors(n) == trial_division_primes(n), n
     for n in list(range(1, 200)) + [4096, 19997, 30030]:
         assert prime_divisors(n) == trial_division_primes(n), n
 
@@ -1599,17 +1598,17 @@ def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for bad in (-5, -2):
-        monkeypatch.setattr(tristram, "_window_count", lambda p, q, d: bad)
+        monkeypatch.setattr(lattice, "_window_count", lambda p, q, d: bad)
         with pytest.raises(InternalCheckError):
             tristram_sigma(K(5, 7), 3, method="counting")
         # the check must survive python -O, and the CLI maps it to exit 3
         script = (
             "import sys\n"
-            "from torustwist import cli, tristram\n"
+            "from torustwist import TorusKnotParams, cli, lattice, tristram\n"
             "from torustwist.errors import InternalCheckError\n"
-            f"tristram._window_count = lambda p, q, d: {bad}\n"
+            f"lattice._window_count = lambda p, q, d: {bad}\n"
             "try:\n"
-            "    tristram.tristram_sigma(tristram.TorusKnotParams(5, 7), 3,\n"
+            "    tristram.tristram_sigma(TorusKnotParams(5, 7), 3,\n"
             "                            method='counting')\n"
             "except InternalCheckError:\n"
             "    sys.exit(cli.main(['classify', '-p', '5', '-q', '7']))\n"
