@@ -42,11 +42,11 @@ MAX_SCAN_CELLS = 2 ** 20
 # Xeon, one BLAS thread).  A larger knot is rejected on those routes with
 # DomainError (exit 2) before any work.
 MAX_SIGMA_DIM = 2 ** 11
-# tables and scan classify every knot they list, at 0.7-1.0 us per
+# tables and scan classify every knot they list, at 0.35-0.48 us per
 # candidate omega up to the knot's genus cutoff (one classify of
-# T(10001,10005) or T(100001,100003) per fresh process, three runs each;
+# T(10001,10005) or T(100001,100003) per fresh process, six runs each;
 # 2-vCPU Intel Xeon, Python 3.11.7), so at this bound on the genus cutoffs
-# summed over the knots a table or a scan is 1.6 to 2.3 minutes of work.  A
+# summed over the knots a table or a scan is 0.8 to 1.1 minutes of work.  A
 # larger table is rejected with DomainError (exit 2) after its rows are
 # listed, and a larger scan as soon as its pairs pass the bound; either
 # before any knot is classified.

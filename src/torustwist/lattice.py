@@ -17,9 +17,16 @@ i the positive j number [q|ap - di|/(dp)], so the count splits into two
 floor sums over the i-ranges on either side of i = ap/d.  Only the first
 is evaluated, in O(log) steps by the Euclid-like `floor_sum` recursion:
 the sum over all i is a complete residue sum that Hermite's identity
-closes in O(1), so the second follows from the first.  A point on the
-window boundary would be a solution of iq + jp = N in the box, which one
-modular inverse decides, also in O(log) steps.
+closes in O(1), so the second follows from the first.  Its terms are
+[(dq*i + b)/(dp)], and since dq*i is a multiple of d,
+  [(dq*i + b)/(dp)] = [(q*i + [b/d])/p],
+so at every d it is a floor sum at the moduli (p, q): the recursion visits
+the levels of Euclid's algorithm on (p, q) whatever d is, and only its
+start (n, b) moves with d.  That chain of levels is built once per knot
+(`_euclid_chain`) and walked once per prime (`_walk`); `floor_sum` itself
+is one build and one walk.  A point on the window boundary would be a
+solution of iq + jp = N in the box, which one modular inverse decides,
+also in O(log) steps.
 
 All comparisons use exact integer cross-multiplication, never floats.  The
 O(p*q) enumeration of any d-signature's window is the permanent
@@ -31,8 +38,8 @@ stays authoritative.
 Every caller reaches the two routes through one dispatcher, `sigma_d`,
 which imports the Hermitian route, and with it numpy, only when it is
 asked for; `sigma_d_sweep` takes the counting path at every prime up to a
-bound in one call.  Both check each value's invariants in one helper,
-`_checked`.
+bound in one call, on one chain.  Both check each value's invariants in
+one helper, `_checked`.
 """
 
 from bisect import bisect_left
@@ -175,22 +182,38 @@ def corollary_bound(k: TorusKnotParams) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _euclid_chain(m: int, a: int) -> tuple:
+    """The levels that `floor_sum`'s recursion visits for (m, a), m >= 1
+    and a >= 0: Euclid's algorithm on (m, a) as the triples
+    (M, A mod M, [A/M]), starting at (M, A) = (m, a) and stepping to
+    (A mod M, M), the last one with A mod M = 0.  O(log m) levels."""
+    chain = []
+    while True:
+        k, r = divmod(a, m)
+        chain.append((m, r, k))
+        if not r:
+            return tuple(chain)
+        m, a = r, m
+
+
+def _walk(chain: tuple, n: int, b: int) -> int:
+    """sum_{i=0}^{n-1} [(a*i + b) / m] for the (m, a) whose Euclid chain is
+    `chain`, n, b >= 0 (the recursion of the AtCoder Library's floor_sum).
+    Each level takes the whole multiples of M out of A and b and moves to
+    the transposed sum; the last level, with A mod M = 0, always ends it."""
+    total = 0
+    for m, r, k in chain:
+        total += n * (n - 1) // 2 * k + n * (b // m)
+        y = r * n + b % m
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+
+
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
     """sum_{i=0}^{n-1} [(a*i + b) / m] for n >= 0, m >= 1, a, b >= 0, in
-    O(log m) steps (the Euclid-like recursion of the AtCoder Library)."""
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
-        m, a = a, m
+    O(log m) steps: (m, a)'s Euclid chain, walked with (n, b)."""
+    return _walk(_euclid_chain(m, a), n, b)
 
 
 def _lattice_hit(p: int, q: int, n: int) -> bool:
@@ -206,17 +229,22 @@ def _lattice_hit(p: int, q: int, n: int) -> bool:
     return i + t * pg < p and j - t * qg > 0
 
 
-def _window_count(p: int, q: int, d: int) -> int:
-    """sigma_d(T(p,q)) by the window count, for 0 < p < q coprime and a
-    prime d, which the callers check.
+def _window_counts(p: int, q: int, primes) -> list:
+    """[sigma_d(T(p,q)) for d in primes] by the window count, for
+    0 < p < q coprime and primes d, which the callers check.
 
     With a = [d/2] and t_i = q(ap - di)/(dp), the pairs (i,j) whose
     x = i/p + j/q lies outside the window (s, 1+s), s = a/d, number
     [|t_i|] at each i: for i <= m = [(ap-1)/d] they are the j with x < s,
     and for i > m the j with x > 1+s, whose bound q - t_i is q plus a
     nonpositive number.  Neither range needs clamping, so the positive
-    count is lo + hi, lo = sum_{i<=m} [t_i] (one `floor_sum`) and
-    hi = sum_{i>m} [-t_i].  hi follows from lo in O(1):
+    count is lo + hi, lo = sum_{i<=m} [t_i] and hi = sum_{i>m} [-t_i].
+    Counted from i = m down, lo is one floor sum,
+    sum_{i<m} [(dq*i + b)/(dp)] with b = q(ap - dm).  Since dq*i is a
+    multiple of d, [(dq*i + b)/(dp)] = [(q*i + [b/d])/p], so lo is the
+    floor sum at the moduli (p, q) with b replaced by [b/d]: its recursion
+    visits the levels of (p, q)'s Euclid chain whatever d is, so the chain
+    is built once and walked once per prime.  hi follows from lo in O(1):
       - [-t] = -[t] - 1 + [t in Z], and for i > m, t_i is an integer only
         at i = ap/d, which is an integer iff d | p.  This uses that d is
         prime; for a prime power d it must be re-derived.
@@ -231,25 +259,36 @@ def _window_count(p: int, q: int, d: int) -> int:
     The count holds only if no lattice point lies on the window boundary
     d(iq + jp) in {a*pq, (d+a)*pq}; that is checked exactly (it never
     happens for prime d and coprime p, q) and raises InternalCheckError.
-    O(log q) steps.
+    O(log q) steps per prime.
     """
-    a = d // 2
-    for num in (a * p * q, (d + a) * p * q):
-        if num % d == 0 and _lattice_hit(p, q, num // d):
-            raise InternalCheckError(
-                f"window boundary attained at ({p},{q},{d})")
-    m = (a * p - 1) // d
-    lo = floor_sum(m, d * p, d * q, q * (a * p - d * m))
-    return 2 * (2 * lo + m + (p % d == 0) - a * p * q // d + a * q // d)
+    chain = _euclid_chain(p, q)
+    pq = p * q
+    out = []
+    for d in primes:
+        a = d // 2
+        # d divides a*pq iff it divides (d+a)*pq iff it divides pq, since
+        # d is prime and 0 < a < d; only then can d(iq + jp) meet either
+        if pq % d == 0:
+            for num in (a * pq, (d + a) * pq):
+                if _lattice_hit(p, q, num // d):
+                    raise InternalCheckError(
+                        f"window boundary attained at ({p},{q},{d})")
+        ap = a * p
+        m = (ap - 1) // d
+        lo = _walk(chain, m, q * (ap - d * m) // d)
+        out.append(2 * (2 * lo + m + (p % d == 0) - ap * q // d + a * q // d))
+    return out
 
 
 def sigma_d_counting(p: int, q: int, d: int) -> int:
     """Exact integer fast path for sigma_d(T(p,q)), 0 < p < q coprime and d
-    prime, else DomainError: the window count `_window_count`."""
+    prime, else DomainError: the window count `_window_counts`."""
     _require_prime(d)
     if not 0 < p < q:
         raise DomainError(f"need 0 < p < q, got ({p},{q})")
-    return _window_count(p, q, d)
+    if gcd(p, q) != 1:
+        raise DomainError(f"T({p},{q}) is not a knot (gcd = {gcd(p, q)})")
+    return _window_counts(p, q, (d,))[0]
 
 
 def _checked(nk: TorusKnotParams, d: int, s: int) -> int:
@@ -286,16 +325,16 @@ def sigma_d_sweep(k: TorusKnotParams, top: int, least: int = 2) -> dict:
     """{d: sigma_d(k, d)} for every prime d in [least, top], ascending, on
     the counting path, for a nontrivial knot (else DomainError).
 
-    The knot is normalized and its domain checked once, and the primes come
-    from one sieve, so each d costs one window count and the invariant
-    check of sigma_d."""
+    The knot is normalized and its domain checked once, the primes come
+    from one sieve, and q/p's Euclid chain is built once, so each d costs
+    one walk of that chain and the invariant check of sigma_d."""
     nk, mirror = normalize(k)
     if nk.is_trivial:
         raise DomainError(f"{k} is trivial")
-    p, q = nk.p, nk.q
     primes = primes_upto(top)
-    out = {d: _checked(nk, d, _window_count(p, q, d))
-           for d in primes[bisect_left(primes, least):]}
+    primes = primes[bisect_left(primes, least):]
+    out = {d: _checked(nk, d, s) for d, s in
+           zip(primes, _window_counts(nk.p, nk.q, primes))}
     return {d: -s for d, s in out.items()} if mirror else out
 
 

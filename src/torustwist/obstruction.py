@@ -89,8 +89,9 @@ class Eliminations:
     tuple indexed by w <= genus cutoff whose slot holds the reason w is
     eliminated (a shared string, so one reference per w), or None for w < 2
     and for survivors; then one genus-bound item for each w in `tail`, kept
-    as range(cutoff + 1, q) instead of as O(q) items.  Iteration and len
-    are those of the tuple of Elimination(w, reason) items, in ascending w.
+    as range(cutoff + 1, q) instead of as O(q) items.  Iteration, len and
+    truth are those of the tuple of Elimination(w, reason) items, in
+    ascending w.
     """
 
     reasons: tuple = ()
@@ -102,6 +103,10 @@ class Eliminations:
 
     def __len__(self):
         return len(self.reasons) - self.reasons.count(None) + len(self.tail)
+
+    def __bool__(self):
+        # every reason is a nonempty string; any() stops at the first
+        return bool(self.tail) or any(self.reasons)
 
     def __iter__(self):
         # tuple.__new__ builds the items without a Python-level __new__
@@ -242,7 +247,9 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     # fails, and at each d at most two multiples of d pass; so the primes
     # run in descending order, each marks all its multiples as failing and
     # gives the passing ones their earlier mark back, and the smallest
-    # failing d writes last.  sigma_inputs holds sigma_d for every prime d
+    # failing d writes last.  A d > top/2 has only w = d as a multiple, whose
+    # slot no larger prime has marked, so it writes that slot alone, and
+    # only if w = d fails.  sigma_inputs holds sigma_d for every prime d
     # that divides some w checked: each odd prime d <= top (at w = d), and
     # 2 only if some even w lies above p, since condition (iii) alone
     # eliminates the even w <= p.
@@ -250,6 +257,10 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     sigma_inputs = sigma_d_sweep(nk, top, 2 if top // 2 > p // 2 else 3)
     reasons = [None] * (top + 1)
     for d in reversed(sigma_inputs):
+        if 2 * d > top:
+            if 1 not in condition_iv_multipliers(d, sigma_inputs[d]):
+                reasons[d] = reason_iv(d)
+            continue
         kept = [(d * k, reasons[d * k])
                 for k in condition_iv_multipliers(d, sigma_inputs[d])
                 if 0 < d * k <= top]
@@ -329,13 +340,27 @@ TAIL_BLOCK = 100
 _BLOCK_DIGITS = len(str(TAIL_BLOCK - 1))
 
 
+# the separators between two tail w in the text and the JSON rendering;
+# in JSON, the end of one item and the start of the next
+_TEXT_TAIL_SEP = f": {REASON_GENUS}\n  omega="
+_JSON_GENUS = encode_basestring_ascii(REASON_GENUS)
+_JSON_TAIL_SEP = f",\n      {_JSON_GENUS}\n    ],\n    [\n      "
+# each separator's fixed pieces of one whole block, built once: "", then
+# every zero-padded r < TAIL_BLOCK followed by the separator
+_BLOCK_PIECES = {
+    sep: ["", *(f"{r:0{_BLOCK_DIGITS}d}{sep}" for r in range(TAIL_BLOCK))]
+    for sep in (_TEXT_TAIL_SEP, _JSON_TAIL_SEP)}
+
+
 def _tail_parts(tail: range, sep: str) -> list:
-    """sep.join(map(str, tail)) as a list of parts, for the caller's join.
+    """sep.join(map(str, tail)) as a list of parts, for the caller's join;
+    sep is one of the two renderers' separators.
 
     Every w in [B*c, B*c + B - 1], B = TAIL_BLOCK and c >= 1, is str(c)
     followed by the zero-padded w - B*c, so the text of such a block, each
-    w followed by sep, is one str(c).join of fixed pieces; only the w at
-    the two ends of tail that fill no whole block are written one by one.
+    w followed by sep, is one str(c).join of sep's fixed pieces
+    (_BLOCK_PIECES); only the w at the two ends of tail that fill no whole
+    block are written one by one.
     """
     lo, hi = tail.start, tail.stop - 1   # the last w takes no sep
     if tail.step != 1 or hi < lo:
@@ -346,7 +371,7 @@ def _tail_parts(tail: range, sep: str) -> list:
     last = hi // TAIL_BLOCK
     if first >= last:
         return [*(f"{w}{sep}" for w in range(lo, hi)), str(hi)]
-    pieces = ["", *(f"{r:0{_BLOCK_DIGITS}d}{sep}" for r in range(TAIL_BLOCK))]
+    pieces = _BLOCK_PIECES[sep]
     return [*(f"{w}{sep}" for w in range(lo, first * TAIL_BLOCK)),
             *map(str.join, map(str, range(first, last)), repeat(pieces)),
             *(f"{w}{sep}" for w in range(last * TAIL_BLOCK, hi)), str(hi)]
@@ -371,7 +396,7 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
         out.extend(f"  omega={w}: {r}\n" for w, r in elims.explicit())
         if elims.tail:
             out.append("  omega=")
-            out += _tail_parts(elims.tail, f": {REASON_GENUS}\n  omega=")
+            out += _tail_parts(elims.tail, _TEXT_TAIL_SEP)
             out.append(f": {REASON_GENUS}\n")
         out.append("survivors:\n")
         out.extend(f"  (n={s.n}, omega={s.omega})\n" for s in cert.survivors)
@@ -452,17 +477,13 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
     if extra:
         tail.update(extra)
     elims = cert.eliminations
-    encoded = {r: encode_basestring_ascii(r) for r in
-               {*filter(None, elims.reasons), REASON_GENUS}}
-    genus = encoded[REASON_GENUS]
+    encoded = {r: encode_basestring_ascii(r) for r in set(elims.reasons) if r}
     array = [",\n".join([f"    [\n      {w},\n      {encoded[r]}\n    ]"
                          for w, r in elims.explicit()])]
     if elims.tail:
-        # the text between two tail w: the end of one item, the start of
-        # the next
-        sep = f",\n      {genus}\n    ],\n    [\n      "
         array += [",\n" if array[0] else "", "    [\n      ",
-                  *_tail_parts(elims.tail, sep), f",\n      {genus}\n    ]"]
+                  *_tail_parts(elims.tail, _JSON_TAIL_SEP),
+                  f",\n      {_JSON_GENUS}\n    ]"]
     survivors = _json_block([f"    [\n      {s.n},\n      {s.omega}\n    ]"
                              for s in cert.survivors], "[]")
     sigma_inputs = _json_block([f'    "{d}": {v}' for d, v in

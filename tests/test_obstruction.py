@@ -297,12 +297,12 @@ def test_certificate_text_matches_a_per_item_rendering(assert_same_text):
                                   range(7, 1000003)])
 def test_tail_parts_are_one_per_block(tail):
     # besides the partial blocks at the two ends, one part per block of
-    # TAIL_BLOCK w, not one per w
-    sep = ": sep\n"
-    parts = obstruction._tail_parts(tail, sep)
-    assert "".join(parts) == sep.join(map(str, tail))
+    # TAIL_BLOCK w, not one per w, with either renderer's separator
     block = obstruction.TAIL_BLOCK
-    assert len(parts) <= len(tail) // block + 2 * block
+    for sep in (obstruction._TEXT_TAIL_SEP, obstruction._JSON_TAIL_SEP):
+        parts = obstruction._tail_parts(tail, sep)
+        assert "".join(parts) == sep.join(map(str, tail))
+        assert len(parts) <= len(tail) // block + 2 * block
 
 
 def test_max_q_memory_bound():

@@ -1510,26 +1510,61 @@ def test_hermite_closed_sum_matches_two_floor_sums(data, p, source):
         "two": [2], "small": _SMALL_PRIMES,
         "factor of p": trial_division_primes(p),
         "factor of q": trial_division_primes(q)}[source]))
-    assert lattice._window_count(p, q, d) == _two_floor_sums(p, q, d), \
+    assert lattice._window_counts(p, q, [d]) == [_two_floor_sums(p, q, d)], \
         (p, q, d)
 
 
-def test_window_count_makes_one_floor_sum_per_prime(monkeypatch):
-    calls = []
-    floor_sum = lattice.floor_sum
+def _naive_floor_sum(n, m, a, b):
+    return sum((a * i + b) // m for i in range(n))
 
-    def counted(*args):
-        calls.append(args)
-        return floor_sum(*args)
 
-    monkeypatch.setattr(lattice, "floor_sum", counted)
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(0, 300), m=st.integers(1, 10 ** 6),
+       a=st.integers(0, 10 ** 6), b=st.integers(0, 10 ** 7),
+       d=st.integers(1, 10 ** 4))
+def test_floor_sum_reduces_a_common_factor_of_its_moduli(n, m, a, b, d):
+    # [(d*a*i + b)/(d*m)] = [(a*i + [b/d])/m]: the identity that lets every
+    # prime's window count walk the Euclid chain of (p, q)
+    assert lattice.floor_sum(n, m, a, b) == _naive_floor_sum(n, m, a, b)
+    assert lattice.floor_sum(n, d * m, d * a, b) == \
+        lattice.floor_sum(n, m, a, b // d) == \
+        _naive_floor_sum(n, d * m, d * a, b)
+
+
+def test_sweep_builds_one_chain_and_walks_it_once_per_prime(monkeypatch):
+    builds, walks = [], []
+    euclid_chain, walk = lattice._euclid_chain, lattice._walk
+
+    def counted_chain(*args):
+        builds.append(args)
+        return euclid_chain(*args)
+
+    def counted_walk(chain, *args):
+        walks.append(chain)
+        return walk(chain, *args)
+
+    monkeypatch.setattr(lattice, "_euclid_chain", counted_chain)
+    monkeypatch.setattr(lattice, "_walk", counted_walk)
     top = genus_cutoff(101, 203)
     result = sigma_d_sweep(K(101, 203), top)
-    assert len(calls) == len(result) == len(primes_upto(top))
+    assert builds == [(101, 203)]
+    assert len(walks) == len(result) == len(primes_upto(top))
+    assert all(chain is walks[0] for chain in walks)
     for d in (2, 3, 7, 29, 101, 211):
-        calls.clear()
+        builds.clear()
+        walks.clear()
         sigma_d_counting(101, 203, d)
-        assert len(calls) == 1, d
+        assert builds == [(101, 203)] and len(walks) == 1, d
+
+
+def test_sweep_matches_enumeration_at_every_prime():
+    # every prime d <= 43 includes each d | p and d | q, where a window edge
+    # passes through a column or row of the lattice
+    for p, q in coprime_range(39, 40):
+        sweep = sigma_d_sweep(K(p, q), 43)
+        assert list(sweep) == primes_upto(43)
+        for d, s in sweep.items():
+            assert s == lattice.sigma_d_enumerated(p, q, d), (p, q, d)
 
 
 def test_window_boundary_detector_matches_enumeration():
@@ -1540,12 +1575,12 @@ def test_window_boundary_detector_matches_enumeration():
     hits = {"composite d": 0, "common factor": 0}
     for p in range(1, 19):
         for q in range(p + 1, 24):
-            lattice = {i * q + j * p for i in range(1, p) for j in range(1, q)}
+            points = {i * q + j * p for i in range(1, p) for j in range(1, q)}
             for d in range(2, 17):
                 a = d // 2
                 for num in (a * p * q, (d + a) * p * q):
                     fast = num % d == 0 and _lattice_hit(p, q, num // d)
-                    slow = any(d * x == num for x in lattice)
+                    slow = any(d * x == num for x in points)
                     assert fast == slow, (p, q, d, num)
                     if fast:
                         kind = ("composite d" if not is_prime(d)
@@ -1553,9 +1588,14 @@ def test_window_boundary_detector_matches_enumeration():
                         hits[kind] += 1
                         assert kind == "composite d" or math.gcd(p, q) > 1
     assert hits["composite d"] > 0 and hits["common factor"] > 0
-    # (6, 9) at d = 2: 2(1*9 + 3*6) = 54 = (2+1)*6*9
+    # (6, 9) at d = 2: 2(1*9 + 3*6) = 54 = (2+1)*6*9, which the kernel
+    # itself detects; sigma_d_counting rejects (p, q) with a common factor
+    # before counting
     with pytest.raises(InternalCheckError):
-        sigma_d_counting(6, 9, 2)
+        lattice._window_counts(6, 9, [2])
+    for p, q, d in [(4, 6, 5), (6, 9, 5), (10, 15, 7), (6, 9, 2)]:
+        with pytest.raises(DomainError):
+            sigma_d_counting(p, q, d)
 
 
 def test_prime_divisors_match_trial_division():
@@ -1593,12 +1633,13 @@ def test_sweep_rejects_a_trivial_knot(k):
 def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
     # -5 is odd; -2 is even but above the -4 bound, and T(5,7) is not T(2,3).
     # sigma_d_counting and sigma_d_sweep (classify's route) both read the
-    # window count as the module global _window_count
+    # window count as the module global _window_counts
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for bad in (-5, -2):
-        monkeypatch.setattr(lattice, "_window_count", lambda p, q, d: bad)
+        monkeypatch.setattr(lattice, "_window_counts",
+                            lambda p, q, primes: [bad] * len(primes))
         with pytest.raises(InternalCheckError):
             tristram_sigma(K(5, 7), 3, method="counting")
         # the check must survive python -O, and the CLI maps it to exit 3
@@ -1606,7 +1647,7 @@ def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
             "import sys\n"
             "from torustwist import TorusKnotParams, cli, lattice, tristram\n"
             "from torustwist.errors import InternalCheckError\n"
-            f"lattice._window_count = lambda p, q, d: {bad}\n"
+            f"lattice._window_counts = lambda p, q, ds: [{bad}] * len(ds)\n"
             "try:\n"
             "    tristram.tristram_sigma(TorusKnotParams(5, 7), 3,\n"
             "                            method='counting')\n"
