@@ -242,7 +242,7 @@ def _scan_row(pair):
 
 def scan_rows(p_range, q_range, jobs=1):
     """Classify every coprime pair in the box; rows sorted by (p, q), and
-    identical for every parallelism degree.  At most min(jobs, CPU count,
+    identical for every parallelism degree.  At most min(jobs, usable CPUs,
     number of pairs) worker processes are started.  Jobs below 1, or a box
     with a bound above MAX_Q in absolute value or with more than
     MAX_SCAN_CELLS cells, is rejected before any pair is listed, so every
@@ -273,7 +273,11 @@ def scan_rows(p_range, q_range, jobs=1):
                     f"cutoffs of its knots sum past MAX_TABLE_OMEGAS = "
                     f"{MAX_TABLE_OMEGAS}")
         pairs.append((p, q))
-    workers = min(jobs, os.cpu_count() or 1, len(pairs))
+    # the CPUs this process may run on: os.cpu_count() counts the host's,
+    # also under taskset or a container's CPU set
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus, len(pairs))
     if workers <= 1:
         return [_scan_row(pair) for pair in pairs]
     # about 16 chunks per worker: enough to balance the load, few enough

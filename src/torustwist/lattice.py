@@ -327,15 +327,23 @@ def sigma_d_sweep(k: TorusKnotParams, top: int, least: int = 2) -> dict:
 
     The knot is normalized and its domain checked once, the primes come
     from one sieve, and q/p's Euclid chain is built once, so each d costs
-    one walk of that chain and the invariant check of sigma_d."""
+    one walk of that chain.  The invariants of `_checked` are tested on all
+    the values at once; only if that fails does `_checked` run prime by
+    prime, to raise at the first prime that violates one."""
     nk, mirror = normalize(k)
     if nk.is_trivial:
         raise DomainError(f"{k} is trivial")
     primes = primes_upto(top)
     primes = primes[bisect_left(primes, least):]
-    out = {d: _checked(nk, d, s) for d, s in
-           zip(primes, _window_counts(nk.p, nk.q, primes))}
-    return {d: -s for d, s in out.items()} if mirror else out
+    values = _window_counts(nk.p, nk.q, primes)
+    # gcd(*values) is even iff every value is
+    if gcd(*values) % 2 or (max(values, default=-4) > -4
+                            and (nk.p, nk.q) != (2, 3)):
+        for d, s in zip(primes, values):
+            _checked(nk, d, s)
+    if mirror:
+        values = [-s for s in values]
+    return dict(zip(primes, values))
 
 
 def prop35_bound_check(k: TorusKnotParams, d: int,

@@ -24,7 +24,7 @@ knot.
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, cycle, repeat
 from json.encoder import encode_basestring_ascii
 from math import isqrt
 from operator import not_
@@ -256,14 +256,14 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     top = genus_cutoff(p, q)
     sigma_inputs = sigma_d_sweep(nk, top, 2 if top // 2 > p // 2 else 3)
     reasons = [None] * (top + 1)
-    for d in reversed(sigma_inputs):
+    for d, s in reversed(sigma_inputs.items()):
+        ks = condition_iv_multipliers(d, s)
         if 2 * d > top:
-            if 1 not in condition_iv_multipliers(d, sigma_inputs[d]):
+            if 1 not in ks:
                 reasons[d] = reason_iv(d)
             continue
-        kept = [(d * k, reasons[d * k])
-                for k in condition_iv_multipliers(d, sigma_inputs[d])
-                if 0 < d * k <= top]
+        kept = ([(d * k, reasons[d * k]) for k in ks if 0 < d * k <= top]
+                if ks else ())
         reasons[d::d] = [reason_iv(d)] * (top // d)
         for w, r in kept:
             reasons[w] = r
@@ -334,33 +334,79 @@ def survivors_p_plus_4(p: int):
 # ---------------------------------------------------------------------------
 
 
-# the genus tail is rendered in blocks of TAIL_BLOCK consecutive w (a power
-# of ten) that share their leading digits
+# every w is rendered from decimal blocks of TAIL_BLOCK consecutive w (a
+# power of ten) that share their leading digits
 TAIL_BLOCK = 100
 _BLOCK_DIGITS = len(str(TAIL_BLOCK - 1))
+# the low digits of each w in a block, built once: zero-padded after the
+# first block, and str(r) in the first, whose leading digits are "" (the
+# ones that need no padding are the same strings)
+_LOW_PADDED = [f"{r:0{_BLOCK_DIGITS}d}" for r in range(TAIL_BLOCK)]
+_LOW_FIRST = [low if low[0] != "0" else str(r)
+              for r, low in enumerate(_LOW_PADDED)]
 
 
-# the separators between two tail w in the text and the JSON rendering;
-# in JSON, the end of one item and the start of the next
-_TEXT_TAIL_SEP = f": {REASON_GENUS}\n  omega="
-_JSON_GENUS = encode_basestring_ascii(REASON_GENUS)
-_JSON_TAIL_SEP = f",\n      {_JSON_GENUS}\n    ],\n    [\n      "
-# each separator's fixed pieces of one whole block, built once: "", then
-# every zero-padded r < TAIL_BLOCK followed by the separator
-_BLOCK_PIECES = {
-    sep: ["", *(f"{r:0{_BLOCK_DIGITS}d}{sep}" for r in range(TAIL_BLOCK))]
-    for sep in (_TEXT_TAIL_SEP, _JSON_TAIL_SEP)}
+# The text that follows an eliminated w, up to the next w, in the text and
+# the JSON rendering; the last one of a list loses its lead-in to a next w.
+_TEXT_LEAD = "  omega="
+_JSON_LEAD = ",\n    [\n      "
+
+
+def _text_label(reason: str) -> str:
+    return f": {reason}\n{_TEXT_LEAD}"
+
+
+def _json_label(reason: str) -> str:
+    # the string encoder that json.dumps(str) itself calls
+    return f",\n      {encode_basestring_ascii(reason)}\n    ]{_JSON_LEAD}"
+
+
+# the head fields' fixed strings, encoded once
+_JSON_SCHEMA = encode_basestring_ascii(SCHEMA)
+_JSON_SIGMA_METHOD = encode_basestring_ascii(SIGMA_METHOD)
+# the separators between two tail w, and each one's fixed pieces of one
+# whole block, built once: "", then every zero-padded r < TAIL_BLOCK
+# followed by the separator
+_TEXT_TAIL_SEP = _text_label(REASON_GENUS)
+_JSON_TAIL_SEP = _json_label(REASON_GENUS)
+_BLOCK_PIECES = {sep: ["", *(f"{low}{sep}" for low in _LOW_PADDED)]
+                 for sep in (_TEXT_TAIL_SEP, _JSON_TAIL_SEP)}
+
+
+def _explicit_parts(reasons: tuple, label) -> list:
+    """Every w whose slot in `reasons` holds a reason, ascending, each
+    followed by label(reason), as a list of parts for the caller's join.
+
+    A w in block c = w // TAIL_BLOCK is str(c) ("" for c = 0) followed by
+    its low digits (_LOW_FIRST in block 0, _LOW_PADDED after it), so each
+    such w takes three shared parts: its block's leading digits, its low
+    digits and its reason's label, built once per distinct reason.
+    compress picks them out of streams indexed by w, so no string is built
+    per w.
+    """
+    labels = {r: label(r) for r in set(reasons) if r}
+    slot_labels = list(map(labels.__getitem__, filter(None, reasons)))
+    blocks = ["", *map(str, range(1, len(reasons) // TAIL_BLOCK + 1))]
+    parts = [None] * (3 * len(slot_labels))
+    parts[0::3] = compress(chain.from_iterable(
+        map(repeat, blocks, repeat(TAIL_BLOCK))), reasons)
+    parts[1::3] = compress(chain(_LOW_FIRST, cycle(_LOW_PADDED)), reasons)
+    parts[2::3] = slot_labels
+    return parts
 
 
 def _tail_parts(tail: range, sep: str) -> list:
     """sep.join(map(str, tail)) as a list of parts, for the caller's join;
-    sep is one of the two renderers' separators.
+    sep is one of the two renderers' separators, the label of the genus
+    bound.
 
     Every w in [B*c, B*c + B - 1], B = TAIL_BLOCK and c >= 1, is str(c)
-    followed by the zero-padded w - B*c, so the text of such a block, each
-    w followed by sep, is one str(c).join of sep's fixed pieces
-    (_BLOCK_PIECES); only the w at the two ends of tail that fill no whole
-    block are written one by one.
+    followed by its zero-padded low digits (_LOW_PADDED), as in
+    _explicit_parts; but every w of the tail has the same label, so the
+    text of a whole block, each w followed by sep, is one str(c).join of
+    sep's fixed pieces (_BLOCK_PIECES), one part per block instead of three
+    per w.  Only the w at the two ends of tail that fill no whole block are
+    written one by one.
     """
     lo, hi = tail.start, tail.stop - 1   # the last w takes no sep
     if tail.step != 1 or hi < lo:
@@ -393,11 +439,13 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
                    "(omega <= 1 cannot change the knot type)\n")
         out.append("eliminated:\n")
         elims = cert.eliminations
-        out.extend(f"  omega={w}: {r}\n" for w, r in elims.explicit())
-        if elims.tail:
-            out.append("  omega=")
-            out += _tail_parts(elims.tail, _TEXT_TAIL_SEP)
-            out.append(f": {REASON_GENUS}\n")
+        if elims:
+            out.append(_TEXT_LEAD)
+            out += _explicit_parts(elims.reasons, _text_label)
+            if elims.tail:
+                out += _tail_parts(elims.tail, _TEXT_TAIL_SEP)
+                out.append(_TEXT_TAIL_SEP)
+            out[-1] = out[-1].removesuffix(_TEXT_LEAD)
         out.append("survivors:\n")
         out.extend(f"  (n={s.n}, omega={s.omega})\n" for s in cert.survivors)
         out.append("sigma-inputs:\n")
@@ -418,20 +466,9 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
     return "".join(out)
 
 
-def _fields_around_lists(cert: ObstructionCertificate):
-    """The certificate's JSON fields before "eliminations" and after
-    "sigma_inputs"."""
-    head = {
-        "schema": SCHEMA,
-        "knot": [cert.knot.p, cert.knot.q],
-        "normalized": [cert.normalized.p, cert.normalized.q],
-        "mirror": cert.mirror,
-        "trivial": cert.trivial,
-        "exceptional": cert.exceptional,
-        "sigma_method": SIGMA_METHOD,
-        "verdict": cert.verdict,
-    }
-    tail = {
+def _fields_after_lists(cert: ObstructionCertificate) -> dict:
+    """The certificate's JSON fields after "sigma_inputs"."""
+    return {
         "templates": [{
             "label": t.label, "sigma_m": t.sigma_m, "b2_plus": t.b2_plus,
             "b2_minus": t.b2_minus, "xi_constant": t.xi_constant,
@@ -441,19 +478,24 @@ def _fields_around_lists(cert: ObstructionCertificate):
         } for t in cert.templates],
         "notes": list(cert.notes),
     }
-    return head, tail
 
 
 def certificate_to_dict(cert: ObstructionCertificate) -> dict:
     """The certificate as plain JSON data; json.dumps of it with indent=2 is
     the reference that certificate_to_json is tested against."""
-    head, tail = _fields_around_lists(cert)
-    return {**head,
+    return {"schema": SCHEMA,
+            "knot": [cert.knot.p, cert.knot.q],
+            "normalized": [cert.normalized.p, cert.normalized.q],
+            "mirror": cert.mirror,
+            "trivial": cert.trivial,
+            "exceptional": cert.exceptional,
+            "sigma_method": SIGMA_METHOD,
+            "verdict": cert.verdict,
             "eliminations": [[e.omega, e.reason] for e in cert.eliminations],
             "survivors": [[s.n, s.omega] for s in cert.survivors],
             "sigma_inputs": {str(d): v for d, v in
                              sorted(cert.sigma_inputs.items())},
-            **tail}
+            **_fields_after_lists(cert)}
 
 
 def _json_block(items: list, brackets: str) -> str:
@@ -467,31 +509,46 @@ def _json_block(items: list, brackets: str) -> str:
 def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str:
     """json.dumps(certificate_to_dict(cert) | extra, indent=2) + "\n".
 
-    indent=2 runs the pure Python encoder, so the integer lists and the
-    sigma_inputs object are written from one template per item instead.
-    The eliminations list every w in [2, q-1]: each distinct reason is
-    encoded once by the string encoder that json.dumps(str) itself calls,
-    and the genus tail is written in decimal blocks (_tail_parts).
+    indent=2 runs the pure Python encoder, so only the trailing fields
+    (templates, notes and extra's) go through json.dumps, as one object
+    spliced in.  The head fields are written from one template, and the
+    survivors and the sigma_inputs object from one template per item.  The
+    eliminations list every w in [2, q-1], each written from decimal
+    blocks with no string built per w: the slots below the genus cutoff by
+    _explicit_parts, each distinct reason encoded once by the string
+    encoder that json.dumps(str) itself calls, and the genus tail by
+    _tail_parts.
     """
-    head, tail = _fields_around_lists(cert)
-    if extra:
-        tail.update(extra)
+    k, nk = cert.knot, cert.normalized
+    out = [f'{{\n  "schema": {_JSON_SCHEMA},\n'
+           f'  "knot": [\n    {k.p},\n    {k.q}\n  ],\n'
+           f'  "normalized": [\n    {nk.p},\n    {nk.q}\n  ],\n'
+           f'  "mirror": {str(cert.mirror).lower()},\n'
+           f'  "trivial": {str(cert.trivial).lower()},\n'
+           f'  "exceptional": {str(cert.exceptional).lower()},\n'
+           f'  "sigma_method": {_JSON_SIGMA_METHOD},\n'
+           f'  "verdict": {encode_basestring_ascii(cert.verdict)},\n'
+           '  "eliminations": ']
     elims = cert.eliminations
-    encoded = {r: encode_basestring_ascii(r) for r in set(elims.reasons) if r}
-    array = [",\n".join([f"    [\n      {w},\n      {encoded[r]}\n    ]"
-                         for w, r in elims.explicit()])]
-    if elims.tail:
-        array += [",\n" if array[0] else "", "    [\n      ",
-                  *_tail_parts(elims.tail, _JSON_TAIL_SEP),
-                  f",\n      {_JSON_GENUS}\n    ]"]
-    survivors = _json_block([f"    [\n      {s.n},\n      {s.omega}\n    ]"
-                             for s in cert.survivors], "[]")
-    sigma_inputs = _json_block([f'    "{d}": {v}' for d, v in
-                                sorted(cert.sigma_inputs.items())], "{}")
-    # splice the lists between the two objects (drop head's "\n}" and
-    # tail's "{\n") in one join, so that the O(q) tail text is copied once
-    return "".join([json.dumps(head, indent=2)[:-2], ',\n  "eliminations": ',
-                    "[\n" if elims else "[", *array, "\n  ]" if elims else "]",
-                    ',\n  "survivors": ', survivors,
-                    ',\n  "sigma_inputs": ', sigma_inputs,
-                    ",\n", json.dumps(tail, indent=2)[2:], "\n"])
+    if elims:
+        out.append("[\n    [\n      ")
+        out += _explicit_parts(elims.reasons, _json_label)
+        if elims.tail:
+            out += _tail_parts(elims.tail, _JSON_TAIL_SEP)
+            out.append(_JSON_TAIL_SEP)
+        out[-1] = out[-1].removesuffix(_JSON_LEAD) + "\n  ]"
+    else:
+        out.append("[]")
+    out += [',\n  "survivors": ',
+            _json_block([f"    [\n      {s.n},\n      {s.omega}\n    ]"
+                         for s in cert.survivors], "[]"),
+            ',\n  "sigma_inputs": ',
+            _json_block([f'    "{d}": {v}' for d, v in
+                         sorted(cert.sigma_inputs.items())], "{}")]
+    fields = _fields_after_lists(cert)
+    if extra:
+        fields.update(extra)
+    # the trailing object without its "{\n", spliced after sigma_inputs
+    out += [",\n", json.dumps(fields, indent=2)[2:], "\n"]
+    # one join, so that the O(q) tail text is copied once
+    return "".join(out)

@@ -444,18 +444,28 @@ def test_scan_jobs_clamped_to_cpus_and_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    # 4 CPUs in this process's affinity mask, on an 8-CPU host
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     serial = scan_rows((2, 9), (3, 12), jobs=1)
     assert scan_rows((2, 9), (3, 12), jobs=10 ** 6) == serial
     assert scan_rows((2, 2), (3, 5), jobs=10 ** 6) == scan_rows((2, 2), (3, 5))
     wide = scan_rows((2, 30), (3, 60), jobs=1)
     assert scan_rows((2, 30), (3, 60), jobs=3) == wide
-    # 4 CPUs; the second box holds the 2 pairs (2, 3) and (2, 5)
+    # 4 usable CPUs; the second box holds the 2 pairs (2, 3) and (2, 5)
     assert seen == [4, 2, 3]
     # about 16 chunks per worker, each of at least one pair: 769 pairs do
     # not fit 16 * 3 chunks of 16, so the chunks hold 17
     assert len(wide) == 16 * 3 * 16 + 1
     assert chunks == [(len(serial), 1), (2, 1), (len(wide), 17)]
+    # a platform without an affinity mask falls back to the CPU count
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert scan_rows((2, 9), (3, 12), jobs=10 ** 6) == serial
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert scan_rows((2, 9), (3, 12), jobs=10 ** 6) == serial
+    assert seen == [4, 2, 3, 3]
 
 
 def test_scan_golden_csv():

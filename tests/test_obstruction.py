@@ -262,6 +262,22 @@ def _renderer_certs():
               range(42, 1234)]
     certs += [dataclasses.replace(certs[4], eliminations=Eliminations((), t))
               for t in tails]
+    # the slots below the cutoff are rendered in the same blocks: a reason
+    # and a survivor (None) at each block edge and digit-width change, one
+    # sparse and one dense list, with a reason that needs escaping past the
+    # first block and a tail after the dense one
+    edges = (99, 100, 101, 999, 1000, 9999, 10000)
+    escaped = 'quote " and \u00e9'
+    for picked in (edges[0::2], edges[1::2]):
+        certs.append(dataclasses.replace(certs[5], eliminations=Eliminations(
+            _slots({**dict.fromkeys(picked, REASON_KIKUCHI), 150: escaped}))))
+    dense = [None, None, *(obstruction.reason_iv(w % 3 + 2) for w in
+                           range(2, 10002))]
+    for w in edges:
+        dense[w] = None
+    dense[150] = escaped
+    certs.append(dataclasses.replace(certs[5], eliminations=Eliminations(
+        tuple(dense), range(10002, 10107))))
     return certs
 
 
@@ -303,6 +319,21 @@ def test_tail_parts_are_one_per_block(tail):
         parts = obstruction._tail_parts(tail, sep)
         assert "".join(parts) == sep.join(map(str, tail))
         assert len(parts) <= len(tail) // block + 2 * block
+
+
+def test_explicit_parts_are_shared_strings():
+    # the slots below the cutoff of a near-diagonal knot: three parts per
+    # eliminated w, all shared, one leading-digit string per block of
+    # TAIL_BLOCK w, not one string per w, with either renderer's label
+    reasons = classify(K(30001, 30011)).eliminations.reasons
+    top = len(reasons) - 1
+    assert top == 30006
+    distinct = len(set(filter(None, reasons)))
+    for label in (obstruction._text_label, obstruction._json_label):
+        parts = obstruction._explicit_parts(reasons, label)
+        assert "".join(parts) == "".join(f"{w}{label(r)}" for w, r in
+                                         enumerate(reasons) if r)
+        assert len(set(map(id, parts))) <= top // 100 + 200 + distinct
 
 
 def test_max_q_memory_bound():

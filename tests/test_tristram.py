@@ -1660,6 +1660,43 @@ def test_odd_sigma_is_an_internal_check_error_also_under_O(monkeypatch):
         assert "internal consistency failure" in res.stderr
 
 
+def test_sweep_check_names_the_first_bad_prime_also_under_O(monkeypatch):
+    # the sweep tests all its values at once and, only when that fails,
+    # checks them prime by prime; a bad value at the last prime (odd, or
+    # even above the -4 bound), and at two primes, is reported at the
+    # first bad one, in-process and under python -O
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    primes = primes_upto(13)
+    for bad, at in [(-5, [-1]), (-2, [-1]), (-5, [2, 4]), (-2, [4, 2])]:
+        values = [-10] * len(primes)
+        for i in at:
+            values[i] = bad
+        first = primes[min(i % len(primes) for i in at)]
+        monkeypatch.setattr(lattice, "_window_counts",
+                            lambda p, q, ds, values=values: list(values))
+        with pytest.raises(InternalCheckError, match=rf"sigma_{first}\("):
+            sigma_d_sweep(K(5, 7), 13)
+        script = (
+            "from torustwist import TorusKnotParams, lattice\n"
+            "from torustwist.errors import InternalCheckError\n"
+            f"lattice._window_counts = lambda p, q, ds: {values}\n"
+            "try:\n"
+            "    lattice.sigma_d_sweep(TorusKnotParams(5, 7), 13)\n"
+            "except InternalCheckError as e:\n"
+            "    print(e)\n")
+        res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith(f"sigma_{first}(T(5,7)) = {bad} "), (
+            values, res.stdout)
+    # every value valid: no error, and the mirror negates them all
+    monkeypatch.setattr(lattice, "_window_counts",
+                        lambda p, q, ds: [-10] * len(ds))
+    assert sigma_d_sweep(K(-5, 7), 13) == dict.fromkeys(primes, 10)
+
+
 def test_invariant_checks_survive_python_O():
     # one violated invariant per module; a bare assert would vanish under -O
     script = (
