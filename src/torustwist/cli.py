@@ -306,7 +306,8 @@ def render_scan_csv(rows) -> str:
 
 def parse_scan_csv(text: str):
     lines = text.strip("\n").split("\n")
-    if lines[0] != f"# {SCAN_SCHEMA}" or lines[1] != ",".join(SCAN_COLUMNS):
+    if (len(lines) < 2 or lines[0] != f"# {SCAN_SCHEMA}"
+            or lines[1] != ",".join(SCAN_COLUMNS)):
         raise ValueError("not a scan csv")
     rows = []
     for line in lines[2:]:

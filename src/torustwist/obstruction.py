@@ -97,10 +97,6 @@ class Eliminations:
     reasons: tuple = ()
     tail: range = range(0)
 
-    def explicit(self):
-        """The (w, reason) pairs of the slots that hold a reason."""
-        return compress(enumerate(self.reasons), self.reasons)
-
     def __len__(self):
         return len(self.reasons) - self.reasons.count(None) + len(self.tail)
 
@@ -109,24 +105,27 @@ class Eliminations:
         return bool(self.tail) or any(self.reasons)
 
     def __iter__(self):
-        # tuple.__new__ builds the items without a Python-level __new__
-        # call each
+        # the (w, reason) pairs of the slots that hold a reason, then the
+        # tail's; tuple.__new__ builds the items without a Python-level
+        # __new__ call each
         return map(tuple.__new__, repeat(Elimination), chain(
-            self.explicit(), zip(self.tail, repeat(REASON_GENUS))))
+            compress(enumerate(self.reasons), self.reasons),
+            zip(self.tail, repeat(REASON_GENUS))))
 
 
 @dataclass(frozen=True)
 class TemplateReport:
+    """One built-in chain's ledger and the w it admits.  classify raises
+    InternalCheckError on an inapplicable chain, so every report is of an
+    applicable one."""
     label: str
     sequence: str
     sigma_m: int
     b2_plus: int
     b2_minus: int
     xi_constant: int          # xi.xi = -w^2 + xi_constant
-    applicable: bool
-    omega_squared: int = None  # required w^2 when applicable
-    admissible: tuple = ()
-    note: str = ""
+    omega_squared: int        # the w^2 the chain requires
+    admissible: tuple
 
 
 @dataclass
@@ -275,13 +274,6 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     for seq in template_sequences(nk):
         ledger = ledger_from_sequence(seq)
         res = kikuchi_eliminate(ledger)
-        template_reports.append(TemplateReport(
-            label=seq.label, sequence=serialize_sequence(seq),
-            sigma_m=ledger.sigma_m, b2_plus=ledger.b2_plus,
-            b2_minus=ledger.b2_minus,
-            xi_constant=ledger.xi_constant,
-            applicable=res.applicable, omega_squared=res.omega_squared,
-            admissible=res.admissible, note=res.reason))
         # Every built-in chain is applicable and forces an odd omega^2 (see
         # template_sequences): b2^+ <= 3 and b2^- = 2 in all three
         # families, every +-CP^2 move has odd v (p or t), and every even
@@ -293,6 +285,12 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
             raise InternalCheckError(
                 f"template {seq.label} for {nk} forces an even "
                 f"omega^2 = {res.omega_squared}")
+        template_reports.append(TemplateReport(
+            label=seq.label, sequence=serialize_sequence(seq),
+            sigma_m=ledger.sigma_m, b2_plus=ledger.b2_plus,
+            b2_minus=ledger.b2_minus,
+            xi_constant=ledger.xi_constant, omega_squared=res.omega_squared,
+            admissible=res.admissible))
         allowed = set(res.admissible)
         for w in alive:
             if w % 2 == 1 and w not in allowed:
@@ -364,13 +362,12 @@ def _json_label(reason: str) -> str:
 # the head fields' fixed strings, encoded once
 _JSON_SCHEMA = encode_basestring_ascii(SCHEMA)
 _JSON_SIGMA_METHOD = encode_basestring_ascii(SIGMA_METHOD)
-# the separators between two tail w, and each one's fixed pieces of one
-# whole block, built once: "", then every zero-padded r < TAIL_BLOCK
-# followed by the separator
-_TEXT_TAIL_SEP = _text_label(REASON_GENUS)
-_JSON_TAIL_SEP = _json_label(REASON_GENUS)
-_BLOCK_PIECES = {sep: ["", *(f"{low}{sep}" for low in _LOW_PADDED)]
-                 for sep in (_TEXT_TAIL_SEP, _JSON_TAIL_SEP)}
+# each renderer's fixed pieces of one whole block of the genus tail, built
+# once: "", then every zero-padded r < TAIL_BLOCK followed by the label of
+# the genus bound
+_BLOCK_PIECES = {label: ["", *(f"{low}{label(REASON_GENUS)}"
+                               for low in _LOW_PADDED)]
+                 for label in (_text_label, _json_label)}
 
 
 def _explicit_parts(reasons: tuple, label) -> list:
@@ -395,32 +392,31 @@ def _explicit_parts(reasons: tuple, label) -> list:
     return parts
 
 
-def _tail_parts(tail: range, sep: str) -> list:
-    """sep.join(map(str, tail)) as a list of parts, for the caller's join;
-    sep is one of the two renderers' separators, the label of the genus
-    bound.
+def _add_eliminations(out: list, elims: Eliminations, label, lead: str):
+    """Append to out every w of elims, ascending, each followed by
+    label(reason), and strip the lead-in to a next w off the last part.
+    elims is nonempty, and the caller has written the first w's lead-in.
 
-    Every w in [B*c, B*c + B - 1], B = TAIL_BLOCK and c >= 1, is str(c)
-    followed by its zero-padded low digits (_LOW_PADDED), as in
-    _explicit_parts; but every w of the tail has the same label, so the
-    text of a whole block, each w followed by sep, is one str(c).join of
-    sep's fixed pieces (_BLOCK_PIECES), one part per block instead of three
-    per w.  Only the w at the two ends of tail that fill no whole block are
-    written one by one.
+    The slots below the genus cutoff come from _explicit_parts.  Every w of
+    the genus tail in [B*c, B*c + B - 1], B = TAIL_BLOCK and c >= 1, is
+    str(c) followed by its zero-padded low digits, as there; but every tail
+    w has the same label, so the text of a whole block is one str(c).join
+    of the label's fixed pieces (_BLOCK_PIECES), one part per block instead
+    of three per w.  Only the w at the two ends of the tail that fill no
+    whole block are written one by one.
     """
-    lo, hi = tail.start, tail.stop - 1   # the last w takes no sep
-    if tail.step != 1 or hi < lo:
-        raise InternalCheckError(f"genus tail {tail} is not a nonempty run")
-    # the whole blocks are c in [first, last); the block of hi is not whole
-    # for this purpose, since hi takes no sep
-    first = max(-(-lo // TAIL_BLOCK), 1)
-    last = hi // TAIL_BLOCK
-    if first >= last:
-        return [*(f"{w}{sep}" for w in range(lo, hi)), str(hi)]
-    pieces = _BLOCK_PIECES[sep]
-    return [*(f"{w}{sep}" for w in range(lo, first * TAIL_BLOCK)),
-            *map(str.join, map(str, range(first, last)), repeat(pieces)),
-            *(f"{w}{sep}" for w in range(last * TAIL_BLOCK, hi)), str(hi)]
+    out += _explicit_parts(elims.reasons, label)
+    start, stop = elims.tail.start, elims.tail.stop
+    sep = label(REASON_GENUS)
+    # the whole blocks are c in [first, last), none if the tail has none;
+    # the tail starts above the genus cutoff, at w >= 3, so first >= 1
+    first = -(-start // TAIL_BLOCK)
+    last = max(stop // TAIL_BLOCK, first)
+    out += [f"{w}{sep}" for w in range(start, min(first * TAIL_BLOCK, stop))]
+    out += map(str.join, map(str, range(first, last)),
+               repeat(_BLOCK_PIECES[label]))
+    out += [f"{w}{sep}" for w in range(last * TAIL_BLOCK, stop)]
+    out[-1] = out[-1].removesuffix(lead)
 
 
 def certificate_to_text(cert: ObstructionCertificate) -> str:
@@ -438,14 +434,9 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
         out.append(f"candidates: omega in [2,{q - 1}] with n=1 "
                    "(omega <= 1 cannot change the knot type)\n")
         out.append("eliminated:\n")
-        elims = cert.eliminations
-        if elims:
+        if cert.eliminations:
             out.append(_TEXT_LEAD)
-            out += _explicit_parts(elims.reasons, _text_label)
-            if elims.tail:
-                out += _tail_parts(elims.tail, _TEXT_TAIL_SEP)
-                out.append(_TEXT_TAIL_SEP)
-            out[-1] = out[-1].removesuffix(_TEXT_LEAD)
+            _add_eliminations(out, cert.eliminations, _text_label, _TEXT_LEAD)
         out.append("survivors:\n")
         out.extend(f"  (n={s.n}, omega={s.omega})\n" for s in cert.survivors)
         out.append("sigma-inputs:\n")
@@ -454,26 +445,24 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
         out.append("templates:\n")
         for t in cert.templates:
             adm = ",".join(str(a) for a in t.admissible) or "none"
-            if t.applicable:
-                detail = f"omega^2 = {t.omega_squared}; admissible: {adm}"
-            else:
-                detail = f"inapplicable ({t.note})"
             out.append(f"  {t.label}: sigma(M)={t.sigma_m} "
                        f"b2+={t.b2_plus} b2-={t.b2_minus} "
-                       f"xi.xi=-omega^2+{t.xi_constant}; {detail}\n")
+                       f"xi.xi=-omega^2+{t.xi_constant}; "
+                       f"omega^2 = {t.omega_squared}; admissible: {adm}\n")
     out.extend(f"note: {n}\n" for n in cert.notes)
     # one join, so that the O(q) tail text is copied once
     return "".join(out)
 
 
 def _fields_after_lists(cert: ObstructionCertificate) -> dict:
-    """The certificate's JSON fields after "sigma_inputs"."""
+    """The certificate's JSON fields after "sigma_inputs".  Every template
+    in a certificate is applicable, with no note (see TemplateReport)."""
     return {
         "templates": [{
             "label": t.label, "sigma_m": t.sigma_m, "b2_plus": t.b2_plus,
             "b2_minus": t.b2_minus, "xi_constant": t.xi_constant,
-            "applicable": t.applicable, "omega_squared": t.omega_squared,
-            "admissible": list(t.admissible), "note": t.note,
+            "applicable": True, "omega_squared": t.omega_squared,
+            "admissible": list(t.admissible), "note": "",
             "sequence": t.sequence,
         } for t in cert.templates],
         "notes": list(cert.notes),
@@ -513,11 +502,9 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
     (templates, notes and extra's) go through json.dumps, as one object
     spliced in.  The head fields are written from one template, and the
     survivors and the sigma_inputs object from one template per item.  The
-    eliminations list every w in [2, q-1], each written from decimal
-    blocks with no string built per w: the slots below the genus cutoff by
-    _explicit_parts, each distinct reason encoded once by the string
-    encoder that json.dumps(str) itself calls, and the genus tail by
-    _tail_parts.
+    eliminations list every w in [2, q-1], written by _add_eliminations
+    from decimal blocks with no string built per w, each distinct reason
+    encoded once by the string encoder that json.dumps(str) itself calls.
     """
     k, nk = cert.knot, cert.normalized
     out = [f'{{\n  "schema": {_JSON_SCHEMA},\n'
@@ -529,14 +516,10 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
            f'  "sigma_method": {_JSON_SIGMA_METHOD},\n'
            f'  "verdict": {encode_basestring_ascii(cert.verdict)},\n'
            '  "eliminations": ']
-    elims = cert.eliminations
-    if elims:
+    if cert.eliminations:
         out.append("[\n    [\n      ")
-        out += _explicit_parts(elims.reasons, _json_label)
-        if elims.tail:
-            out += _tail_parts(elims.tail, _JSON_TAIL_SEP)
-            out.append(_JSON_TAIL_SEP)
-        out[-1] = out[-1].removesuffix(_JSON_LEAD) + "\n  ]"
+        _add_eliminations(out, cert.eliminations, _json_label, _JSON_LEAD)
+        out.append("\n  ]")
     else:
         out.append("[]")
     out += [',\n  "survivors": ',

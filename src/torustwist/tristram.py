@@ -188,6 +188,22 @@ def build_form(f: SeifertForm, d: int, source=None) -> HermitianForm:
 
 
 @lru_cache(maxsize=None)
+def _machin_pi(w: int):
+    """(pi, e_pi): pi in fixed point at w bits from Machin's formula, and
+    the bound on its error that `_root_bounds` derives; computed once per
+    working precision, since it does not depend on d."""
+    pi = e_pi = 0
+    for x, m in ((5, 16), (239, -4)):
+        k, y = 0, (1 << w) // x
+        e_pi += abs(m)
+        while y:
+            pi += m * (y // (2 * k + 1))
+            m, y, k = -m, y // (x * x), k + 1
+            e_pi += abs(m)
+    return pi, e_pi
+
+
+@lru_cache(maxsize=None)
 def _root_bounds(d: int, bits: int):
     """Integer enclosures ((c_lo, c_hi), (s_lo, s_hi)) of 2^bits cos(t) and
     2^bits sin(t), t = 2*pi*a/d, each at most 2 wide: the one place where z
@@ -217,14 +233,7 @@ def _root_bounds(d: int, bits: int):
     below 2^g, which bounds the width by 2."""
     g = 2 * (bits + 64).bit_length() + 2
     w = bits + g
-    pi = e_pi = 0
-    for x, m in ((5, 16), (239, -4)):
-        k, y = 0, (1 << w) // x
-        e_pi += abs(m)
-        while y:
-            pi += m * (y // (2 * k + 1))
-            m, y, k = -m, y // (x * x), k + 1
-            e_pi += abs(m)
+    pi, e_pi = _machin_pi(w)
     odd = d - 2 * (d // 2)
     phi, r = divmod(pi * odd, d)
     e = -(-odd * e_pi // d) + (r != 0)

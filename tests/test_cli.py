@@ -48,6 +48,14 @@ def test_sigma_mirror(capsys):
     assert all(line.endswith(" 4") for line in out.splitlines())
 
 
+def test_sigma_all_disagreement_is_an_internal_check_error(capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(cli, "sigma_closed", lambda k: -18)
+    code, out, err = run(capsys, "sigma", "-p", "5", "-q", "8", "--all")
+    assert code == 3 and "signature methods disagree" in err
+    assert "closed: -18" in out
+
+
 def test_invalid_input_exit_code(capsys):
     code, _, err = run(capsys, "sigma", "-p", "4", "-q", "6")
     assert code == 2 and "coprime" in err
@@ -303,6 +311,20 @@ def test_tables_thm13(capsys):
     assert all(r.endswith("NotInT") for r in rows)
 
 
+def test_tables_json_rows_are_the_csv_rows(capsys):
+    argv = ["tables", "--which", "thm1.3", "--n-max", "2", "--format"]
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == "torustwist-tables/1" and doc["table"] == "thm1.3"
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "family,p,q,verdict"
+    assert [f"{r['family']},{r['p']},{r['q']},{r['verdict']}"
+            for r in doc["rows"]] == rows
+
+
 def test_tables_thm15_row(capsys):
     code, out, _ = run(capsys, "tables", "--which", "thm1.5", "--n-max", "1",
                        "--format", "csv")
@@ -387,6 +409,26 @@ def test_scan_csv_roundtrip():
     rows = scan_rows((2, 6), (3, 9))
     text = render_scan_csv(rows)
     assert render_scan_csv(parse_scan_csv(text)) == text
+
+
+@pytest.mark.parametrize("text", ["# torustwist-scan/1\n", "",
+                                  "# torustwist-scan/1\n"
+                                  "p,q,exceptional,verdict,survivors,sigma,"
+                                  "sigma_d_used\n5,7,false,NotInT,-16\n"],
+                         ids=["header-only", "empty", "short-row"])
+def test_parse_scan_csv_rejects_short_input(text):
+    with pytest.raises(ValueError):
+        parse_scan_csv(text)
+
+
+def test_scan_interrupt_writes_a_truncation_line(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "scan_rows", interrupted)
+    code, out, _ = run(capsys, "scan", "--p-min", "2", "--p-max", "5",
+                       "--q-min", "3", "--q-max", "8", "--format", "csv")
+    assert code == 130 and out == "# scan truncated by interrupt\n"
 
 
 def test_scan_exceptional_only(capsys):
@@ -521,3 +563,30 @@ def test_readme_command_lines_run(capsys, monkeypatch):
         out = capsys.readouterr()
         assert code == 0, (line, out.err)
         assert out.out, line
+
+
+def test_output_digests_tool():
+    # one line per command, and each scan format's output does not depend
+    # on --jobs
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, str(ROOT / "tools" /
+                                              "output_digests.py")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 41
+    digests = {}
+    for line in lines:
+        digest, sep, argv = line.partition("  ")
+        assert sep and len(digest) == 64, line
+        assert set(digest) <= set("0123456789abcdef"), line
+        assert argv.split()[0] in ("classify", "scan", "tables", "sigma"), line
+        digests[argv] = digest
+    assert len(digests) == len(lines)
+    scans = [a for a in digests if a.startswith("scan ")]
+    assert len(scans) == 6
+    for argv in scans:
+        if argv.endswith("--jobs 1"):
+            assert digests[argv] == digests[argv[:-1] + "2"], argv

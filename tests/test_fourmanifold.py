@@ -206,6 +206,20 @@ def test_kikuchi_inapplicable_when_b2_large():
     assert "b2" in res.reason
 
 
+def test_kikuchi_inapplicable_when_not_characteristic():
+    # an S^2 x S^2 move with odd v: its class (v, -v) is not even
+    res = kikuchi_eliminate(FourManifoldLedger((TwistMove(2, 3),)))
+    assert not res.applicable
+    assert "characteristic" in res.reason
+
+
+def test_kikuchi_negative_omega_squared_admits_nothing():
+    # a -CP^2 move with v = 3: C - sigma(M) = -9 + 2 < 0, so no w^2 fits
+    res = kikuchi_eliminate(FourManifoldLedger((TwistMove(1, 3),)))
+    assert res.applicable
+    assert res.omega_squared == -7 and res.admissible == ()
+
+
 def test_gilmer_viro_reduces_to_divisibility_condition():
     # the bare (1, w)-move, a single -CP^2 with class w: the inequality is
     # exactly the two-valued divisibility constraint
@@ -317,6 +331,23 @@ def test_parse_syntax_errors():
     except SequenceSyntaxError as e:
         err = e
     assert err is not None and err.line == 2
+
+
+@pytest.mark.parametrize("text, error, line, message", [
+    ("# no start\ntwist n=-1 w=5 -> T(5,3)\nend unknot\n",
+     SequenceSyntaxError, 2, "must begin with 'start"),
+    ((DATA / "t58_untwist.seq").read_text() + "identify T(1,2)\n",
+     SequenceSyntaxError, 7, "content after 'end unknot'"),
+    ("start T(5,8)\ntwist n=0 w=5 -> T(5,8)\nend unknot\n",
+     SequenceSemanticError, 2, "0-twist"),
+    ("start T(5,8)\ntwist n=-1 w=5 -> T(2,4)\nend unknot\n",
+     SequenceSemanticError, 2, "not coprime"),
+], ids=["no-start", "after-end", "zero-twist", "not-coprime"])
+def test_parse_errors_name_their_line(text, error, line, message):
+    with pytest.raises(error) as err:
+        parse_sequence(text)
+    assert err.value.line == line
+    assert f"line {line}" in str(err.value) and message in str(err.value)
 
 
 # ---------------------------------------------------------------------------

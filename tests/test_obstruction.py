@@ -312,12 +312,18 @@ def test_certificate_text_matches_a_per_item_rendering(assert_same_text):
 @pytest.mark.parametrize("tail", [range(2, 3), range(99, 101), range(42, 1234),
                                   range(7, 1000003)])
 def test_tail_parts_are_one_per_block(tail):
-    # besides the partial blocks at the two ends, one part per block of
-    # TAIL_BLOCK w, not one per w, with either renderer's separator
+    # besides the partial blocks at the two ends, the eliminations writer
+    # appends one part per block of TAIL_BLOCK w of the genus tail, not one
+    # per w, with either renderer's label and lead-in
     block = obstruction.TAIL_BLOCK
-    for sep in (obstruction._TEXT_TAIL_SEP, obstruction._JSON_TAIL_SEP):
-        parts = obstruction._tail_parts(tail, sep)
-        assert "".join(parts) == sep.join(map(str, tail))
+    for label, lead in ((obstruction._text_label, obstruction._TEXT_LEAD),
+                        (obstruction._json_label, obstruction._JSON_LEAD)):
+        sep = label(REASON_GENUS)
+        parts = []
+        obstruction._add_eliminations(parts, Eliminations((), tail), label,
+                                      lead)
+        assert "".join(parts) == (sep.join(map(str, tail))
+                                  + sep.removesuffix(lead))
         assert len(parts) <= len(tail) // block + 2 * block
 
 
@@ -375,7 +381,7 @@ def test_classify_memory_per_omega_below_the_cutoff():
 def test_an_even_template_root_is_an_internal_check_error(monkeypatch):
     # every built-in template forces an odd omega^2, so classify treats an
     # even one as a broken invariant rather than as an elimination reason
-    assert any(t.applicable for t in classify(K(5, 8)).templates)
+    assert classify(K(5, 8)).templates
     monkeypatch.setattr(obstruction, "kikuchi_eliminate", lambda ledger:
                         KikuchiResult(True, omega_squared=36, admissible=(6,)))
     with pytest.raises(InternalCheckError):
@@ -483,13 +489,13 @@ def test_templates_only_eliminate():
     for p, q in [(5, 7), (7, 9), (9, 13), (5, 8), (7, 11), (11, 15),
                  (13, 17), (15, 19)]:
         cert = classify(K(p, q))
-        applicable = [t for t in cert.templates if t.applicable]
         for w, reason in cert.eliminations:
             if reason != REASON_KIKUCHI:
                 continue
             seen += 1
             assert w % 2 == 1 and w <= genus_cutoff(p, q), (p, q, w)
-            assert any(w not in t.admissible for t in applicable), (p, q, w)
+            assert any(w not in t.admissible
+                       for t in cert.templates), (p, q, w)
             assert not (w % 2 == 0 and w <= p)   # condition (iii)
             for d in prime_divisors(w):
                 assert condition_iv_check(

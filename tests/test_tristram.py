@@ -186,6 +186,17 @@ def test_root_bounds_enclose_cos_and_sin(d):
             assert bounds == ((-2 ** bits, -2 ** bits), (0, 0)), bits
 
 
+def test_pi_is_computed_once_per_precision():
+    # pi does not depend on d, so the root bounds of several d at one
+    # precision share one evaluation of Machin's formula
+    tristram._root_bounds.cache_clear()
+    tristram._machin_pi.cache_clear()
+    for d in (2, 3, 5, 7, 11):
+        tristram._root_bounds(d, 1024)
+    info = tristram._machin_pi.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 43, 97])
 def test_weight_bounds_enclose_every_weight(d):
     from mpmath import mp
