@@ -21,9 +21,9 @@ from .fourmanifold import (FourManifoldLedger, KikuchiResult, TwistSequence,
                            kikuchi_eliminate, ledger_from_sequence,
                            parse_sequence, serialize_sequence,
                            template_sequences)
-from .lattice import (corollary_bound, prop35_bound_check, sigma_2nr_closed,
-                      sigma_closed, sigma_d, sigma_d_counting, sigma_d_sweep,
-                      sigma_oracle, sigma_p_plus_4, sigma_p_plus_r)
+from .lattice import (corollary_bound, sigma_2nr_closed, sigma_closed, sigma_d,
+                      sigma_d_counting, sigma_d_sweep, sigma_oracle,
+                      sigma_p_plus_4, sigma_p_plus_r)
 from .obstruction import (CandidateTwist, ObstructionCertificate,
                           certificate_to_json, certificate_to_text, classify,
                           condition_iv_check, survivors_p_plus_2,
@@ -35,7 +35,8 @@ _LAZY = {name: module for module, names in (
     ("certify", ("Inertia",)),
     ("seifert", ("BraidWord", "SeifertForm", "genus_from_form",
                  "seifert_matrix", "torus_braid")),
-    ("tristram", ("HermitianForm", "build_form", "inertia", "tristram_sigma")),
+    ("tristram", ("HermitianForm", "build_form", "inertia",
+                  "prop35_bound_check", "tristram_sigma")),
 ) for name in names}
 
 

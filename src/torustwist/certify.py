@@ -39,7 +39,8 @@ underflow allowance.  Row i's interval is centred at m_ii with half-width
 (sum_{j != i} |m_ij| + r_i)(1 + g), the diagonal left out of the sum
 rather than subtracted from it, which could cancel the off-diagonal part.
 The precision rungs form the same intervals with the same helper
-(`_gershgorin_spread`), exactly and without the 1 + g, on integers.
+(`_gershgorin_spread`), exactly and without the 1 + g, on integers, and
+both kinds of rung count them by one numpy pass (`_gershgorin_count`).
 Overestimating r only costs an occasional escalation, never soundness.
 If it cannot separate the intervals, the precision rungs follow at 128,
 256, ... bits up to a cap, in Python integers only: a pivoted fixed-point
@@ -99,39 +100,6 @@ def _up(x, g):
     return x * (1.0 + 4.0 * g) + 16.0 * _TINY
 
 
-def _merge_and_count(lows, highs, nullity):
-    """Gershgorin component counting on the real line.
-
-    Each interval holds one eigenvalue; a maximal overlapping block of k
-    intervals holds exactly k.  Blocks strictly right of zero count as
-    positive, strictly left as negative.  Blocks containing zero must
-    account for exactly `nullity` eigenvalues (the exactly-known kernel);
-    otherwise the configuration is unresolved and None is returned.
-    """
-    n = len(lows)
-    order = sorted(range(n), key=lambda i: (lows[i], highs[i]))
-    n_plus = n_minus = n_zero_disks = 0
-    i = 0
-    while i < n:
-        lo = lows[order[i]]
-        hi = highs[order[i]]
-        j = i + 1
-        while j < n and lows[order[j]] <= hi:
-            hi = max(hi, highs[order[j]])
-            j += 1
-        count = j - i
-        if lo > 0.0:
-            n_plus += count
-        elif hi < 0.0:
-            n_minus += count
-        else:
-            n_zero_disks += count
-        i = j
-    if n_zero_disks != nullity:
-        return None
-    return Inertia(n_plus, nullity, n_minus)
-
-
 def _congruence(h: MRMatrix, q):
     """m = fl(Q^T fl(H_mid Q)) and r with sum_j |Q^T H Q - m|_ij <= r_i for
     every H in the enclosure h, by the chain in the module docstring."""
@@ -157,11 +125,28 @@ def _gershgorin_spread(m, r):
 
 
 def _gershgorin_count(m, r, nullity):
-    """`_merge_and_count` on the Gershgorin intervals of `_gershgorin_spread`
-    for m and r."""
+    """Inertia from the Gershgorin intervals of `_gershgorin_spread` for m
+    and r, or None if unresolved, by one numpy pass on floats or on object
+    arrays of Python ints.  A maximal overlapping run of k intervals holds
+    exactly k eigenvalues; runs right of zero are positive, left of it
+    negative, and those meeting zero must hold exactly `nullity`.  With
+    the low ends sorted, a gap before interval c ends a run when its low
+    end exceeds the running maximum of the high ends before it (an equal
+    one merges); the negative runs lie before the last gap with every high
+    end below zero, the positive ones after the first with every low end
+    above it."""
     centers, spread = m.diagonal(), _gershgorin_spread(m, r)
-    return _merge_and_count(list(centers - spread), list(centers + spread),
-                            nullity)
+    lows = centers - spread
+    order = np.argsort(lows, kind="stable")
+    lows, top = lows[order], np.maximum.accumulate((centers + spread)[order])
+    n = len(lows)
+    gap = np.ones(n + 1, dtype=bool)   # before interval c; 0 and n always
+    gap[1:n] = lows[1:] > top[:-1]
+    n_minus = int(np.flatnonzero(gap & np.append(True, top < 0))[-1])
+    n_plus = n - int(np.flatnonzero(gap & np.append(lows > 0, True))[0])
+    if n - n_plus - n_minus != nullity:
+        return None
+    return Inertia(n_plus, nullity, n_minus)
 
 
 def inertia_via_congruence(h: MRMatrix, nullity: int):

@@ -8,7 +8,8 @@ Subcommands:
 
 classify, tables and scan take every sigma_d from the integer counting
 kernel and import no numpy; only sigma's seifert route runs certified
-arithmetic, which loads numpy on first use.
+arithmetic, reached through the package's lazy `tristram_sigma`, which
+loads `tristram` and numpy on first use.
 
 Exit codes: 0 success, 2 invalid input, 3 internal consistency failure,
 4 precision exhaustion (sigma only).
@@ -23,7 +24,7 @@ from .core import TorusKnotParams, normalize
 from .errors import (DomainError, InternalCheckError, SequenceSemanticError,
                      UndecidedSignError)
 from .fourmanifold import ledger_from_sequence, parse_sequence
-from .lattice import sigma_closed, sigma_d, sigma_oracle
+from .lattice import sigma_closed, sigma_oracle
 from .obstruction import (MAX_Q, NOT_IN_T, SIGMA_METHOD, certificate_to_json,
                           certificate_to_text, check_max_q, classify,
                           genus_cutoff)
@@ -54,11 +55,12 @@ MAX_TABLE_OMEGAS = 2 ** 27
 
 
 def _sigma_one(k, method):
-    if method == "seifert":
-        return sigma_d(k, 2, method="hermitian")
     nk, mirror = normalize(k)
     if nk.is_trivial:
         return 0
+    if method == "seifert":
+        from . import tristram_sigma   # the certified route: numpy, lazily
+        return tristram_sigma(k, 2)
     s = sigma_oracle(nk) if method == "oracle" else sigma_closed(nk)
     return -s if mirror else s
 

@@ -35,11 +35,11 @@ count are the fast path.  The window count is also validated against
 the certified Hermitian route across the whole test range; that route
 stays authoritative.
 
-Every caller reaches the two routes through one dispatcher, `sigma_d`,
-which imports the Hermitian route, and with it numpy, only when it is
-asked for; `sigma_d_sweep` takes the counting path at every prime up to a
-bound in one call, on one chain.  Both check each value's invariants in
-one helper, `_checked`.
+This module counts, and imports neither numpy nor the certified route:
+`sigma_d` counts at one prime, `sigma_d_sweep` at every prime up to a
+bound on one chain.  `_routed` normalizes a knot and checks its value
+(`_checked`) for any route; `tristram.tristram_sigma`, the one function
+that picks a route, passes it this module's count or the Hermitian one.
 """
 
 from bisect import bisect_left
@@ -302,23 +302,22 @@ def _checked(nk: TorusKnotParams, d: int, s: int) -> int:
     return s
 
 
-def sigma_d(k: TorusKnotParams, d: int, method: str = "counting") -> int:
-    """sigma_d of a torus knot, 0 if trivial: "counting" takes the integer
-    fast path, "hermitian" the certified route.  The normalized
-    knot's value must be even and at most -4 (T(2,3), at -2, excepted),
-    else InternalCheckError; the mirror flag then negates it."""
+def _routed(k: TorusKnotParams, d: int, route) -> int:
+    """sigma_d of a torus knot, 0 if trivial, by route(p, q, d) on its
+    normalized knot (0 < p < q).  That value must be even and at most -4
+    (T(2,3), at -2, excepted), else InternalCheckError; the mirror flag
+    then negates it."""
     nk, mirror = normalize(k)
     if nk.is_trivial:
         return 0
-    if method == "counting":
-        s = sigma_d_counting(nk.p, nk.q, d)
-    elif method == "hermitian":
-        from .tristram import _sigma_hermitian   # numpy, on first use
-        s = _sigma_hermitian(nk.p, nk.q, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    s = _checked(nk, d, s)
+    s = _checked(nk, d, route(nk.p, nk.q, d))
     return -s if mirror else s
+
+
+def sigma_d(k: TorusKnotParams, d: int) -> int:
+    """sigma_d of a torus knot, 0 if trivial, by the window count
+    (`sigma_d_counting`), with `_routed`'s checks."""
+    return _routed(k, d, sigma_d_counting)
 
 
 def sigma_d_sweep(k: TorusKnotParams, top: int, least: int = 2) -> dict:
@@ -344,13 +343,3 @@ def sigma_d_sweep(k: TorusKnotParams, top: int, least: int = 2) -> dict:
     if mirror:
         values = [-s for s in values]
     return dict(zip(primes, values))
-
-
-def prop35_bound_check(k: TorusKnotParams, d: int,
-                       method: str = "counting") -> bool:
-    """sigma_d <= -4 holds for every nontrivial torus knot except T(2,3);
-    sigma_d raises InternalCheckError on a violation."""
-    nk, _ = normalize(k)
-    if nk.is_trivial or (nk.p, nk.q) == (2, 3):
-        raise DomainError(f"{k} is outside the bound's domain")
-    return sigma_d(k, d, method=method) <= -4

@@ -34,9 +34,10 @@ from .core import TorusKnotParams, is_exceptional, normalize
 from .errors import DomainError, InternalCheckError
 from .fourmanifold import (kikuchi_eliminate, ledger_from_sequence,
                            serialize_sequence, template_sequences)
+from .lattice import _require_prime, sigma_d, sigma_d_sweep
 # classify does not call prime_divisors; it is imported so that
 # perfbench/spans.py, which traces obstruction.prime_divisors by name, finds it
-from .lattice import prime_divisors, sigma_d, sigma_d_sweep  # noqa: F401
+from .lattice import prime_divisors  # noqa: F401
 
 SCHEMA = "torustwist-certificate/1"
 # the schema's name for the one sigma_d route, the counting kernel; every
@@ -180,7 +181,8 @@ def condition_iv_multipliers(d: int, sigma_value: int) -> list:
 def condition_iv_check(p: int, q: int, omega: int, d: int,
                        sigma_value: int = None) -> bool:
     """Divisibility constraint at the prime d | w: the exact integer
-    2[d/2](d-[d/2])w^2/d^2 must equal -sigma_d or 2 - sigma_d.
+    2[d/2](d-[d/2])w^2/d^2 must equal -sigma_d or 2 - sigma_d.  DomainError
+    unless d is a prime dividing omega, also when sigma_value is given.
 
     Derivation (condition (iv) is the Gilmer-Viro inequality, Gilmer,
     "Configurations of surfaces in 4-manifolds", Trans. AMS 1981):
@@ -204,6 +206,7 @@ def condition_iv_check(p: int, q: int, omega: int, d: int,
     while the set {-sigma_d, -2 - sigma_d} rejects 132 of the 263 cases
     with 2 <= m < 80.
     """
+    _require_prime(d)
     if omega % d != 0:
         raise DomainError(f"d={d} does not divide omega={omega}")
     if sigma_value is None:

@@ -39,8 +39,8 @@ Python ints for each precision rung.  z is evaluated once per precision,
 in Python integers, in `_root_bounds`, and exactly at d = 2.
 
 The exact integer fast path for torus knots, Litherland's window count,
-and the dispatcher `sigma_d` that reaches both routes live in `lattice`,
-which imports no numpy.
+lives in `lattice`, which imports neither numpy nor this module; the one
+function that picks a route, this one or that count, is `tristram_sigma`.
 """
 
 from dataclasses import dataclass, replace
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import cyclotomic, lattice
 from .certify import Inertia, MRMatrix, certified_inertia
-from .core import TorusKnotParams
+from .core import TorusKnotParams, normalize
 from .errors import DomainError, InternalCheckError
 from .seifert import SeifertForm, seifert_matrix, torus_braid
 
@@ -487,8 +487,23 @@ def _sigma_hermitian(p: int, q: int, d: int) -> int:
 
 def tristram_sigma(k: TorusKnotParams, d: int,
                    method: str = "hermitian") -> int:
-    """sigma_d of a nontrivial torus knot, by default on the certified
-    Hermitian route; see lattice.sigma_d."""
+    """sigma_d of a nontrivial torus knot (else DomainError): "hermitian"
+    takes the certified route, "counting" `lattice`'s window count, any
+    other method raises ValueError.  Both run through `lattice._routed`."""
     if k.is_trivial:
         raise DomainError(f"{k} is trivial")
-    return lattice.sigma_d(k, d, method=method)
+    route = {"hermitian": _sigma_hermitian,
+             "counting": lattice.sigma_d_counting}.get(method)
+    if route is None:
+        raise ValueError(f"unknown method {method!r}")
+    return lattice._routed(k, d, route)
+
+
+def prop35_bound_check(k: TorusKnotParams, d: int,
+                       method: str = "counting") -> bool:
+    """sigma_d <= -4 holds for every nontrivial torus knot except T(2,3);
+    tristram_sigma raises InternalCheckError on a violation."""
+    nk, _ = normalize(k)
+    if nk.is_trivial or (nk.p, nk.q) == (2, 3):
+        raise DomainError(f"{k} is outside the bound's domain")
+    return tristram_sigma(k, d, method=method) <= -4

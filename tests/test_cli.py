@@ -566,8 +566,8 @@ def test_readme_command_lines_run(capsys, monkeypatch):
 
 
 def test_output_digests_tool():
-    # one line per command, and each scan format's output does not depend
-    # on --jobs
+    # one line per command, each scan format's output does not depend on
+    # --jobs, and the whole output equals the golden file byte for byte
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -590,3 +590,6 @@ def test_output_digests_tool():
     for argv in scans:
         if argv.endswith("--jobs 1"):
             assert digests[argv] == digests[argv[:-1] + "2"], argv
+    golden = (DATA / "output_digests.txt").read_bytes()
+    assert lines == golden.decode().splitlines()
+    assert res.stdout.encode() == golden

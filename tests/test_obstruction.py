@@ -48,6 +48,11 @@ def test_condition_iv_examples():
         assert condition_iv_check(9, 13, w, 2) is False
     with pytest.raises(DomainError):
         condition_iv_check(5, 7, 5, 2)
+    # d = 6 is not prime, whether or not sigma_d is given: with
+    # sigma_value=-16 the formula alone would accept w = 6
+    for sigma_value in (None, -16):
+        with pytest.raises(DomainError, match="need a prime"):
+            condition_iv_check(5, 7, 6, 6, sigma_value=sigma_value)
 
 
 def test_condition_iv_check_matches_the_formula():

@@ -43,6 +43,48 @@ def test_the_package_has_no_assert_statement():
         assert asserts == [], (path.name, asserts)
 
 
+def _reached(path):
+    """{(module, name)} for every import statement anywhere in the file,
+    function bodies included: `module` is the torustwist module or the
+    outside package it imports from ("" for the torustwist package itself),
+    and `name` each name it takes (None for a plain `import`)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                out.add((rest.split(".")[0] if top == "torustwist" else top,
+                         None))
+        elif isinstance(node, ast.ImportFrom):
+            top, _, rest = (node.module or "").partition(".")
+            if node.level or top == "torustwist":
+                module = top if node.level else rest.split(".")[0]
+            else:
+                module = top
+            out.update((module, alias.name) for alias in node.names)
+    return out
+
+
+def test_the_counting_layers_never_reach_the_certified_route():
+    # core, errors, lattice, obstruction and fourmanifold import nothing of
+    # the certified route, nor numpy, even inside a function; cli reaches
+    # it only through the package's lazy names
+    certified = {"tristram", "certify", "seifert", "cyclotomic", "numpy"}
+    home = Path(torustwist.__file__).parent
+    for name in ("core", "errors", "lattice", "obstruction", "fourmanifold",
+                 "cli"):
+        reached = _reached(home / f"{name}.py")
+        modules = {m for m, _ in reached}
+        # `from . import x` reaches the module x or the package's name x
+        modules |= {n for m, n in reached if m == ""}
+        assert not modules & certified, (name, modules & certified)
+        if name != "cli":
+            assert {n for m, n in reached if m == ""} == set(), name
+    from_package = {n for m, n in _reached(home / "cli.py") if m == ""}
+    assert "tristram_sigma" in from_package
+    assert from_package <= set(torustwist._LAZY), from_package
+
+
 def test_classify_tables_and_scan_run_without_numpy():
     # a None entry in sys.modules makes `import numpy` raise ImportError;
     # only the certified route (tristram and the modules under it) needs it

@@ -515,10 +515,14 @@ def test_t23_d3():
 
 
 def test_sigma_d_has_one_name_per_route():
-    assert sigma_d(K(5, 7), 3) == sigma_d(K(5, 7), 3, method="counting")
+    # lattice.sigma_d only counts; tristram_sigma alone picks a route
+    assert sigma_d(K(5, 7), 3) == tristram_sigma(K(5, 7), 3,
+                                                 method="counting")
+    with pytest.raises(TypeError):
+        sigma_d(K(5, 7), 3, method="counting")
     for method in ("auto", "seifert"):
         with pytest.raises(ValueError):
-            sigma_d(K(5, 7), 3, method=method)
+            tristram_sigma(K(5, 7), 3, method=method)
 
 
 def test_inertia_examples():
@@ -1103,6 +1107,77 @@ def test_gershgorin_spread_covers_the_exact_off_diagonal_sum():
         for i, row in enumerate(m):
             exact = sum(Fraction(abs(x)) for j, x in enumerate(row) if j != i)
             assert Fraction(spread[i]) >= exact, i
+
+
+def _merged_reference(lows, highs, nullity):
+    """Inertia of the intervals by sorting them and merging them one by
+    one, in plain Python: a run takes every interval whose low end is at
+    most its high end so far.  None unless the runs meeting zero hold
+    `nullity` intervals."""
+    runs = []   # [low, high, size]
+    for lo, hi in sorted(zip(lows, highs)):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
+            runs[-1][2] += 1
+        else:
+            runs.append([lo, hi, 1])
+    plus = sum(k for lo, _, k in runs if lo > 0)
+    minus = sum(k for _, hi, k in runs if hi < 0)
+    if len(lows) - plus - minus != nullity:
+        return None
+    return certify.Inertia(plus, nullity, minus)
+
+
+def _count_against_reference(centers, radii, nullity):
+    """The shared count on the diagonal m = diag(centers), whose intervals
+    are centers +- `_gershgorin_spread(m, radii)`, checked against
+    `_merged_reference` on those intervals; returns the count."""
+    m, r = np.diag(centers), np.asarray(radii)
+    spread = certify._gershgorin_spread(m, r)
+    got = certify._gershgorin_count(m, r, nullity)
+    assert got == _merged_reference(list(m.diagonal() - spread),
+                                    list(m.diagonal() + spread), nullity)
+    return got
+
+
+def test_gershgorin_count_matches_a_sort_and_merge():
+    # both rungs' count: the double rung's floats (intervals grown by 1 + g)
+    # and the precision rungs' object arrays of Python ints (exact)
+    big = 2 ** 70
+    for dtype in (float, object):
+        for nullity in (0, 1):
+            got = _count_against_reference(np.zeros(0, dtype),
+                                           np.zeros(0, dtype), nullity)
+            assert got == (certify.Inertia(0, 0, 0) if nullity == 0
+                           else None)
+    # [-5, 1], [-4, -2], [1, 3]: the last low end equals the running high,
+    # not the high of the interval before it, so all three form one run
+    # meeting zero
+    for scale in (1, big):
+        c = np.array([-2, -3, 2], dtype=object) * scale
+        r = np.array([3, 1, 1], dtype=object) * scale
+        assert _count_against_reference(c, r, 3) == certify.Inertia(0, 3, 0)
+        assert _count_against_reference(c, r, 2) is None
+        # moved right by one, [2, 4] is a run of its own, right of zero
+        c[2] += scale
+        assert _count_against_reference(c, r, 2) == certify.Inertia(1, 2, 0)
+    # point intervals: equal floats merge exactly
+    c = np.array([-1.0, 2.0, -1.0, 2.0, 0.0])
+    assert _count_against_reference(c, np.zeros(5), 1) == \
+        certify.Inertia(2, 1, 2)
+    # seeded random intervals, many of them touching; every nullity
+    rng = random.Random(32)
+    for _ in range(300):
+        n = rng.randrange(13)
+        c = [rng.randint(-12, 12) for _ in range(n)]
+        r = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
+        cases = [(np.array(c, dtype=float), np.array(r, dtype=float)),
+                 (np.array([x * big + rng.choice((0, rng.randrange(big)))
+                            for x in c], dtype=object),
+                  np.array([x * big for x in r], dtype=object))]
+        for nullity in range(n + 1):
+            for centers, radii in cases:
+                _count_against_reference(centers, radii, nullity)
 
 
 def test_row_radius_is_the_documented_chain():

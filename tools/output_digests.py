@@ -11,6 +11,11 @@ certificate), and prints one line "<sha256>  <argv>".  Two trees whose
 outputs are byte-identical print the same lines, so diffing this script's
 output against two src/ directories checks a refactor.  Exits 1 if a
 command exits nonzero.
+
+tests/data/output_digests.txt holds this script's output for the tree it
+is in, and the test suite's test_output_digests_tool requires the output
+to equal it byte for byte; a change meant to alter an output regenerates
+that file with this script and says which lines moved.
 """
 
 import contextlib
