@@ -43,7 +43,16 @@ _LAZY = {name: module for module, names in (
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    try:
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    except ModuleNotFoundError as e:
+        # without numpy the certified route is out of reach, which is a
+        # bad request (CLI exit 2), not a crash; anything else is a crash
+        if e.name != "numpy":
+            raise
+        raise DomainError(f"{name} needs numpy, which is not "
+                          "installed") from e
+    return getattr(module, name)
 
 
 __version__ = "0.1.0"

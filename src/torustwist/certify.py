@@ -150,10 +150,9 @@ def _gershgorin_count(m, r, nullity):
 
 
 def inertia_via_congruence(h: MRMatrix, nullity: int):
-    """One double-precision certification attempt; None if unresolved."""
-    n = h.mid.shape[0]
-    if n == 0:
-        return Inertia(0, 0, 0)
+    """One double-precision certification attempt; None if unresolved.  An
+    empty enclosure takes the same count: Inertia(0, 0, 0) at nullity 0,
+    None at any other."""
     try:
         _, q = np.linalg.eigh(h.mid)
     except np.linalg.LinAlgError:

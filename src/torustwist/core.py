@@ -70,9 +70,12 @@ def normalize(k: TorusKnotParams):
 
     Uses T(p,q) = T(q,p) and T(p,-q) = mirror of T(p,q).  Trivial knots are
     amphichiral, so they always carry mirror=False; the degenerate meridian
-    parameters (0,+-1) and (+-1,0) normalize to T(1,1).  Idempotent.
+    parameters (0,+-1) and (+-1,0) normalize to T(1,1).  Idempotent: a
+    knot already in normal form comes back as itself, not as a copy.
     """
     p, q = k.p, k.q
+    if 0 < p <= q:
+        return k, False
     if p == 0 or q == 0:
         return TorusKnotParams(1, 1), False
     mirror = (p > 0) != (q > 0)

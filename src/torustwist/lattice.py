@@ -42,7 +42,7 @@ bound on one chain.  `_routed` normalizes a knot and checks its value
 that picks a route, passes it this module's count or the Hermitian one.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import gcd, isqrt
 
@@ -72,6 +72,14 @@ def primes_upto(n: int) -> list:
         if sieve[f]:
             sieve[f * f::2 * f] = bytes(len(range(f * f, n + 1, 2 * f)))
     return [2, *compress(range(3, n + 1, 2), sieve[3::2])]
+
+
+# The primes up to PRIME_TABLE_BOUND, sieved once at import (564 of them):
+# sigma_d_sweep slices this table for any top within the bound, which covers
+# the genus cutoff of every knot with pq up to about 2^24, and sieves afresh
+# only above it.  The table is fixed, so no call grows or fills it.
+PRIME_TABLE_BOUND = 2 ** 12
+PRIME_TABLE = tuple(primes_upto(PRIME_TABLE_BOUND))
 
 
 def prime_divisors(n: int) -> list:
@@ -324,16 +332,18 @@ def sigma_d_sweep(k: TorusKnotParams, top: int, least: int = 2) -> dict:
     """{d: sigma_d(k, d)} for every prime d in [least, top], ascending, on
     the counting path, for a nontrivial knot (else DomainError).
 
-    The knot is normalized and its domain checked once, the primes come
-    from one sieve, and q/p's Euclid chain is built once, so each d costs
-    one walk of that chain.  The invariants of `_checked` are tested on all
-    the values at once; only if that fails does `_checked` run prime by
-    prime, to raise at the first prime that violates one."""
+    The knot is normalized and its domain checked once, and q/p's Euclid
+    chain is built once, so each d costs one walk of that chain.  The
+    primes are a slice of PRIME_TABLE, sieved at import, when top is within
+    PRIME_TABLE_BOUND, and come from one sieve of their own above it.  The
+    invariants of `_checked` are tested on all the values at once; only if
+    that fails does `_checked` run prime by prime, to raise at the first
+    prime that violates one."""
     nk, mirror = normalize(k)
     if nk.is_trivial:
         raise DomainError(f"{k} is trivial")
-    primes = primes_upto(top)
-    primes = primes[bisect_left(primes, least):]
+    table = PRIME_TABLE if top <= PRIME_TABLE_BOUND else primes_upto(top)
+    primes = table[bisect_left(table, least):bisect_right(table, top)]
     values = _window_counts(nk.p, nk.q, primes)
     # gcd(*values) is even iff every value is
     if gcd(*values) % 2 or (max(values, default=-4) > -4

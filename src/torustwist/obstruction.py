@@ -34,7 +34,7 @@ from .core import TorusKnotParams, is_exceptional, normalize
 from .errors import DomainError, InternalCheckError
 from .fourmanifold import (kikuchi_eliminate, ledger_from_sequence,
                            serialize_sequence, template_sequences)
-from .lattice import _require_prime, sigma_d, sigma_d_sweep
+from .lattice import PRIME_TABLE, _require_prime, sigma_d, sigma_d_sweep
 # classify does not call prime_divisors; it is imported so that
 # perfbench/spans.py, which traces obstruction.prime_divisors by name, finds it
 from .lattice import prime_divisors  # noqa: F401
@@ -69,8 +69,15 @@ def check_max_q(k: TorusKnotParams, nk: TorusKnotParams):
         raise DomainError(f"{k}: normalized q = {nk.q} exceeds MAX_Q = {MAX_Q}")
 
 
+# the reason of condition (iv) at each prime of lattice.PRIME_TABLE, built
+# once at import, so that every certificate shares one string per prime
+_REASON_IV = {d: f"condition-iv(d={d})" for d in PRIME_TABLE}
+
+
 def reason_iv(d: int) -> str:
-    return f"condition-iv(d={d})"
+    """The reason of an elimination by condition (iv) at the prime d: the
+    shared string of _REASON_IV, or a new one above the prime table."""
+    return _REASON_IV.get(d) or f"condition-iv(d={d})"
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,10 @@ class Elimination(NamedTuple):
 class Eliminations:
     """A certificate's eliminations: classify's sieve list `reasons`, a
     tuple indexed by w <= genus cutoff whose slot holds the reason w is
-    eliminated (a shared string, so one reference per w), or None for w < 2
-    and for survivors; then one genus-bound item for each w in `tail`, kept
+    eliminated (a shared string, so one reference per w: the condition
+    (iv) reason of a prime in lattice.PRIME_TABLE is one string, built at
+    import, in every certificate), or None for w < 2 and for survivors;
+    then one genus-bound item for each w in `tail`, kept
     as range(cutoff + 1, q) instead of as O(q) items.  Iteration, len and
     truth are those of the tuple of Elimination(w, reason) items, in
     ascending w.
@@ -249,24 +258,23 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     # fails, and at each d at most two multiples of d pass; so the primes
     # run in descending order, each marks all its multiples as failing and
     # gives the passing ones their earlier mark back, and the smallest
-    # failing d writes last.  A d > top/2 has only w = d as a multiple, whose
-    # slot no larger prime has marked, so it writes that slot alone, and
-    # only if w = d fails.  sigma_inputs holds sigma_d for every prime d
-    # that divides some w checked: each odd prime d <= top (at w = d), and
-    # 2 only if some even w lies above p, since condition (iii) alone
+    # failing d writes last.  The multiples w = dk, k <= n = [top/d], have
+    # 2a(d-a)k^2 <= 2a(d-a)n^2, a = [d/2], so when -sigma_d exceeds that
+    # bound none passes: most primes are settled by that one comparison,
+    # without solving for k.  Each mark is the prime's shared reason string
+    # (reason_iv).  sigma_inputs holds sigma_d for every prime d that
+    # divides some w checked: each odd prime d <= top (at w = d), and 2
+    # only if some even w lies above p, since condition (iii) alone
     # eliminates the even w <= p.
     top = genus_cutoff(p, q)
     sigma_inputs = sigma_d_sweep(nk, top, 2 if top // 2 > p // 2 else 3)
     reasons = [None] * (top + 1)
     for d, s in reversed(sigma_inputs.items()):
-        ks = condition_iv_multipliers(d, s)
-        if 2 * d > top:
-            if 1 not in ks:
-                reasons[d] = reason_iv(d)
-            continue
-        kept = ([(d * k, reasons[d * k]) for k in ks if 0 < d * k <= top]
-                if ks else ())
-        reasons[d::d] = [reason_iv(d)] * (top // d)
+        a, n = d // 2, top // d
+        kept = ([] if -s > 2 * a * (d - a) * n * n else
+                [(d * k, reasons[d * k])
+                 for k in condition_iv_multipliers(d, s) if 0 < k <= n])
+        reasons[d::d] = [reason_iv(d)] * n
         for w, r in kept:
             reasons[w] = r
     # condition (iii): even w <= p (< top), whatever condition (iv) says
@@ -371,6 +379,11 @@ _JSON_SIGMA_METHOD = encode_basestring_ascii(SIGMA_METHOD)
 _BLOCK_PIECES = {label: ["", *(f"{low}{label(REASON_GENUS)}"
                                for low in _LOW_PADDED)]
                  for label in (_text_label, _json_label)}
+# each renderer's label of every reason classify writes below a cutoff
+# within the prime table, built once, keyed like _BLOCK_PIECES
+_LABELS = {label: {r: label(r) for r in (REASON_III, REASON_KIKUCHI,
+                                         *_REASON_IV.values())}
+           for label in (_text_label, _json_label)}
 
 
 def _explicit_parts(reasons: tuple, label) -> list:
@@ -380,12 +393,17 @@ def _explicit_parts(reasons: tuple, label) -> list:
     A w in block c = w // TAIL_BLOCK is str(c) ("" for c = 0) followed by
     its low digits (_LOW_FIRST in block 0, _LOW_PADDED after it), so each
     such w takes three shared parts: its block's leading digits, its low
-    digits and its reason's label, built once per distinct reason.
-    compress picks them out of streams indexed by w, so no string is built
-    per w.
+    digits and its reason's label.  The labels come from _LABELS; only a
+    reason missing there (condition (iv) above the prime table) has its
+    label built, once per distinct reason.  compress picks the parts out
+    of streams indexed by w, so no string is built per w.
     """
-    labels = {r: label(r) for r in set(reasons) if r}
-    slot_labels = list(map(labels.__getitem__, filter(None, reasons)))
+    labels = _LABELS[label]
+    try:
+        slot_labels = list(map(labels.__getitem__, filter(None, reasons)))
+    except KeyError:
+        labels = {r: labels.get(r) or label(r) for r in set(reasons) if r}
+        slot_labels = list(map(labels.__getitem__, filter(None, reasons)))
     blocks = ["", *map(str, range(1, len(reasons) // TAIL_BLOCK + 1))]
     parts = [None] * (3 * len(slot_labels))
     parts[0::3] = compress(chain.from_iterable(

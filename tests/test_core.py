@@ -53,6 +53,12 @@ def test_normalize_idempotent(pair):
     assert again == nk and m2 is False
 
 
+@pytest.mark.parametrize("raw", [(1, 1), (1, 9), (5, 7), (7, 7 ** 5 + 1)])
+def test_normalize_returns_a_normal_knot_itself(raw):
+    k = K(*raw)
+    assert normalize(k) == (k, False) and normalize(k)[0] is k
+
+
 @pytest.mark.parametrize("p, q, expect", [
     (4, 7, True),
     (5, 7, False),

@@ -476,7 +476,7 @@ def test_condition_iv_sieve_matches_the_per_omega_loop():
 
 def test_classify_takes_its_primes_from_one_sieve(monkeypatch):
     # no per-d primality test on classify's path: its sigma_d sweep takes
-    # the primes from its own sieve
+    # the primes from the prime table, or from one sieve above it
     k = K(101, 257)
     want = certificate_to_json(classify(k))
 
@@ -485,6 +485,41 @@ def test_classify_takes_its_primes_from_one_sieve(monkeypatch):
 
     monkeypatch.setattr(lattice, "is_prime", refuse)
     assert certificate_to_json(classify(k)) == want
+
+
+def test_classify_within_the_prime_table_sieves_nothing(monkeypatch):
+    # a genus cutoff up to PRIME_TABLE_BOUND takes its primes from the
+    # table sieved at import; only a cutoff above it sieves its own
+    bound = lattice.PRIME_TABLE_BOUND
+    within = [K(101, 257), K(3901, 4300)]
+    above = [K(3902, 4301), K(3904, 4303)]
+    assert [genus_cutoff(k.p, k.q) for k in within] == [161, bound]
+    assert [genus_cutoff(k.p, k.q) for k in above] == [bound + 1, bound + 3]
+    want = [certificate_to_json(classify(k)) for k in within + above]
+
+    def refuse(n):
+        raise AssertionError(f"primes_upto({n}) called")
+
+    monkeypatch.setattr(lattice, "primes_upto", refuse)
+    assert [certificate_to_json(classify(k)) for k in within] == want[:2]
+    for k in above:
+        with pytest.raises(AssertionError, match=r"primes_upto\(409"):
+            classify(k)
+
+
+def test_condition_iv_reasons_are_one_string_per_prime():
+    # every certificate shares the one reason string of each prime in the
+    # prime table; above it, reason_iv builds the same text afresh
+    first, second = (classify(K(p, q)).eliminations.reasons
+                     for p, q in ((11, 15), (101, 257)))
+    want = obstruction.reason_iv(3)
+    assert want == "condition-iv(d=3)"
+    for reasons in (first, second):
+        shared = [r for r in reasons if r == want]
+        assert shared and all(r is want for r in shared)
+    top = lattice.PRIME_TABLE[-1]
+    assert obstruction.reason_iv(top) is obstruction.reason_iv(top)
+    assert obstruction.reason_iv(4099) == "condition-iv(d=4099)"
 
 
 def test_templates_only_eliminate():

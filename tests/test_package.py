@@ -110,6 +110,42 @@ def test_classify_tables_and_scan_run_without_numpy():
     assert res.returncode == 0, res.stderr[-3000:]
 
 
+def test_the_certified_route_without_numpy_is_a_domain_error():
+    # sigma's seifert route exits 2 with one line, not a traceback, and a
+    # lazy name raises DomainError; a missing module other than numpy is
+    # re-raised as it is
+    res = _run_child("""
+        import contextlib, io, sys
+        sys.modules["numpy"] = None
+        import torustwist
+        from torustwist import cli
+        from torustwist.errors import DomainError
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["sigma", "-p", "5", "-q", "8",
+                             "--method", "seifert"])
+        if (code, err.getvalue()) != (
+                2, "error: tristram_sigma needs numpy, which is not "
+                   "installed\\n"):
+            sys.exit(f"exit {code}: {err.getvalue()!r}")
+        try:
+            torustwist.inertia
+        except DomainError as e:
+            if "needs numpy" not in str(e):
+                sys.exit(f"message {e}")
+        else:
+            sys.exit("torustwist.inertia resolved without numpy")
+        del sys.modules["numpy"]
+        sys.modules["torustwist.certify"] = None
+        try:
+            torustwist.inertia
+        except ModuleNotFoundError as e:
+            sys.exit(0 if e.name == "torustwist.certify" else f"name {e.name}")
+        sys.exit("torustwist.inertia resolved without certify")
+    """)
+    assert res.returncode == 0, res.stderr[-3000:]
+
+
 def test_every_public_name_resolves_to_its_home_module():
     res = _run_child("""
         import sys

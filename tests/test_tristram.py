@@ -1094,6 +1094,14 @@ def test_double_rung_honours_the_entry_radius():
     assert certify.inertia_via_congruence(off_diagonal_in(0.2, 1.4), 0) is None
 
 
+def test_double_rung_on_an_empty_enclosure_reads_the_nullity():
+    # a 0 x 0 form has nullity 0; any other nullity is unresolved, as at
+    # every other size, not a certified Inertia(0, 0, 0)
+    empty = certify.MRMatrix(np.zeros((0, 0)), np.zeros((0, 0)))
+    assert certify.inertia_via_congruence(empty, 0) == certify.Inertia(0, 0, 0)
+    assert certify.inertia_via_congruence(empty, 1) is None
+
+
 def test_gershgorin_spread_covers_the_exact_off_diagonal_sum():
     # with diagonal 1 and off-diagonals 1e-17 a row sums to 1 in doubles,
     # so the row sum minus the diagonal would read 0, not 7e-17
@@ -1694,6 +1702,23 @@ def test_prime_divisors_match_trial_division():
 def test_primes_upto_match_trial_division():
     for n in [*range(-1, 200), 961, 1021, 1024, 20000]:
         assert primes_upto(n) == [d for d in range(n + 1) if is_prime(d)], n
+
+
+def test_sweep_slices_the_prime_table_within_its_bound():
+    # the table sieved at import is primes_upto(PRIME_TABLE_BOUND); at a top
+    # on either side of the bound, and up to the first prime above it, the
+    # sweep takes the same primes and values as a sieve of its own
+    bound = lattice.PRIME_TABLE_BOUND
+    assert list(lattice.PRIME_TABLE) == primes_upto(bound)
+    assert len(lattice.PRIME_TABLE) == 564
+    after = primes_upto(2 * bound)[len(lattice.PRIME_TABLE)]
+    k = K(101, 203)
+    values = {d: sigma_d(k, d) for d in primes_upto(after)}
+    for top in (bound - 1, bound, bound + 1, after):
+        for least in (2, 3, 4000, bound, top + 1, top + 2):
+            want = [(d, values[d]) for d in primes_upto(top) if d >= least]
+            assert list(sigma_d_sweep(k, top, least).items()) == want, (
+                top, least)
 
 
 def test_sweep_matches_sigma_d_at_every_prime_up_to_the_cutoff():
