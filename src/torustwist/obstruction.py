@@ -23,21 +23,20 @@ knot.
 """
 
 import json
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress, cycle, repeat
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isqrt
-from operator import not_
+from operator import is_not, not_
 from typing import NamedTuple
 
 from .core import TorusKnotParams, is_exceptional, normalize
 from .errors import DomainError, InternalCheckError
 from .fourmanifold import (kikuchi_eliminate, ledger_from_sequence,
                            serialize_sequence, template_sequences)
-from .lattice import PRIME_TABLE, _require_prime, sigma_d, sigma_d_sweep
-# classify does not call prime_divisors; it is imported so that
-# perfbench/spans.py, which traces obstruction.prime_divisors by name, finds it
-from .lattice import prime_divisors  # noqa: F401
+from .lattice import (PRIME_TABLE, PRIME_TABLE_BOUND, _require_prime,
+                      prime_divisors, primes_upto, sigma_d, sigma_d_sweep)
 
 SCHEMA = "torustwist-certificate/1"
 # the schema's name for the one sigma_d route, the counting kernel; every
@@ -80,6 +79,24 @@ def reason_iv(d: int) -> str:
     return _REASON_IV.get(d) or f"condition-iv(d={d})"
 
 
+def _smallest_factor_reasons(top: int) -> list:
+    """The list indexed by w <= top whose slot holds reason_iv of the
+    smallest prime factor of w, or None for w < 2: the primes d <= top, in
+    descending order, each write their reason over all their multiples, so
+    the smallest prime factor of each w writes last."""
+    reasons = [None] * (top + 1)
+    for d in reversed(PRIME_TABLE if top <= PRIME_TABLE_BOUND
+                      else primes_upto(top)):
+        reasons[d::d] = [reason_iv(d)] * (top // d)
+    return reasons
+
+
+# the smallest-factor reasons up to PRIME_TABLE_BOUND, built once at import:
+# classify starts the slots of any genus cutoff within the bound from a
+# slice of it, and the renderers pre-render it (_PATTERN_TEXTS)
+_SMALLEST_FACTOR_REASONS = tuple(_smallest_factor_reasons(PRIME_TABLE_BOUND))
+
+
 @dataclass(frozen=True)
 class CandidateTwist:
     n: int
@@ -97,8 +114,11 @@ class Eliminations:
     tuple indexed by w <= genus cutoff whose slot holds the reason w is
     eliminated (a shared string, so one reference per w: the condition
     (iv) reason of a prime in lattice.PRIME_TABLE is one string, built at
-    import, in every certificate), or None for w < 2 and for survivors;
-    then one genus-bound item for each w in `tail`, kept
+    import, in every certificate), or None for w < 2 and for survivors.
+    Within lattice.PRIME_TABLE_BOUND it is, but for a few slots, a slice of
+    _SMALLEST_FACTOR_REASONS with condition (iii) on the even w <= p, which
+    the renderers copy from their pre-rendered text (_explicit_parts).
+    Then one genus-bound item for each w in `tail`, kept
     as range(cutoff + 1, q) instead of as O(q) items.  Iteration, len and
     truth are those of the tuple of Elimination(w, reason) items, in
     ascending w.
@@ -253,33 +273,40 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     if thom_bound_check(p, q, q):
         raise InternalCheckError(f"genus bound fails to exclude w=q for {nk}")
 
-    # Condition (iv) for every w in [2, top] at once, as a sieve over the
-    # primes d <= top.  A w is eliminated at the smallest prime d | w that
-    # fails, and at each d at most two multiples of d pass; so the primes
-    # run in descending order, each marks all its multiples as failing and
-    # gives the passing ones their earlier mark back, and the smallest
-    # failing d writes last.  The multiples w = dk, k <= n = [top/d], have
-    # 2a(d-a)k^2 <= 2a(d-a)n^2, a = [d/2], so when -sigma_d exceeds that
-    # bound none passes: most primes are settled by that one comparison,
-    # without solving for k.  Each mark is the prime's shared reason string
-    # (reason_iv).  sigma_inputs holds sigma_d for every prime d that
-    # divides some w checked: each odd prime d <= top (at w = d), and 2
-    # only if some even w lies above p, since condition (iii) alone
-    # eliminates the even w <= p.
+    # Condition (iv) for every w in [2, top] at once.  A w is eliminated at
+    # the smallest prime d | w that fails, and at each d at most two
+    # multiples of d pass (condition_iv_multipliers), so nearly every w
+    # fails at its smallest prime factor: the slots start as the
+    # smallest-factor reasons, a slice of _SMALLEST_FACTOR_REASONS for a
+    # top within PRIME_TABLE_BOUND and built afresh above it.  Only a w
+    # that passes at some prime can differ from that start; each such w
+    # gets the reason of its smallest prime factor at which it fails, or
+    # None if it passes at all of them.  The multiples w = dk,
+    # k <= n = [top/d], have 2a(d-a)k^2 <= 2a(d-a)n^2, a = [d/2], so when
+    # -sigma_d exceeds that bound none passes: most primes are settled by
+    # that one comparison, without solving for k.  sigma_inputs holds
+    # sigma_d for every prime d that divides some w checked: each odd prime
+    # d <= top (at w = d), and 2 only if some even w lies above p, since
+    # condition (iii) alone eliminates the even w <= p (so an even w that
+    # is relabelled without sigma_2 is overwritten below).
     top = genus_cutoff(p, q)
     sigma_inputs = sigma_d_sweep(nk, top, 2 if top // 2 > p // 2 else 3)
-    reasons = [None] * (top + 1)
-    for d, s in reversed(sigma_inputs.items()):
+    reasons = (list(_SMALLEST_FACTOR_REASONS[:top + 1])
+               if top <= PRIME_TABLE_BOUND else _smallest_factor_reasons(top))
+    passing = {}   # w -> the primes d | w at which w passes
+    for d, s in sigma_inputs.items():
         a, n = d // 2, top // d
-        kept = ([] if -s > 2 * a * (d - a) * n * n else
-                [(d * k, reasons[d * k])
-                 for k in condition_iv_multipliers(d, s) if 0 < k <= n])
-        reasons[d::d] = [reason_iv(d)] * n
-        for w, r in kept:
-            reasons[w] = r
+        if -s <= 2 * a * (d - a) * n * n:
+            for k in condition_iv_multipliers(d, s):
+                if 0 < k <= n:
+                    passing.setdefault(d * k, []).append(d)
+    for w, passed in passing.items():
+        reasons[w] = next((reason_iv(d) for d in prime_divisors(w)
+                           if d not in passed), None)
     # condition (iii): even w <= p (< top), whatever condition (iv) says
     reasons[2:p + 1:2] = [REASON_III] * (p // 2)
-    alive = [w for w in range(2, top + 1) if reasons[w] is None]
+    # only a w that passes at some prime can be left without a reason
+    alive = sorted(w for w in passing if reasons[w] is None)
 
     template_reports = []
     for seq in template_sequences(nk):
@@ -386,9 +413,10 @@ _LABELS = {label: {r: label(r) for r in (REASON_III, REASON_KIKUCHI,
            for label in (_text_label, _json_label)}
 
 
-def _explicit_parts(reasons: tuple, label) -> list:
-    """Every w whose slot in `reasons` holds a reason, ascending, each
-    followed by label(reason), as a list of parts for the caller's join.
+def _slot_parts(reasons, label, start: int = 0) -> list:
+    """Every w >= start whose slot in `reasons` holds a reason, ascending,
+    each followed by label(reason), as a list of parts for the caller's
+    join.
 
     A w in block c = w // TAIL_BLOCK is str(c) ("" for c = 0) followed by
     its low digits (_LOW_FIRST in block 0, _LOW_PADDED after it), so each
@@ -396,29 +424,114 @@ def _explicit_parts(reasons: tuple, label) -> list:
     digits and its reason's label.  The labels come from _LABELS; only a
     reason missing there (condition (iv) above the prime table) has its
     label built, once per distinct reason.  compress picks the parts out
-    of streams indexed by w, so no string is built per w.
+    of streams indexed by w from the start of start's block, so no string
+    is built per w.
     """
+    base = start - start % TAIL_BLOCK
+    slots = [*repeat(None, start - base), *islice(reasons, start, None)]
     labels = _LABELS[label]
     try:
-        slot_labels = list(map(labels.__getitem__, filter(None, reasons)))
+        slot_labels = list(map(labels.__getitem__, filter(None, slots)))
     except KeyError:
-        labels = {r: labels.get(r) or label(r) for r in set(reasons) if r}
-        slot_labels = list(map(labels.__getitem__, filter(None, reasons)))
-    blocks = ["", *map(str, range(1, len(reasons) // TAIL_BLOCK + 1))]
+        labels = {r: labels.get(r) or label(r) for r in set(slots) if r}
+        slot_labels = list(map(labels.__getitem__, filter(None, slots)))
+    blocks = [*map(str, range(base // TAIL_BLOCK,
+                              len(reasons) // TAIL_BLOCK + 1))]
+    low = _LOW_PADDED
+    if not base:
+        blocks[0], low = "", _LOW_FIRST
     parts = [None] * (3 * len(slot_labels))
     parts[0::3] = compress(chain.from_iterable(
-        map(repeat, blocks, repeat(TAIL_BLOCK))), reasons)
-    parts[1::3] = compress(chain(_LOW_FIRST, cycle(_LOW_PADDED)), reasons)
+        map(repeat, blocks, repeat(TAIL_BLOCK))), slots)
+    parts[1::3] = compress(chain(low, cycle(_LOW_PADDED)), slots)
     parts[2::3] = slot_labels
     return parts
 
 
-def _add_eliminations(out: list, elims: Eliminations, label, lead: str):
+def _pattern_tables() -> tuple:
+    """The two patterns that a certificate's slots within PRIME_TABLE_BOUND
+    follow but for a few: the smallest-factor reasons, and the same with
+    REASON_III on every even w.  Returns the two reason tuples; for each,
+    the prefix sums of its reason lengths (entry w sums the slots 2..w-1);
+    and for each renderer's label, len(label("")) and the _slot_parts text
+    of each pattern."""
+    even = list(_SMALLEST_FACTOR_REASONS)
+    even[2::2] = [REASON_III] * (PRIME_TABLE_BOUND // 2)
+    patterns = (_SMALLEST_FACTOR_REASONS, tuple(even))
+    sums = tuple(array("q", [0, 0, *accumulate(map(len, r[2:]), initial=0)])
+                 for r in patterns)
+    texts = {label: (len(label("")),
+                     *("".join(_slot_parts(r, label)) for r in patterns))
+             for label in (_text_label, _json_label)}
+    return patterns, sums, texts
+
+
+_PATTERN_REASONS, _PATTERN_SUMS, _PATTERN_TEXTS = _pattern_tables()
+
+
+def _offset(sums, w: int, fixed: int) -> int:
+    """Where w starts in a pattern's text, w >= 2: the digits of 2..w-1, in
+    closed form, their reasons (sums[w]), and the fixed part of each of
+    their labels, label(r) = fixed + r for every reason of the patterns."""
+    digits = len(str(w - 1))
+    return (w * digits - (10 ** digits - 1) // 9 - 1 + sums[w]
+            + (w - 2) * fixed)
+
+
+def _explicit_parts(reasons: tuple, label, p: int) -> list:
+    """Every w whose slot in `reasons` holds a reason, ascending, each
+    followed by label(reason), as a list of parts for the caller's join.
+
+    Up to PRIME_TABLE_BOUND, classify's slots for a knot with this p are
+    nearly all expected: the smallest-factor reason of w, or REASON_III
+    for an even w <= p, as in the two patterns of _PATTERN_REASONS split
+    at p.  Every stretch of expected slots is one slice of the renderer's
+    pre-rendered text of its pattern (_PATTERN_TEXTS), cut at _offset.
+    A slot differs when its reason is not that very string (a survivor, a
+    Kikuchi elimination, a w relabelled by condition (iv)); it is written
+    on its own, as is every slot above the bound (_slot_parts).  Nearly
+    every certificate has no differing slot, which one tuple comparison
+    finds; a reason equal to the expected one but built elsewhere gives
+    the same bytes either way, and p only decides what is copied.
+    """
+    top = len(reasons) - 1
+    within = min(top, PRIME_TABLE_BOUND)
+    # the expected slots below cut are those of the pattern with (iii)
+    cut = max(min(p, within) + 1, 2)
+    (first, even), (first_sums, even_sums) = _PATTERN_REASONS, _PATTERN_SUMS
+    fixed, first_text, even_text = _PATTERN_TEXTS[label]
+    expected = even[:cut] + first[cut:within + 1]
+    differing = (() if reasons[:within + 1] == expected else
+                 compress(range(within + 1), map(is_not, reasons, expected)))
+    labels = _LABELS[label]
+    parts = []
+    lo = 2   # the first slot not yet written
+    for w in chain(differing, (within + 1,)):
+        if lo < w:
+            mid = min(max(lo, cut), w)
+            if lo < mid:
+                parts.append(even_text[_offset(even_sums, lo, fixed):
+                                       _offset(even_sums, mid, fixed)])
+            if mid < w:
+                parts.append(first_text[_offset(first_sums, mid, fixed):
+                                        _offset(first_sums, w, fixed)])
+        r = reasons[w] if w <= within else None
+        if r is not None:
+            parts.append(f"{w}{labels.get(r) or label(r)}")
+        lo = max(lo, w + 1)
+    if top > within:
+        parts += _slot_parts(reasons, label, within + 1)
+    return parts
+
+
+def _add_eliminations(out: list, elims: Eliminations, label, lead: str,
+                      p: int = 0):
     """Append to out every w of elims, ascending, each followed by
     label(reason), and strip the lead-in to a next w off the last part.
     elims is nonempty, and the caller has written the first w's lead-in.
 
-    The slots below the genus cutoff come from _explicit_parts.  Every w of
+    The slots below the genus cutoff come from _explicit_parts, given the
+    knot's p (any p gives the same text).  Every w of
     the genus tail in [B*c, B*c + B - 1], B = TAIL_BLOCK and c >= 1, is
     str(c) followed by its zero-padded low digits, as there; but every tail
     w has the same label, so the text of a whole block is one str(c).join
@@ -426,7 +539,7 @@ def _add_eliminations(out: list, elims: Eliminations, label, lead: str):
     of three per w.  Only the w at the two ends of the tail that fill no
     whole block are written one by one.
     """
-    out += _explicit_parts(elims.reasons, label)
+    out += _explicit_parts(elims.reasons, label, p)
     start, stop = elims.tail.start, elims.tail.stop
     sep = label(REASON_GENUS)
     # the whole blocks are c in [first, last), none if the tail has none;
@@ -457,7 +570,8 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
         out.append("eliminated:\n")
         if cert.eliminations:
             out.append(_TEXT_LEAD)
-            _add_eliminations(out, cert.eliminations, _text_label, _TEXT_LEAD)
+            _add_eliminations(out, cert.eliminations, _text_label, _TEXT_LEAD,
+                              cert.normalized.p)
         out.append("survivors:\n")
         out.extend(f"  (n={s.n}, omega={s.omega})\n" for s in cert.survivors)
         out.append("sigma-inputs:\n")
@@ -539,7 +653,8 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
            '  "eliminations": ']
     if cert.eliminations:
         out.append("[\n    [\n      ")
-        _add_eliminations(out, cert.eliminations, _json_label, _JSON_LEAD)
+        _add_eliminations(out, cert.eliminations, _json_label, _JSON_LEAD,
+                          cert.normalized.p)
         out.append("\n  ]")
     else:
         out.append("[]")

@@ -341,10 +341,102 @@ def test_explicit_parts_are_shared_strings():
     assert top == 30006
     distinct = len(set(filter(None, reasons)))
     for label in (obstruction._text_label, obstruction._json_label):
-        parts = obstruction._explicit_parts(reasons, label)
+        parts = obstruction._explicit_parts(reasons, label, 30001)
         assert "".join(parts) == "".join(f"{w}{label(r)}" for w, r in
                                          enumerate(reasons) if r)
         assert len(set(map(id, parts))) <= top // 100 + 200 + distinct
+    # within the prime table, the slots are slices of the pre-rendered
+    # patterns: two parts per slot that is not the expected reason (the
+    # slot and the slice before it), and two more (the last slice, and
+    # the split at p between the two patterns)
+    p, q = 601, 1400
+    reasons = classify(K(p, q)).eliminations.reasons
+    expected = [None, None, *("condition-iii" if w % 2 == 0 and w <= p else
+                              f"condition-iv(d={prime_divisors(w)[0]})"
+                              for w in range(2, len(reasons)))]
+    differing = sum(r != e for r, e in zip(reasons, expected))
+    for label in (obstruction._text_label, obstruction._json_label):
+        parts = obstruction._explicit_parts(reasons, label, p)
+        assert "".join(parts) == "".join(f"{w}{label(r)}" for w, r in
+                                         enumerate(reasons) if r)
+        assert len(parts) <= 2 + 2 * differing
+
+
+def _expected_slots(top, p):
+    """The slots classify starts from for a cutoff top and this p, built
+    here: reason_iv of the smallest prime factor of w (the shared
+    string), or condition (iii) for an even w <= p; None for w < 2."""
+    return [None, None, *(
+        obstruction.REASON_III if w % 2 == 0 and w <= p
+        else obstruction.reason_iv(prime_divisors(w)[0])
+        for w in range(2, top + 1))][:top + 1]
+
+
+def test_explicit_parts_match_a_per_slot_rendering():
+    # slices of the pre-rendered patterns, split at p, with the slots that
+    # differ from them written on their own, give the text of one label
+    # per slot, written here, whatever p is
+    bound = lattice.PRIME_TABLE_BOUND
+    shared = obstruction.reason_iv(3)
+    joined = "".join(["condition-iv", "(d=3)"])
+    assert joined == shared and joined is not shared
+    kinds = (None, REASON_KIKUCHI, "condition-iv(d=4099)", joined,
+             obstruction.REASON_III, obstruction.reason_iv(2))
+    cases = [((), 0), ((None,), 0), ((None, None), 5),
+             ((None, REASON_KIKUCHI), 0), ((REASON_KIKUCHI, None), 3)]
+    for top in (2, 3, 50, 97, bound - 1, bound, bound + 7):
+        for p in (0, 5, 48, top, top + 3):
+            slots = _expected_slots(top, p)
+            cases.append((tuple(slots), p))
+            # a reason equal to the shared one alone, and next to others
+            at = (3 * 5 * 7 if top >= 105 else 3)
+            if at <= top:
+                cases.append((_set_slot(tuple(slots), at, joined), p))
+            for i, kind in enumerate(kinds):
+                picked = list(slots)
+                for w in (2, p, p + 1, bound, bound + 1, top, 3 + i, at):
+                    if w <= top:
+                        picked[w] = kind
+                cases.append((tuple(picked), p))
+    for label in (obstruction._text_label, obstruction._json_label):
+        for reasons, p in cases:
+            want = "".join(f"{w}{label(r)}" for w, r in enumerate(reasons)
+                           if r)
+            got = "".join(obstruction._explicit_parts(reasons, label, p))
+            assert got == want, (len(reasons), p)
+
+
+def test_import_time_tables_equal_a_fresh_build():
+    # classifying and rendering leave every table built at import as a
+    # fresh build of it: nothing writes to them
+    rng = random.Random(3535)
+    knots = [K(3902, 4301), K(601, 1400), K(7, 20011)]
+    while len(knots) < 40:
+        p = rng.randint(5, 900)
+        q = rng.randint(p + 2, 3 * p)
+        if math.gcd(p, q) == 1:
+            knots.append(K(p, q))
+    for k in knots:
+        cert = classify(k)
+        certificate_to_json(cert)
+        certificate_to_text(cert)
+    bound = lattice.PRIME_TABLE_BOUND
+    assert lattice.PRIME_TABLE == tuple(lattice.primes_upto(bound))
+    assert obstruction._REASON_IV == {d: f"condition-iv(d={d})"
+                                      for d in lattice.PRIME_TABLE}
+    first = obstruction._SMALLEST_FACTOR_REASONS
+    assert first == tuple(obstruction._smallest_factor_reasons(bound))
+    assert list(first) == _expected_slots(bound, 0)
+    assert all(a is b for a, b in zip(first, _expected_slots(bound, 0)))
+    assert (obstruction._PATTERN_REASONS, obstruction._PATTERN_SUMS,
+            obstruction._PATTERN_TEXTS) == obstruction._pattern_tables()
+    labels = (obstruction._text_label, obstruction._json_label)
+    assert obstruction._LABELS == {label: {r: label(r) for r in (
+        obstruction.REASON_III, REASON_KIKUCHI,
+        *obstruction._REASON_IV.values())} for label in labels}
+    assert obstruction._BLOCK_PIECES == {label: ["", *(
+        f"{r:02d}{label(REASON_GENUS)}" for r in range(100))]
+        for label in labels}
 
 
 def test_max_q_memory_bound():
@@ -451,27 +543,52 @@ def _sieve_oracle_knots():
     return knots + seeded
 
 
+def _assert_sieve_matches_the_per_omega_loop(p, q):
+    """classify's condition-(iv) slots, survivors and sigma_inputs equal
+    those of _per_omega_condition_iv; returns its reasons and alive w."""
+    cert = classify(K(p, q))
+    reasons, alive, sigma = _per_omega_condition_iv(p, q)
+    # the templates only remove odd w that passed condition (iv)
+    slots = cert.eliminations.reasons
+    kikuchi = [w for w, r in enumerate(slots) if r == REASON_KIKUCHI]
+    assert {w: r for w, r in enumerate(slots)
+            if r not in (None, REASON_KIKUCHI)} == reasons, (p, q)
+    assert sorted(kikuchi + [s.omega for s in cert.survivors]) == alive
+    assert cert.sigma_inputs == sigma, (p, q)
+    # every odd prime up to the cutoff, and 2 iff an even w is above p
+    top = genus_cutoff(p, q)
+    odd = {d for d in range(3, top + 1) if is_prime(d)}
+    two = top // 2 > p // 2
+    assert set(sigma) == odd | ({2} if two else set()), (p, q)
+    return reasons, alive
+
+
 def test_condition_iv_sieve_matches_the_per_omega_loop():
     knots = _sieve_oracle_knots()
     with_two = without_two = 0
+    # classify starts every w at its smallest prime factor; the knots must
+    # exercise both kinds of w it re-derives: one eliminated at a larger
+    # prime factor, and one that passes at every prime factor
+    relabelled = passing = 0
     for p, q in knots:
-        cert = classify(K(p, q))
-        reasons, alive, sigma = _per_omega_condition_iv(p, q)
-        # the templates only remove odd w that passed condition (iv)
-        slots = cert.eliminations.reasons
-        kikuchi = [w for w, r in enumerate(slots) if r == REASON_KIKUCHI]
-        assert {w: r for w, r in enumerate(slots)
-                if r not in (None, REASON_KIKUCHI)} == reasons, (p, q)
-        assert sorted(kikuchi + [s.omega for s in cert.survivors]) == alive
-        assert cert.sigma_inputs == sigma, (p, q)
-        # every odd prime up to the cutoff, and 2 iff an even w is above p
-        top = genus_cutoff(p, q)
-        odd = {d for d in range(3, top + 1) if is_prime(d)}
-        two = top // 2 > p // 2
-        assert set(sigma) == odd | ({2} if two else set()), (p, q)
+        reasons, alive = _assert_sieve_matches_the_per_omega_loop(p, q)
+        two = genus_cutoff(p, q) // 2 > p // 2
         with_two += two
         without_two += not two
+        relabelled += sum(r != f"condition-iv(d={prime_divisors(w)[0]})"
+                          for w, r in reasons.items()
+                          if r != "condition-iii")
+        passing += len(alive)
     assert with_two > 0 and without_two > 0
+    assert relabelled > 0 and passing > 0, (relabelled, passing)
+
+
+def test_condition_iv_above_the_prime_table_matches_the_per_omega_loop():
+    # a genus cutoff just above PRIME_TABLE_BOUND builds its smallest-factor
+    # reasons afresh instead of slicing the table
+    p, q = 3902, 4301
+    assert genus_cutoff(p, q) == lattice.PRIME_TABLE_BOUND + 1
+    _assert_sieve_matches_the_per_omega_loop(p, q)
 
 
 def test_classify_takes_its_primes_from_one_sieve(monkeypatch):

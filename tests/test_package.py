@@ -162,3 +162,29 @@ def test_every_public_name_resolves_to_its_home_module():
     """)
     assert res.returncode == 0, res.stderr[-3000:]
     assert res.stdout == "-20\n"
+
+
+def test_a_failing_given_test_is_reported_and_the_session_goes_on(tmp_path):
+    # under this pyproject.toml's filterwarnings, a failing hypothesis test
+    # must stay one failure: its failure report imports libcst, whose
+    # DeprecationWarning, raised as an error, would end the session with
+    # INTERNALERROR before the next test is reported
+    (tmp_path / "test_pair.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x != x
+
+
+        def test_passes():
+            pass
+        """))
+    config = SRC.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config),
+         "-p", "no:cacheprovider", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr, run.stdout
+    assert "1 failed, 1 passed" in run.stdout, run.stdout
