@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, cycle, islice, repeat
 from json.encoder import encode_basestring_ascii
 from math import isqrt
-from operator import is_not, not_
 from typing import NamedTuple
 
 from .core import TorusKnotParams, is_exceptional, normalize
@@ -51,9 +50,10 @@ REASON_GENUS = "genus-bound"
 REASON_III = "condition-iii"
 REASON_KIKUCHI = "kikuchi-no-square"
 
-# The largest normalized q that classify accepts.  classify keeps the genus
-# tail as a range, but a rendered certificate lists every candidate omega
-# in [2, q - 1]: the tracemalloc peak of classify + certificate_to_json is
+# The largest normalized q that classify accepts.  classify keeps no item
+# per omega (Eliminations: a pattern, its few exceptions and the genus tail
+# as a range), but a rendered certificate lists every candidate omega in
+# [2, q - 1]: the tracemalloc peak of classify + certificate_to_json is
 # about 95 bytes per omega (100 MB for T(7, 2^20 - 1), twice the 47 bytes
 # per omega of the text it returns), and with certificate_to_text about 57,
 # so one certificate stays near 100 MB at most (test_max_q_memory_bound
@@ -92,8 +92,8 @@ def _smallest_factor_reasons(top: int) -> list:
 
 
 # the smallest-factor reasons up to PRIME_TABLE_BOUND, built once at import:
-# classify starts the slots of any genus cutoff within the bound from a
-# slice of it, and the renderers pre-render it (_PATTERN_TEXTS)
+# Eliminations.reasons starts the slots of any genus cutoff within the bound
+# from a slice of it, and the renderers pre-render it (_PATTERN_TEXTS)
 _SMALLEST_FACTOR_REASONS = tuple(_smallest_factor_reasons(PRIME_TABLE_BOUND))
 
 
@@ -110,36 +110,44 @@ class Elimination(NamedTuple):
 
 @dataclass(frozen=True)
 class Eliminations:
-    """A certificate's eliminations: classify's sieve list `reasons`, a
-    tuple indexed by w <= genus cutoff whose slot holds the reason w is
-    eliminated (a shared string, so one reference per w: the condition
-    (iv) reason of a prime in lattice.PRIME_TABLE is one string, built at
-    import, in every certificate), or None for w < 2 and for survivors.
-    Within lattice.PRIME_TABLE_BOUND it is, but for a few slots, a slice of
-    _SMALLEST_FACTOR_REASONS with condition (iii) on the even w <= p, which
-    the renderers copy from their pre-rendered text (_explicit_parts).
-    Then one genus-bound item for each w in `tail`, kept
-    as range(cutoff + 1, q) instead of as O(q) items.  Iteration, len and
-    truth are those of the tuple of Elimination(w, reason) items, in
-    ascending w.
+    """A certificate's eliminations, with no item stored per w.  Every w in
+    [2, top], top the genus cutoff, follows one pattern: REASON_III for an
+    even w <= p, and otherwise the condition (iv) reason of its smallest
+    prime factor (the shared string of _REASON_IV within the prime table).
+    `exceptions` is the ascending tuple of (w, reason) pairs for the w whose
+    reason is not the pattern's, with None for a survivor.  Then one
+    genus-bound item for each w in `tail`, kept as range(top + 1, q).
+    Iteration and len (so truth) are those of the tuple of
+    Elimination(w, reason) items, in ascending w.
     """
 
-    reasons: tuple = ()
+    top: int = 1
+    p: int = 0
+    exceptions: tuple = ()
     tail: range = range(0)
 
-    def __len__(self):
-        return len(self.reasons) - self.reasons.count(None) + len(self.tail)
+    def reasons(self) -> list:
+        """The slots indexed by w <= top: w's reason, or None for w < 2 and
+        for survivors.  O(top), with a sieve up to a top above the table."""
+        top = self.top
+        reasons = (list(_SMALLEST_FACTOR_REASONS[:top + 1])
+                   if top <= PRIME_TABLE_BOUND
+                   else _smallest_factor_reasons(top))
+        reasons[2:self.p + 1:2] = [REASON_III] * (min(self.p, top) // 2)
+        for w, r in self.exceptions:
+            reasons[w] = r
+        return reasons
 
-    def __bool__(self):
-        # every reason is a nonempty string; any() stops at the first
-        return bool(self.tail) or any(self.reasons)
+    def __len__(self):
+        return (self.top - 1 + len(self.tail)
+                - sum(r is None for _, r in self.exceptions))
 
     def __iter__(self):
-        # the (w, reason) pairs of the slots that hold a reason, then the
-        # tail's; tuple.__new__ builds the items without a Python-level
-        # __new__ call each
+        # the slots that hold a reason, then the tail; tuple.__new__ builds
+        # the items without a Python-level __new__ call each
+        reasons = self.reasons()
         return map(tuple.__new__, repeat(Elimination), chain(
-            compress(enumerate(self.reasons), self.reasons),
+            compress(enumerate(reasons), reasons),
             zip(self.tail, repeat(REASON_GENUS))))
 
 
@@ -276,23 +284,18 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
     # Condition (iv) for every w in [2, top] at once.  A w is eliminated at
     # the smallest prime d | w that fails, and at each d at most two
     # multiples of d pass (condition_iv_multipliers), so nearly every w
-    # fails at its smallest prime factor: the slots start as the
-    # smallest-factor reasons, a slice of _SMALLEST_FACTOR_REASONS for a
-    # top within PRIME_TABLE_BOUND and built afresh above it.  Only a w
-    # that passes at some prime can differ from that start; each such w
-    # gets the reason of its smallest prime factor at which it fails, or
-    # None if it passes at all of them.  The multiples w = dk,
+    # follows the pattern of Eliminations.  Only a w that passes at its
+    # smallest prime factor, odd or above p (so not condition (iii)'s), is
+    # an exception: the reason of its smallest prime factor at which it
+    # fails, or None if it passes at all of them.  The multiples w = dk,
     # k <= n = [top/d], have 2a(d-a)k^2 <= 2a(d-a)n^2, a = [d/2], so when
     # -sigma_d exceeds that bound none passes: most primes are settled by
     # that one comparison, without solving for k.  sigma_inputs holds
     # sigma_d for every prime d that divides some w checked: each odd prime
     # d <= top (at w = d), and 2 only if some even w lies above p, since
-    # condition (iii) alone eliminates the even w <= p (so an even w that
-    # is relabelled without sigma_2 is overwritten below).
+    # condition (iii) alone eliminates the even w <= p.
     top = genus_cutoff(p, q)
     sigma_inputs = sigma_d_sweep(nk, top, 2 if top // 2 > p // 2 else 3)
-    reasons = (list(_SMALLEST_FACTOR_REASONS[:top + 1])
-               if top <= PRIME_TABLE_BOUND else _smallest_factor_reasons(top))
     passing = {}   # w -> the primes d | w at which w passes
     for d, s in sigma_inputs.items():
         a, n = d // 2, top // d
@@ -300,13 +303,14 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
             for k in condition_iv_multipliers(d, s):
                 if 0 < k <= n:
                     passing.setdefault(d * k, []).append(d)
+    exceptions = {}   # w -> its reason, or None for a survivor
     for w, passed in passing.items():
-        reasons[w] = next((reason_iv(d) for d in prime_divisors(w)
-                           if d not in passed), None)
-    # condition (iii): even w <= p (< top), whatever condition (iv) says
-    reasons[2:p + 1:2] = [REASON_III] * (p // 2)
-    # only a w that passes at some prime can be left without a reason
-    alive = sorted(w for w in passing if reasons[w] is None)
+        if w % 2 or w > p:
+            divisors = prime_divisors(w)
+            if divisors[0] in passed:
+                exceptions[w] = next((reason_iv(d) for d in divisors
+                                      if d not in passed), None)
+    alive = sorted(w for w, r in exceptions.items() if r is None)
 
     template_reports = []
     for seq in template_sequences(nk):
@@ -332,17 +336,23 @@ def classify(k: TorusKnotParams) -> ObstructionCertificate:
         allowed = set(res.admissible)
         for w in alive:
             if w % 2 == 1 and w not in allowed:
-                reasons[w] = REASON_KIKUCHI
-        alive = [w for w in alive if reasons[w] is None]
+                exceptions[w] = REASON_KIKUCHI
+        alive = [w for w in alive if exceptions[w] is None]
 
-    eliminations = Eliminations(tuple(reasons), range(top + 1, q))
+    eliminations = Eliminations(top, p, tuple(sorted(exceptions.items())),
+                                range(top + 1, q))
     survivors = tuple(CandidateTwist(1, w) for w in alive)
-    # every w in [2, q-1] once, read from the certificate: a reason or a
-    # survivor in [2, top] (none for w < 2), and (top, q) as the genus tail
-    slots = eliminations.reasons
-    empty = list(compress(range(top + 1), map(not_, slots)))
-    if (len(slots) != top + 1 or empty != [0, 1, *alive]
-            or eliminations.tail != range(top + 1, q)):
+    # every w in [2, q-1] once, read from the certificate: the pattern in
+    # [2, top] but for ascending exceptions there, none its pattern reason,
+    # whose None are the survivors; and (top, q) as the genus tail
+    e = eliminations
+    ws = [w for w, _ in e.exceptions]
+    if ((e.top, e.p, e.tail) != (top, p, range(top + 1, q))
+            or ws != sorted(set(ws)) or any(not 2 <= w <= top for w in ws)
+            or any(r == (REASON_III if w % 2 == 0 and w <= p
+                         else reason_iv(prime_divisors(w)[0]))
+                   for w, r in e.exceptions)
+            or [w for w, r in e.exceptions if r is None] != alive):
         raise InternalCheckError(f"candidate partition broken for {nk}")
     verdict = NOT_IN_T if not survivors else UNDECIDED
     return ObstructionCertificate(
@@ -449,24 +459,22 @@ def _slot_parts(reasons, label, start: int = 0) -> list:
 
 
 def _pattern_tables() -> tuple:
-    """The two patterns that a certificate's slots within PRIME_TABLE_BOUND
-    follow but for a few: the smallest-factor reasons, and the same with
-    REASON_III on every even w.  Returns the two reason tuples; for each,
-    the prefix sums of its reason lengths (entry w sums the slots 2..w-1);
-    and for each renderer's label, len(label("")) and the _slot_parts text
-    of each pattern."""
-    even = list(_SMALLEST_FACTOR_REASONS)
-    even[2::2] = [REASON_III] * (PRIME_TABLE_BOUND // 2)
-    patterns = (_SMALLEST_FACTOR_REASONS, tuple(even))
+    """The Eliminations pattern up to PRIME_TABLE_BOUND as two slot lists,
+    split at p: the smallest-factor reasons, and the same with REASON_III
+    on every even w.  Returns, for each, the prefix sums of its reason
+    lengths (entry w sums the slots 2..w-1); and for each renderer's label,
+    len(label("")) and the _slot_parts text of each list."""
+    even = Eliminations(PRIME_TABLE_BOUND, PRIME_TABLE_BOUND).reasons()
+    patterns = (_SMALLEST_FACTOR_REASONS, even)
     sums = tuple(array("q", [0, 0, *accumulate(map(len, r[2:]), initial=0)])
                  for r in patterns)
     texts = {label: (len(label("")),
                      *("".join(_slot_parts(r, label)) for r in patterns))
              for label in (_text_label, _json_label)}
-    return patterns, sums, texts
+    return sums, texts
 
 
-_PATTERN_REASONS, _PATTERN_SUMS, _PATTERN_TEXTS = _pattern_tables()
+_PATTERN_SUMS, _PATTERN_TEXTS = _pattern_tables()
 
 
 def _offset(sums, w: int, fixed: int) -> int:
@@ -478,60 +486,50 @@ def _offset(sums, w: int, fixed: int) -> int:
             + (w - 2) * fixed)
 
 
-def _explicit_parts(reasons: tuple, label, p: int) -> list:
-    """Every w whose slot in `reasons` holds a reason, ascending, each
-    followed by label(reason), as a list of parts for the caller's join.
+def _explicit_parts(elims: Eliminations, label) -> list:
+    """Every w <= elims.top that holds a reason, ascending, each followed
+    by label(reason), as a list of parts for the caller's join.
 
-    Up to PRIME_TABLE_BOUND, classify's slots for a knot with this p are
-    nearly all expected: the smallest-factor reason of w, or REASON_III
-    for an even w <= p, as in the two patterns of _PATTERN_REASONS split
-    at p.  Every stretch of expected slots is one slice of the renderer's
-    pre-rendered text of its pattern (_PATTERN_TEXTS), cut at _offset.
-    A slot differs when its reason is not that very string (a survivor, a
-    Kikuchi elimination, a w relabelled by condition (iv)); it is written
-    on its own, as is every slot above the bound (_slot_parts).  Nearly
-    every certificate has no differing slot, which one tuple comparison
-    finds; a reason equal to the expected one but built elsewhere gives
-    the same bytes either way, and p only decides what is copied.
+    Up to PRIME_TABLE_BOUND, every stretch of slots between two exceptions
+    follows the pattern, split at p: one slice of the renderer's
+    pre-rendered text of the list with REASON_III below the split, then
+    one of the list without it (_PATTERN_TEXTS), each cut at _offset.  An
+    exception there is written on its own, and nearly every certificate
+    has none.  The slots above the bound are built by elims.reasons() and
+    written by _slot_parts.
     """
-    top = len(reasons) - 1
+    top = elims.top
     within = min(top, PRIME_TABLE_BOUND)
-    # the expected slots below cut are those of the pattern with (iii)
-    cut = max(min(p, within) + 1, 2)
-    (first, even), (first_sums, even_sums) = _PATTERN_REASONS, _PATTERN_SUMS
+    # the pattern's slots below cut are those of the list with (iii)
+    cut = max(min(elims.p, within) + 1, 2)
+    first_sums, even_sums = _PATTERN_SUMS
     fixed, first_text, even_text = _PATTERN_TEXTS[label]
-    expected = even[:cut] + first[cut:within + 1]
-    differing = (() if reasons[:within + 1] == expected else
-                 compress(range(within + 1), map(is_not, reasons, expected)))
     labels = _LABELS[label]
     parts = []
     lo = 2   # the first slot not yet written
-    for w in chain(differing, (within + 1,)):
-        if lo < w:
-            mid = min(max(lo, cut), w)
-            if lo < mid:
-                parts.append(even_text[_offset(even_sums, lo, fixed):
-                                       _offset(even_sums, mid, fixed)])
-            if mid < w:
-                parts.append(first_text[_offset(first_sums, mid, fixed):
-                                        _offset(first_sums, w, fixed)])
-        r = reasons[w] if w <= within else None
+    for w, r in chain([e for e in elims.exceptions if e[0] <= within],
+                      [(within + 1, None)]):
+        mid = min(max(lo, cut), w)
+        if lo < mid:
+            parts.append(even_text[_offset(even_sums, lo, fixed):
+                                   _offset(even_sums, mid, fixed)])
+        if mid < w:
+            parts.append(first_text[_offset(first_sums, mid, fixed):
+                                    _offset(first_sums, w, fixed)])
         if r is not None:
             parts.append(f"{w}{labels.get(r) or label(r)}")
-        lo = max(lo, w + 1)
+        lo = w + 1
     if top > within:
-        parts += _slot_parts(reasons, label, within + 1)
+        parts += _slot_parts(elims.reasons(), label, within + 1)
     return parts
 
 
-def _add_eliminations(out: list, elims: Eliminations, label, lead: str,
-                      p: int = 0):
+def _add_eliminations(out: list, elims: Eliminations, label, lead: str):
     """Append to out every w of elims, ascending, each followed by
     label(reason), and strip the lead-in to a next w off the last part.
     elims is nonempty, and the caller has written the first w's lead-in.
 
-    The slots below the genus cutoff come from _explicit_parts, given the
-    knot's p (any p gives the same text).  Every w of
+    The slots below the genus cutoff come from _explicit_parts.  Every w of
     the genus tail in [B*c, B*c + B - 1], B = TAIL_BLOCK and c >= 1, is
     str(c) followed by its zero-padded low digits, as there; but every tail
     w has the same label, so the text of a whole block is one str(c).join
@@ -539,7 +537,7 @@ def _add_eliminations(out: list, elims: Eliminations, label, lead: str,
     of three per w.  Only the w at the two ends of the tail that fill no
     whole block are written one by one.
     """
-    out += _explicit_parts(elims.reasons, label, p)
+    out += _explicit_parts(elims, label)
     start, stop = elims.tail.start, elims.tail.stop
     sep = label(REASON_GENUS)
     # the whole blocks are c in [first, last), none if the tail has none;
@@ -570,12 +568,12 @@ def certificate_to_text(cert: ObstructionCertificate) -> str:
         out.append("eliminated:\n")
         if cert.eliminations:
             out.append(_TEXT_LEAD)
-            _add_eliminations(out, cert.eliminations, _text_label, _TEXT_LEAD,
-                              cert.normalized.p)
+            _add_eliminations(out, cert.eliminations, _text_label, _TEXT_LEAD)
         out.append("survivors:\n")
         out.extend(f"  (n={s.n}, omega={s.omega})\n" for s in cert.survivors)
         out.append("sigma-inputs:\n")
-        out.extend(f"  sigma_{d}({cert.normalized}) = {v}\n"
+        knot = str(cert.normalized)
+        out.extend(f"  sigma_{d}({knot}) = {v}\n"
                    for d, v in sorted(cert.sigma_inputs.items()))
         out.append("templates:\n")
         for t in cert.templates:
@@ -653,8 +651,7 @@ def certificate_to_json(cert: ObstructionCertificate, extra: dict = None) -> str
            '  "eliminations": ']
     if cert.eliminations:
         out.append("[\n    [\n      ")
-        _add_eliminations(out, cert.eliminations, _json_label, _JSON_LEAD,
-                          cert.normalized.p)
+        _add_eliminations(out, cert.eliminations, _json_label, _JSON_LEAD)
         out.append("\n  ]")
     else:
         out.append("[]")

@@ -576,7 +576,7 @@ def test_output_digests_tool():
                          env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert len(lines) == 41
+    assert len(lines) == 45
     digests = {}
     for line in lines:
         digest, sep, argv = line.partition("  ")

@@ -114,39 +114,55 @@ def test_certificate_partitions_candidates():
 
 
 def _shift_tail(by_start, by_stop):
-    def mutate(reasons, tail):
-        return reasons, range(tail.start + by_start, tail.stop + by_stop)
+    def mutate(top, p, exceptions, tail):
+        return top, p, exceptions, range(tail.start + by_start,
+                                         tail.stop + by_stop)
     return mutate
 
 
-def _set_slot(reasons, w, reason):
-    return reasons[:w] + (reason,) + reasons[w + 1:]
+def _with_exceptions(before, after=()):
+    def mutate(top, p, exceptions, tail):
+        return top, p, before + exceptions + after, tail
+    return mutate
 
 
 @pytest.mark.parametrize("mutate", [
     _shift_tail(1, 1), _shift_tail(-1, -1), _shift_tail(1, 0),
     _shift_tail(-1, 0),
-    # the last slot duplicated: one slot too long
-    lambda reasons, tail: (reasons + reasons[-1:], tail),
-    # the first survivor's slot given a reason
-    lambda reasons, tail: (_set_slot(reasons, reasons.index(None, 2),
-                                     REASON_KIKUCHI), tail),
-    # the first eliminated w's slot cleared
-    lambda reasons, tail: (_set_slot(reasons, 2, None), tail),
-    # w = 1, which is no candidate, given a reason
-    lambda reasons, tail: (_set_slot(reasons, 1, REASON_GENUS), tail),
-], ids=["tail+1", "tail-1", "tail-start+1", "tail-start-1",
-        "duplicated-last-slot", "survivor-given-a-reason", "reason-cleared",
-        "omega-1-given-a-reason"])
+    lambda top, p, exceptions, tail: (top + 1, p, exceptions, tail),
+    lambda top, p, exceptions, tail: (top - 1, p, exceptions, tail),
+    lambda top, p, exceptions, tail: (top, p + 1, exceptions, tail),
+    # w = 1, which is no candidate, and w = top + 1, in the tail
+    _with_exceptions(((1, REASON_KIKUCHI),)),
+    _with_exceptions((), ((19, REASON_KIKUCHI),)),
+    # an exception twice, and one out of ascending order
+    _with_exceptions(((3, REASON_KIKUCHI), (3, REASON_KIKUCHI))),
+    _with_exceptions((), ((3, REASON_KIKUCHI),)),
+    # the survivor given a reason
+    lambda top, p, exceptions, tail: (top, p, ((18, REASON_KIKUCHI),), tail),
+    # the first eliminated w's reason cleared: a pattern slot turned into
+    # a survivor
+    _with_exceptions(((2, None),)),
+    # an exception that restates its pattern reason: condition (iv) at the
+    # smallest prime factor of an odd w, and condition (iii) at an even
+    # w <= p
+    _with_exceptions(((3, "condition-iv(d=3)"),)),
+    _with_exceptions(((4, "condition-iii"),)),
+], ids=["tail+1", "tail-1", "tail-start+1", "tail-start-1", "top+1", "top-1",
+        "p+1", "omega-1-given-a-reason", "omega-top+1-given-a-reason",
+        "duplicated-exception", "exception-out-of-order",
+        "survivor-given-a-reason", "reason-cleared", "restates-condition-iv",
+        "restates-condition-iii"])
 def test_classify_rejects_a_broken_partition(monkeypatch, mutate):
     class Broken(Eliminations):
-        def __init__(self, reasons, tail):
-            super().__init__(*mutate(reasons, tail))
+        def __init__(self, top, p, exceptions, tail):
+            super().__init__(*mutate(top, p, exceptions, tail))
 
-    # a survivor, reasons below it and a genus tail above it
+    # one survivor, the pattern below it and a genus tail above it
     cert = classify(K(7, 47))
     assert [s.omega for s in cert.survivors] == [18]
-    assert cert.eliminations.reasons[2] and cert.eliminations.tail
+    e = cert.eliminations
+    assert (e.top, e.p, e.exceptions) == (18, 7, ((18, None),)) and e.tail
     monkeypatch.setattr(obstruction, "Eliminations", Broken)
     with pytest.raises(InternalCheckError):
         classify(K(7, 47))
@@ -159,9 +175,8 @@ def test_a_broken_partition_exits_3_also_under_O():
         "import sys\n"
         "from torustwist import cli, obstruction\n"
         "class Broken(obstruction.Eliminations):\n"
-        "    def __init__(self, reasons, tail):\n"
-        "        super().__init__(reasons[:2] + (None,) + reasons[3:],\n"
-        "                         tail)\n"
+        "    def __init__(self, top, p, exceptions, tail):\n"
+        "        super().__init__(top, p, ((2, None),) + exceptions, tail)\n"
         "obstruction.Eliminations = Broken\n"
         "sys.exit(cli.main(['classify', '-p', '7', '-q', '47']))\n")
     env = dict(os.environ)
@@ -188,15 +203,26 @@ def _eliminations_certs():
     for p, q in [(13, 97), (7, 3001)]:
         cert = classify(K(p, q))
         e = cert.eliminations
-        certs.append(dataclasses.replace(cert, eliminations=Eliminations(
-            tuple(r if w % 3 == 2 else None for w, r in enumerate(e.reasons)),
-            e.tail)))
+        certs.append(dataclasses.replace(cert, eliminations=_elims(
+            [r if w % 3 == 2 else None for w, r in enumerate(e.reasons())],
+            e.p, e.tail)))
     return certs
 
 
 def _slots(reasons):
-    """An Eliminations.reasons tuple from a {w: reason} dict."""
-    return tuple(map(reasons.get, range(max(reasons, default=-1) + 1)))
+    """A list of slots indexed by w from a {w: reason} dict."""
+    return list(map(reasons.get, range(max(reasons, default=-1) + 1)))
+
+
+def _elims(slots, p=0, tail=range(0)):
+    """The Eliminations(top, p, exceptions, tail) whose reasons() are
+    `slots`, a list indexed by w <= top (None for w < 2): its exceptions
+    are the slots w >= 2 unlike _expected_slots(top, p)."""
+    top = max(len(slots) - 1, 1)
+    expected = _expected_slots(top, p)
+    return Eliminations(top, p, tuple(
+        (w, r) for w, r in enumerate(slots) if w >= 2 and r != expected[w]),
+        tail)
 
 
 def test_eliminations_behave_as_the_materialized_tuple():
@@ -204,13 +230,14 @@ def test_eliminations_behave_as_the_materialized_tuple():
     assert any(e.reason == REASON_KIKUCHI for c in certs for e in c.eliminations)
     for cert in certs:
         e = cert.eliminations
-        ref = tuple(Elimination(w, r) for w, r in enumerate(e.reasons)
+        ref = tuple(Elimination(w, r) for w, r in enumerate(e.reasons())
                     if r is not None)
         ref += tuple(Elimination(w, REASON_GENUS) for w in e.tail)
         assert isinstance(e, Eliminations)
         assert tuple(e) == ref and len(e) == len(ref)
+        assert bool(e) is bool(ref)
         back = pickle.loads(pickle.dumps(e))
-        assert type(back) is Eliminations and back.tail == e.tail
+        assert type(back) is Eliminations and back == e
         assert tuple(back) == ref
 
 
@@ -245,17 +272,17 @@ def _renderer_certs():
     certs.append(dataclasses.replace(certs[5], sigma_inputs={
         11: -60, 2: -10, 7: -40}))
     # a reason classify never emits and one that needs escaping, by hand
-    certs.append(dataclasses.replace(certs[5], eliminations=Eliminations(
+    certs.append(dataclasses.replace(certs[5], eliminations=_elims(
         _slots({3: "characteristic-parity", 5: 'quote " and \u00e9',
                 7: "characteristic-parity"}))))
-    # a genus-bound slot in reasons, next to the tail; a tail with no
-    # reasons
+    # a genus-bound slot below the cutoff, next to the tail; a tail with no
+    # slots
     e = certs[6].eliminations
-    assert len(e.reasons) == e.tail[0]
-    certs.append(dataclasses.replace(certs[6], eliminations=Eliminations(
-        e.reasons + (REASON_GENUS,), e.tail[1:])))
+    assert e.top + 1 == e.tail[0]
+    certs.append(dataclasses.replace(certs[6], eliminations=_elims(
+        e.reasons() + [REASON_GENUS], e.p, e.tail[1:])))
     certs.append(dataclasses.replace(certs[4], eliminations=Eliminations(
-        (), range(2, 9))))
+        tail=range(2, 9))))
     # the genus tail is rendered in decimal blocks: every edge of a block,
     # each digit-width change, a tail inside one block, a one-w tail and
     # a tail from below 100 to past 1000
@@ -265,7 +292,7 @@ def _renderer_certs():
               range(1000, 1001), range(9999, 10002), range(9899, 10102),
               range(10000, 10001), range(150, 181), range(150, 151),
               range(42, 1234)]
-    certs += [dataclasses.replace(certs[4], eliminations=Eliminations((), t))
+    certs += [dataclasses.replace(certs[4], eliminations=Eliminations(tail=t))
               for t in tails]
     # the slots below the cutoff are rendered in the same blocks: a reason
     # and a survivor (None) at each block edge and digit-width change, one
@@ -274,15 +301,15 @@ def _renderer_certs():
     edges = (99, 100, 101, 999, 1000, 9999, 10000)
     escaped = 'quote " and \u00e9'
     for picked in (edges[0::2], edges[1::2]):
-        certs.append(dataclasses.replace(certs[5], eliminations=Eliminations(
+        certs.append(dataclasses.replace(certs[5], eliminations=_elims(
             _slots({**dict.fromkeys(picked, REASON_KIKUCHI), 150: escaped}))))
     dense = [None, None, *(obstruction.reason_iv(w % 3 + 2) for w in
                            range(2, 10002))]
     for w in edges:
         dense[w] = None
     dense[150] = escaped
-    certs.append(dataclasses.replace(certs[5], eliminations=Eliminations(
-        tuple(dense), range(10002, 10107))))
+    certs.append(dataclasses.replace(certs[5], eliminations=_elims(
+        dense, 0, range(10002, 10107))))
     return certs
 
 
@@ -325,7 +352,7 @@ def test_tail_parts_are_one_per_block(tail):
                         (obstruction._json_label, obstruction._JSON_LEAD)):
         sep = label(REASON_GENUS)
         parts = []
-        obstruction._add_eliminations(parts, Eliminations((), tail), label,
+        obstruction._add_eliminations(parts, Eliminations(tail=tail), label,
                                       lead)
         assert "".join(parts) == (sep.join(map(str, tail))
                                   + sep.removesuffix(lead))
@@ -336,27 +363,29 @@ def test_explicit_parts_are_shared_strings():
     # the slots below the cutoff of a near-diagonal knot: three parts per
     # eliminated w, all shared, one leading-digit string per block of
     # TAIL_BLOCK w, not one string per w, with either renderer's label
-    reasons = classify(K(30001, 30011)).eliminations.reasons
-    top = len(reasons) - 1
-    assert top == 30006
+    e = classify(K(30001, 30011)).eliminations
+    reasons = e.reasons()
+    assert e.top == 30006
     distinct = len(set(filter(None, reasons)))
     for label in (obstruction._text_label, obstruction._json_label):
-        parts = obstruction._explicit_parts(reasons, label, 30001)
+        parts = obstruction._explicit_parts(e, label)
         assert "".join(parts) == "".join(f"{w}{label(r)}" for w, r in
                                          enumerate(reasons) if r)
-        assert len(set(map(id, parts))) <= top // 100 + 200 + distinct
+        assert len(set(map(id, parts))) <= e.top // 100 + 200 + distinct
     # within the prime table, the slots are slices of the pre-rendered
-    # patterns: two parts per slot that is not the expected reason (the
-    # slot and the slice before it), and two more (the last slice, and
-    # the split at p between the two patterns)
+    # patterns: two parts per exception (the exception and the slice
+    # before it), and two more (the last slice, and the split at p between
+    # the two patterns)
     p, q = 601, 1400
-    reasons = classify(K(p, q)).eliminations.reasons
+    e = classify(K(p, q)).eliminations
+    reasons = e.reasons()
     expected = [None, None, *("condition-iii" if w % 2 == 0 and w <= p else
                               f"condition-iv(d={prime_divisors(w)[0]})"
                               for w in range(2, len(reasons)))]
-    differing = sum(r != e for r, e in zip(reasons, expected))
+    differing = sum(r != x for r, x in zip(reasons, expected))
+    assert differing == len(e.exceptions)
     for label in (obstruction._text_label, obstruction._json_label):
-        parts = obstruction._explicit_parts(reasons, label, p)
+        parts = obstruction._explicit_parts(e, label)
         assert "".join(parts) == "".join(f"{w}{label(r)}" for w, r in
                                          enumerate(reasons) if r)
         assert len(parts) <= 2 + 2 * differing
@@ -372,38 +401,64 @@ def _expected_slots(top, p):
         for w in range(2, top + 1))][:top + 1]
 
 
+def _naive_slots(elims):
+    """elims.reasons() built here: _expected_slots with the exceptions."""
+    slots = _expected_slots(elims.top, elims.p)
+    for w, r in elims.exceptions:
+        slots[w] = r
+    return slots
+
+
 def test_explicit_parts_match_a_per_slot_rendering():
-    # slices of the pre-rendered patterns, split at p, with the slots that
-    # differ from them written on their own, give the text of one label
-    # per slot, written here, whatever p is
+    # slices of the pre-rendered patterns, split at p, with the exceptions
+    # written on their own, give the text of one label per slot, written
+    # here, whatever p is
     bound = lattice.PRIME_TABLE_BOUND
     shared = obstruction.reason_iv(3)
     joined = "".join(["condition-iv", "(d=3)"])
     assert joined == shared and joined is not shared
     kinds = (None, REASON_KIKUCHI, "condition-iv(d=4099)", joined,
              obstruction.REASON_III, obstruction.reason_iv(2))
-    cases = [((), 0), ((None,), 0), ((None, None), 5),
-             ((None, REASON_KIKUCHI), 0), ((REASON_KIKUCHI, None), 3)]
-    for top in (2, 3, 50, 97, bound - 1, bound, bound + 7):
+    cases = []
+    for top in (1, 2, 3, 50, 97, bound - 1, bound, bound + 7):
         for p in (0, 5, 48, top, top + 3):
-            slots = _expected_slots(top, p)
-            cases.append((tuple(slots), p))
-            # a reason equal to the shared one alone, and next to others
+            cases.append(Eliminations(top, p))
+            # an exception equal to its pattern reason, alone and next to
+            # others
             at = (3 * 5 * 7 if top >= 105 else 3)
             if at <= top:
-                cases.append((_set_slot(tuple(slots), at, joined), p))
+                cases.append(Eliminations(top, p, ((at, joined),)))
             for i, kind in enumerate(kinds):
-                picked = list(slots)
-                for w in (2, p, p + 1, bound, bound + 1, top, 3 + i, at):
-                    if w <= top:
-                        picked[w] = kind
-                cases.append((tuple(picked), p))
+                picked = {2, p, p + 1, bound, bound + 1, top, 3 + i, at}
+                cases.append(Eliminations(top, p, tuple(
+                    (w, kind) for w in sorted(picked) if 2 <= w <= top)))
     for label in (obstruction._text_label, obstruction._json_label):
-        for reasons, p in cases:
-            want = "".join(f"{w}{label(r)}" for w, r in enumerate(reasons)
-                           if r)
-            got = "".join(obstruction._explicit_parts(reasons, label, p))
-            assert got == want, (len(reasons), p)
+        for e in cases:
+            want = "".join(f"{w}{label(r)}" for w, r in
+                           enumerate(_naive_slots(e)) if r)
+            got = "".join(obstruction._explicit_parts(e, label))
+            assert got == want, (e.top, e.p)
+
+
+def test_the_pattern_matches_a_naive_rule_on_both_sides_of_the_bound():
+    # reasons(), iteration and len against the smallest prime factor of
+    # each w found by its own factorization, with condition (iii) on the
+    # even w <= p, for p below, at and above the cutoff, with exceptions
+    # at both ends, at the bound and past it
+    bound = lattice.PRIME_TABLE_BOUND
+    for top in (bound - 1, bound, bound + 1, bound + 7, 30006):
+        for p in (5, top // 2 + 1, top - 1, top, top + 3):
+            exceptions = tuple(sorted({
+                2: None, 3: REASON_KIKUCHI, min(bound, top): None,
+                min(bound + 1, top): REASON_KIKUCHI,
+                top: obstruction.reason_iv(2)}.items()))
+            for e in (Eliminations(top, p, (), range(top + 1, top + 9)),
+                      Eliminations(top, p, exceptions, range(0))):
+                slots = _naive_slots(e)
+                assert e.reasons() == slots, (top, p)
+                items = [(w, r) for w, r in enumerate(slots) if r]
+                items += [(w, REASON_GENUS) for w in e.tail]
+                assert list(e) == items and len(e) == len(items), (top, p)
 
 
 def test_import_time_tables_equal_a_fresh_build():
@@ -428,7 +483,7 @@ def test_import_time_tables_equal_a_fresh_build():
     assert first == tuple(obstruction._smallest_factor_reasons(bound))
     assert list(first) == _expected_slots(bound, 0)
     assert all(a is b for a, b in zip(first, _expected_slots(bound, 0)))
-    assert (obstruction._PATTERN_REASONS, obstruction._PATTERN_SUMS,
+    assert (obstruction._PATTERN_SUMS,
             obstruction._PATTERN_TEXTS) == obstruction._pattern_tables()
     labels = (obstruction._text_label, obstruction._json_label)
     assert obstruction._LABELS == {label: {r: label(r) for r in (
@@ -457,9 +512,10 @@ def test_max_q_memory_bound():
 
 
 def test_classify_memory_per_omega_below_the_cutoff():
-    # a near-diagonal knot, whose genus cutoff is about q: below the
-    # cutoff classify keeps one shared reason reference per w and builds no
-    # item per w
+    # a near-diagonal knot, whose genus cutoff is about q: classify keeps
+    # what it holds per prime (sigma_inputs) and no slot per w below the
+    # cutoff, where a list of one reference per w would add 8 bytes per w,
+    # 74 per prime here; its peak holds no item per w either
     k = K(30001, 30011)
     top = genus_cutoff(k.p, k.q)
     assert top == 30006
@@ -471,8 +527,10 @@ def test_classify_memory_per_omega_below_the_cutoff():
     finally:
         tracemalloc.stop()
     assert cert.verdict == NOT_IN_T
-    assert retained / top <= 40 and peak / top <= 64, (retained / top,
-                                                        peak / top)
+    primes = len(cert.sigma_inputs)
+    assert primes == 3245
+    assert retained / primes <= 160 and peak / top <= 64, (retained / primes,
+                                                           peak / top)
 
 
 def test_an_even_template_root_is_an_internal_check_error(monkeypatch):
@@ -549,7 +607,7 @@ def _assert_sieve_matches_the_per_omega_loop(p, q):
     cert = classify(K(p, q))
     reasons, alive, sigma = _per_omega_condition_iv(p, q)
     # the templates only remove odd w that passed condition (iv)
-    slots = cert.eliminations.reasons
+    slots = cert.eliminations.reasons()
     kikuchi = [w for w, r in enumerate(slots) if r == REASON_KIKUCHI]
     assert {w: r for w, r in enumerate(slots)
             if r not in (None, REASON_KIKUCHI)} == reasons, (p, q)
@@ -627,7 +685,7 @@ def test_classify_within_the_prime_table_sieves_nothing(monkeypatch):
 def test_condition_iv_reasons_are_one_string_per_prime():
     # every certificate shares the one reason string of each prime in the
     # prime table; above it, reason_iv builds the same text afresh
-    first, second = (classify(K(p, q)).eliminations.reasons
+    first, second = (classify(K(p, q)).eliminations.reasons()
                      for p, q in ((11, 15), (101, 257)))
     want = obstruction.reason_iv(3)
     assert want == "condition-iv(d=3)"

@@ -29,8 +29,11 @@ from torustwist import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# T(3901,4300) and T(3902,4301) have genus cutoffs at the prime table's
+# bound and one above it, where Eliminations switches how it builds its slots
 KNOTS = [(5, 7), (-5, 8), (7, -5), (5, 8), (11, 15), (13, 17), (79, 119),
-         (1001, 2011), (7, 20011), (7, 2 ** 20 - 1), (300001, 300007)]
+         (1001, 2011), (3901, 4300), (3902, 4301), (7, 20011),
+         (7, 2 ** 20 - 1), (300001, 300007)]
 SCAN_BOX = ["--p-min", "2", "--p-max", "30", "--q-min", "3", "--q-max", "60"]
 
 
